@@ -3,9 +3,10 @@
 Every family is derived from two constraints on the full sequence (corrector
 wrapped around the target): it must compile to the identity-composed-target
 at zero error, and its first derivative with respect to the fractional error
-must vanish there.  Designs are solved in closed form where one exists and
-by grid-seeded damped Newton otherwise; every returned result is
-re-validated against the matrix-level residuals.
+must vanish there.  The 3-pulse and five-pulse designs are solved in closed
+form (the five-pulse branches by the law of cosines, at most two per pinned
+azimuth); every returned result is re-validated against the matrix-level
+residuals.
 """
 
 import math
@@ -20,9 +21,6 @@ from .su2 import IDENTITY, TWO_PI, dagger, rotation, xy_axis
 
 IDENTITY_TOL = 1e-12
 DERIVATIVE_TOL = 1e-9
-
-_NEWTON_TOL = 1e-13
-_DEDUP_TOL = 1e-6
 
 
 class InfeasibleDesign(Exception):
@@ -154,48 +152,30 @@ def design_wm(m: int, target: TargetRotation) -> DesignResult:
 #
 # in the frame rotated so the right-hand side is real positive.  The
 # solution set is one-dimensional, so one azimuth is pinned to the frame
-# axis (0 or pi) per symmetry class and the remaining 2x2 system is solved
-# by damped Newton from a seed grid.
+# axis (0 or pi) per symmetry class; what remains is a two-link triangle
+# with a real base, solved by the law of cosines (at most two roots).
 
 
-def _pinned_newton(weights, t, pin_idx, pin_val, seeds_per_axis=24):
-    """Solve the pinned 2x2 system for all seed pairs; return solutions."""
-    free = [i for i in range(3) if i != pin_idx]
-    wa, wb = weights[free[0]], weights[free[1]]
+def _pinned_triangle(weights, t, pin_idx, pin_val):
+    """Law-of-cosines roots of wa e^{i za} + wb e^{i zb} = rhs, the third
+    azimuth pinned on-axis; returns (azimuth triples, distance from |rhs| to
+    the reachable interval [|wa - wb|, wa + wb])."""
+    a, b = [i for i in range(3) if i != pin_idx]
+    wa, wb = weights[a], weights[b]
     rhs = t - weights[pin_idx] * math.cos(pin_val)
-    # pinned vector is on-axis, so its imaginary part is exactly zero
-    grid = np.linspace(0.0, TWO_PI, seeds_per_axis, endpoint=False)
-    za, zb = np.meshgrid(grid, grid, indexing="ij")
-    za = za.ravel().copy()
-    zb = zb.ravel().copy()
-    alive = np.ones(za.shape, dtype=bool)
-    for _ in range(80):
-        fa = wa * np.exp(1j * za) + wb * np.exp(1j * zb) - rhs
-        res = np.abs(fa)
-        alive &= res > _NEWTON_TOL / 10
-        if not np.any(alive):
-            break
-        # Jacobian [[-wa sin za, -wb sin zb], [wa cos za, wb cos zb]]
-        det = -wa * wb * np.sin(za - zb)
-        ok = alive & (np.abs(det) > 1e-9)
-        rre, rim = fa.real, fa.imag
-        da = -(wb * np.cos(zb) * rre + wb * np.sin(zb) * rim) / np.where(ok, det, 1.0)
-        db = (wa * np.cos(za) * rre + wa * np.sin(za) * rim) / np.where(ok, det, 1.0)
-        step = np.hypot(da, db)
-        damp = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-30), 1.0)
-        za = np.where(ok, za + damp * da, za + (np.where(alive, 0.05, 0.0)))
-        zb = np.where(ok, zb + damp * db, zb - (np.where(alive, 0.05, 0.0)))
-    fa = wa * np.exp(1j * za) + wb * np.exp(1j * zb) - rhs
-    res = np.abs(fa)
+    gap = max(0.0, abs(rhs) - (wa + wb), abs(wa - wb) - abs(rhs))
+    if rhs == 0.0:
+        return [], gap
+    cos_za = (rhs * rhs + wa * wa - wb * wb) / (2.0 * wa * rhs)
+    if abs(cos_za) > 1.0:
+        return [], gap
     out = []
-    for j in np.nonzero(res < _NEWTON_TOL)[0]:
-        z = [0.0, 0.0, 0.0]
-        z[pin_idx] = pin_val
-        z[free[0]] = reduce_angle(za[j])
-        z[free[1]] = reduce_angle(zb[j])
+    for za in (math.acos(cos_za), -math.acos(cos_za)):
+        zb = math.atan2(-wa * math.sin(za), rhs - wa * math.cos(za))
+        z = [pin_val] * 3
+        z[a], z[b] = reduce_angle(za), reduce_angle(zb)
         out.append(tuple(z))
-    best = float(res.min()) if res.size else math.inf
-    return out, best
+    return out, gap
 
 
 def _conjugated_to_phases(z, p, q, target):
@@ -209,21 +189,21 @@ def _conjugated_to_phases(z, p, q, target):
     return reduce_angle(phi1), reduce_angle(phi2), reduce_angle(phi3)
 
 
-def _angdist(a, b):
-    d = abs(reduce_angle(a) - reduce_angle(b))
-    return min(d, TWO_PI - d)
-
-
 def design_five_pulse(p: int, q: int, r: int,
                       target: TargetRotation) -> list:
     """All phase solutions for angles (p pi, q pi, 2 r pi, q pi, p pi).
 
     p + q + r must be even (the zero-error product is then the identity for
-    any phases).  Returns every Newton branch found, deduplicated modulo
-    2*pi and sorted by phases; each entry is validated against the
-    matrix-level residuals.  Known closed-form branches, e.g.
-    (1,2,1) -> phi1 = arccos((theta - 4 pi)/(4 pi)), phi2 = 2 phi1,
-    phi3 = 3 phi1 for a target about -X, come out of the same solve.
+    any phases).  Each of the six pins (one azimuth at 0 or pi) gives at most
+    two closed-form branches; the union is sorted by phases and each entry
+    is validated against the matrix-level residuals.  No deduplication is
+    needed: a root with two on-axis azimuths has its third on-axis too, so
+    the even integer +-p +- q +- r would equal theta / (2 pi), which lies
+    strictly between 0 and 2.  Hence no two pins share a branch, the two
+    roots of a pin never coincide, and a zero right-hand side has no root.
+    Known closed-form branches, e.g. (1,2,1) -> phi1 =
+    arccos((theta - 4 pi)/(4 pi)), phi2 = 2 phi1, phi3 = 3 phi1 for a target
+    about -X, are among them.
     """
     for name, v in (("p", p), ("q", q), ("r", r)):
         if int(v) != v or v < 1:
@@ -234,21 +214,13 @@ def design_five_pulse(p: int, q: int, r: int,
     weights = (float(p), float(q), float(r))
     t = target.theta / TWO_PI
 
-    triples = []
+    phase_sets = []
     best = math.inf
     for pin_idx in range(3):
         for pin_val in (0.0, np.pi):
-            sols, resid = _pinned_newton(weights, t, pin_idx, pin_val)
-            best = min(best, resid)
-            triples.extend(sols)
-
-    phase_sets = []
-    for z in triples:
-        phases = _conjugated_to_phases(z, p, q, target)
-        if any(all(_angdist(a, b) < _DEDUP_TOL for a, b in zip(phases, seen))
-               for seen in phase_sets):
-            continue
-        phase_sets.append(phases)
+            sols, gap = _pinned_triangle(weights, t, pin_idx, pin_val)
+            best = min(best, gap)
+            phase_sets.extend(_conjugated_to_phases(z, p, q, target) for z in sols)
 
     results = []
     for phases in sorted(phase_sets):

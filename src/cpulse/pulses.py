@@ -170,10 +170,35 @@ def sequence_to_json(seq: PulseSequence, target: TargetRotation | None = None) -
     return obj
 
 
-def sequence_from_json(obj: dict):
-    """Inverse of sequence_to_json; returns (sequence, target or None)."""
-    seq = PulseSequence.from_pairs((p["angle"], p["phase"]) for p in obj["pulses"])
+def _json_reals(obj, keys, where: str) -> tuple:
+    """Fields of a JSON object as floats; bools and non-numbers are rejected."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    values = []
+    for key in keys:
+        v = obj.get(key)
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{where}.{key} must be a number, not {type(v).__name__}")
+        try:
+            values.append(float(v))
+        except OverflowError:
+            raise ValueError(f"{where}.{key} is out of range") from None
+    return tuple(values)
+
+
+def sequence_from_json(obj):
+    """Inverse of sequence_to_json; returns (sequence, target or None).
+    Raises ValueError naming the first malformed entry."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("pulses"), list):
+        raise ValueError("sequence JSON must be an object with a 'pulses' list")
+    pulses = []
+    for i, entry in enumerate(obj["pulses"]):
+        angle, phase = _json_reals(entry, ("angle", "phase"), f"pulses[{i}]")
+        try:
+            pulses.append(Pulse(angle, phase))
+        except ValueError as exc:
+            raise ValueError(f"pulses[{i}]: {exc}") from None
     target = None
     if "target" in obj:
-        target = TargetRotation(obj["target"]["theta"], obj["target"]["alpha"])
-    return seq, target
+        target = TargetRotation(*_json_reals(obj["target"], ("theta", "alpha"), "target"))
+    return PulseSequence(tuple(pulses)), target

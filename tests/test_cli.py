@@ -154,6 +154,25 @@ class TestVerify:
                    for l in out.splitlines())
 
 
+class TestSequenceFiles:
+    @pytest.mark.parametrize("blob", [
+        {"pulses": [{"angle": "abc", "phase": 0.0}]},
+        {"pulses": [{"angle": None, "phase": 0.0}]},
+        [{"angle": PI, "phase": 0.0}],
+        {"pulses": 3},
+        {"pulses": [1]},
+        {"pulses": [{"angle": PI, "phase": 0.0}],
+         "target": {"theta": "pi", "alpha": 0.0}},
+    ])
+    def test_malformed_json_exits_2(self, capsys, tmp_path, blob):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        assert main(["sweep", "--seq", str(path), "--eps-count", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
 class TestSimulate:
     def test_plain_matrix(self, capsys):
         assert main(["simulate", "--family", "plain", "--theta", "pi",

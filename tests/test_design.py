@@ -23,6 +23,32 @@ def phases_match(got, expected, tol=1e-9):
     return all(angdist(g, e) < tol for g, e in zip(got, expected))
 
 
+# Branch lists, in output order, as recorded from the grid-seeded Newton
+# solver the closed form replaced; the closed form must reproduce them.
+FIVE_PULSE_GOLDEN_W222 = [
+    (0, 1.9551931012905364, 4.3279922058890499),
+    (0, 4.3279922058890499, 1.9551931012905364),
+    (0.89566479385786479, 3.1415926535897931, 5.3875205133217214),
+    (0.89566479385786479, 5.3875205133217214, 3.1415926535897931),
+    (1.9551931012905364, 0, 4.3279922058890499),
+    (1.9551931012905364, 4.3279922058890499, 0),
+    (3.1415926535897931, 0.89566479385786479, 5.3875205133217214),
+    (3.1415926535897931, 5.3875205133217214, 0.89566479385786479),
+    (4.3279922058890499, 0, 1.9551931012905364),
+    (4.3279922058890499, 1.9551931012905364, 0),
+    (5.3875205133217214, 0.89566479385786479, 3.1415926535897931),
+    (5.3875205133217214, 3.1415926535897931, 0.89566479385786479),
+]
+FIVE_PULSE_GOLDEN_W121 = [
+    (0.51838246836877211, 4.7957315428811569, 2.7898953102139554),
+    (1.3466563485084446, 5.9722137127427501, 3.3106866495707088),
+    (3.7017810535635025, 5.359408996508785, 1.7377507525012383),
+    (4.530054933703175, 0.25270585919079025, 2.2585420918579917),
+    (5.6658113546257667, 2.04415311061822, 3.7017810535635007),
+    (5.6658113546257667, 3.0042842914537289, 1.3466563485084464),
+]
+
+
 class TestWn:
     def test_bb1_phases(self):
         res = design_wn(1, TargetRotation(PI, 0.0))
@@ -128,6 +154,39 @@ class TestFivePulse:
             design_five_pulse(1, 1, 4, TargetRotation(PI, PI))
         assert exc.value.best_residual is not None
         assert exc.value.best_residual > 1.0
+
+    def test_infeasible_residual_is_exact_gap(self):
+        # t = 1/2; the nearest pin leaves a two-link triangle with links
+        # (1, 4) and base 3/2, or links (1, 1) and base 7/2: gap 3/2 either way
+        with pytest.raises(InfeasibleDesign) as exc:
+            design_five_pulse(1, 1, 4, TargetRotation(PI, PI))
+        assert exc.value.best_residual == pytest.approx(
+            1.5 * math.sqrt(2.0) * PI, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [1e-6, PI, 2 * PI, 3 * PI, 4 * PI - 1e-6])
+    @pytest.mark.parametrize("pqr,count", [
+        ((1, 2, 1), 6), ((1, 1, 2), 6), ((2, 2, 2), 12), ((3, 1, 2), 6),
+        ((1, 3, 2), 6)])
+    def test_branches_are_distinct(self, pqr, count, theta):
+        # at most two roots for each of the six pins; parity (p + q + r even,
+        # 0 < theta < 4 pi) keeps every root off-axis, so none coincide
+        results = design_five_pulse(*pqr, TargetRotation(theta, PI))
+        assert len(results) == count
+        for i, a in enumerate(results):
+            for b in results[:i]:
+                gap = max(angdist(x, y) for x, y in zip(a.phases, b.phases))
+                assert gap > 1e-5
+
+    @pytest.mark.parametrize("pqr,theta,alpha,golden", [
+        ((2, 2, 2), PI, PI, FIVE_PULSE_GOLDEN_W222),
+        ((1, 2, 1), 7.270316564340023, 5.665811354625767,
+         FIVE_PULSE_GOLDEN_W121),
+    ])
+    def test_golden_branches(self, pqr, theta, alpha, golden):
+        results = design_five_pulse(*pqr, TargetRotation(theta, alpha))
+        assert len(results) == len(golden)
+        for res, expected in zip(results, golden):
+            assert phases_match(res.phases, expected, tol=1e-9)
 
 
 class TestResiduals:
