@@ -18,8 +18,9 @@ COEFF_WINDOW = (1e-3, 1e-2)
 
 FIT_POINTS = 40
 
-# Below this the squared vector part of V U-dagger is dominated by roundoff
-# accumulated in the matrix products.
+# Fit windows stop here: against a 50-digit oracle (tests/test_analysis.py)
+# infidelity's relative error is at most 1.0e-6 for 1 - F >= 1e-20 (W1, W2,
+# W222 at three targets) and reaches 6e-6 just below.
 INFIDELITY_FLOOR = 1e-20
 
 

@@ -71,8 +71,17 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _target(args) -> TargetRotation:
-    return TargetRotation(parse_angle(args.theta), parse_angle(args.alpha))
+def _target(args, embedded=None) -> TargetRotation:
+    """Target from --theta/--alpha; an unset flag falls back to the sequence
+    file's embedded target, else to pi about X.  A set flag must agree."""
+    base = embedded or TargetRotation(math.pi, 0.0)
+    target = TargetRotation(
+        base.theta if args.theta is None else parse_angle(args.theta),
+        base.alpha if args.alpha is None else parse_angle(args.alpha))
+    if embedded is not None and target != embedded:
+        raise ValueError(f"--theta/--alpha give {target}, "
+                         f"but the sequence file holds {embedded}")
+    return target
 
 
 def _load_sequence(path: str):
@@ -93,19 +102,20 @@ def _design_results(args, target):
     raise ValueError(f"family {args.family!r} has no designed phases")
 
 
-def _resolve_sequence(args, target):
-    """Corrector sequence and label for commands that accept any source."""
+def _resolve_sequence(args):
+    """Corrector sequence, label and target for commands taking any source."""
     if getattr(args, "seq", None):
-        seq, embedded_target = _load_sequence(args.seq)
-        return seq, "file", embedded_target
+        seq, embedded = _load_sequence(args.seq)
+        return seq, "file", _target(args, embedded)
+    target = _target(args)
     if args.family == "plain":
-        return None, "plain", None
+        return None, "plain", target
     results = _design_results(args, target)
     branch = getattr(args, "branch", 0)
     if not 0 <= branch < len(results):
         raise ValueError(f"branch {branch} out of range (found {len(results)})")
     res = results[branch]
-    return res.sequence, res.label, None
+    return res.sequence, res.label, target
 
 
 def _result_json(res, target):
@@ -148,8 +158,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    target = _target(args)
-    seq, label, _ = _resolve_sequence(args, target)
+    seq, label, target = _resolve_sequence(args)
     if seq is None:
         full = PulseSequence((Pulse(target.theta, target.alpha),))
     else:
@@ -183,11 +192,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    target = _target(args)
     if args.eps_count < 2 or not args.eps_min < args.eps_max:
         raise ValueError("grid needs eps-min < eps-max and at least 2 points")
     grid = np.linspace(args.eps_min, args.eps_max, args.eps_count)
-    seq, label, _ = _resolve_sequence(args, target)
+    seq, label, target = _resolve_sequence(args)
     if seq is None:
         table = plain_sweep(target, grid)
     else:
@@ -206,8 +214,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_coeff(args) -> int:
-    target = _target(args)
-    seq, label, _ = _resolve_sequence(args, target)
+    seq, label, target = _resolve_sequence(args)
     window = COEFF_WINDOW if args.window == "coeff" else ORDER_WINDOW
     if seq is None:
         bare = PulseSequence((Pulse(target.theta, target.alpha),))
@@ -298,8 +305,7 @@ def cmd_verify(args) -> int:
         lines.append("%s three_pulse_scan: flat residual only at pi multiples"
                      % ("PASS" if ok else "FAIL"))
     else:
-        target = _target(args)
-        seq, _, _ = _resolve_sequence(args, target)
+        seq, _, target = _resolve_sequence(args)
         if seq is None:
             raise ValueError("verify needs a designed family or --seq file")
         for name, ok, detail in _verify_checks(seq, target):
@@ -310,8 +316,9 @@ def cmd_verify(args) -> int:
 
 
 def _add_target_args(p):
-    p.add_argument("--theta", default="pi", help="target angle (radians or pi form)")
-    p.add_argument("--alpha", default="0", help="target axis azimuth")
+    p.add_argument("--theta", help="target angle, radians or pi form "
+                                   "(default: the --seq file's, else pi)")
+    p.add_argument("--alpha", help="target axis azimuth (default: the --seq file's, else 0)")
 
 
 def _add_family_args(p, with_plain=False):

@@ -3,10 +3,10 @@
 Every family is derived from two constraints on the full sequence (corrector
 wrapped around the target): it must compile to the identity-composed-target
 at zero error, and its first derivative with respect to the fractional error
-must vanish there.  The 3-pulse and five-pulse designs are solved in closed
-form (the five-pulse branches by the law of cosines, at most two per pinned
-azimuth); every returned result is re-validated against the matrix-level
-residuals.
+must vanish there.  The 3-pulse and five-pulse designs and the 3-pulse
+exhaustiveness scan are solved in closed form (the five-pulse branches by
+the law of cosines, at most two per pinned azimuth); every returned result
+is re-validated against the matrix-level residuals.
 """
 
 import math
@@ -243,106 +243,58 @@ def design_five_pulse(p: int, q: int, r: int,
 # ---------------------------------------------------------------------------
 
 
-def _batch_error_deriv(target, gamma, eta, phi1, phi2):
-    """Error derivative matrices for (gamma, eta, gamma) correctors over
-    arrays of phases, target pulse leading; shape (n, 2, 2)."""
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
-    n = phi1.size
-    angles = [target.theta, gamma, eta, gamma]
-    phases = [np.full(n, target.alpha), phi1, phi2, phi1]
+def _split_residual(theta, gamma, m):
+    """sqrt(min |v|^2 / 2) over all phases of the (gamma, eta, gamma)
+    corrector, eta = 2(2m pi - gamma), for v of three_pulse_scan.  In the
+    frame of the first corrector axis, with delta = alpha - phi1,
+    psi = phi2 - phi1, c = cos psi and K = 1 - cos eta,
 
-    def rot_batch(theta, ph):
-        c = np.cos(0.5 * theta)
-        s = np.sin(0.5 * theta)
-        out = np.empty((n, 2, 2), dtype=complex)
-        out[:, 0, 0] = c
-        out[:, 1, 1] = c
-        out[:, 0, 1] = -1j * s * np.exp(-1j * ph)
-        out[:, 1, 0] = -1j * s * np.exp(1j * ph)
-        return out
+        v = theta (cos delta, cos gamma sin delta, sin gamma sin delta) + B,
+        B = (gamma (2 - K) + eta c + gamma K c^2, sin psi (eta + gamma K c),
+             gamma sin eta sin psi).
 
-    def axis_batch(ph):
-        out = np.zeros((n, 2, 2), dtype=complex)
-        out[:, 0, 1] = np.exp(-1j * ph)
-        out[:, 1, 0] = np.exp(1j * ph)
-        return out
-
-    prefix = [np.broadcast_to(IDENTITY, (n, 2, 2)).copy()]
-    for th, ph in zip(angles, phases):
-        prefix.append(rot_batch(th, ph) @ prefix[-1])
-    total = prefix[-1]
-    deriv = np.zeros((n, 2, 2), dtype=complex)
-    for k, (th, ph) in enumerate(zip(angles, phases)):
-        pk = prefix[k + 1]
-        suffix = total @ np.conj(np.swapaxes(pk, 1, 2))
-        deriv += suffix @ ((-0.5j * th) * axis_batch(ph)) @ pk
-    return deriv
-
-
-def _refine_pair(target, gamma, eta, phi0, iters=30):
-    """Damped Gauss-Newton to the nearest least-squares point of the
-    derivative residual over the phase pair; returns the residual norm."""
-    x = np.array(phi0, dtype=float)
-    h = 1e-6
-
-    def stencil(v):
-        p1 = [v[0], v[0] + h, v[0] - h, v[0], v[0]]
-        p2 = [v[1], v[1], v[1], v[1] + h, v[1] - h]
-        d = _batch_error_deriv(target, gamma, eta, p1, p2)
-        vecs = d.reshape(5, 4)
-        return np.concatenate([vecs.real, vecs.imag], axis=1)
-
-    f = stencil(x)
-    fnorm = float(np.linalg.norm(f[0]))
-    for _ in range(iters):
-        if fnorm < 1e-14:
-            break
-        jac = np.stack([(f[1] - f[2]) / (2 * h), (f[3] - f[4]) / (2 * h)], axis=1)
-        step, *_ = np.linalg.lstsq(jac, -f[0], rcond=None)
-        improved = False
-        lam = 1.0
-        for _ in range(12):
-            trial = x + lam * step
-            d = _batch_error_deriv(target, gamma, eta, [trial[0]], [trial[1]])
-            tnorm = float(np.linalg.norm(d[0]))
-            if tnorm < fnorm:
-                x = trial
-                fnorm = tnorm
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-        f = stencil(x)
-        fnorm = float(np.linalg.norm(f[0]))
-    return fnorm
+    The theta term sweeps a circle in the plane of e_x and u = (0, cos gamma,
+    sin gamma), so the minimum over delta is (theta - rho)^2 + h^2, with h
+    the out-of-plane part of B and rho^2 = |B|^2 - h^2.  As K^2 + sin^2 eta
+    = 2K, |B|^2 = S(c) = 2 gamma^2 K c^2 + 4 gamma eta c + 2 gamma^2 (2 - K)
+    + eta^2 is quadratic in c, and h^2 = Q(c) is a quartic (sin^2 psi =
+    1 - c^2).  Over c in [-1, 1] the minimum sits at c = +-1 or at a real
+    root of the sextic S'^2 (S - Q) - theta^2 (S' - Q')^2; other roots,
+    clipped, only add candidates.
+    """
+    eta = 2.0 * (2.0 * m * np.pi - gamma)
+    k = 1.0 - math.cos(eta)
+    cg, sg, se = math.cos(gamma), math.sin(gamma), math.sin(eta)
+    bx = [gamma * k, eta, gamma * (2.0 - k)]
+    bu = [cg * gamma * k, cg * eta + gamma * sg * se]
+    bh = [-sg * gamma * k, -sg * eta + gamma * cg * se]
+    # S in closed form: summed from squares, its cancelling c^4 and c^3 terms
+    # leave roundoff that adds roots near 1e16 and costs ~1e-9 of accuracy
+    s = [2.0 * gamma * gamma * k, 4.0 * gamma * eta,
+         2.0 * gamma * gamma * (2.0 - k) + eta * eta]
+    p = np.polysub(s, np.convolve([-1.0, 0.0, 1.0], np.convolve(bh, bh)))
+    ds, dp = np.polyder(s), np.polyder(p)
+    crit = np.polysub(np.convolve(np.convolve(ds, ds), p),
+                      theta * theta * np.convolve(dp, dp))
+    c = np.clip(np.concatenate([np.roots(crit).real, [-1.0, 1.0]]), -1.0, 1.0)
+    # sums of squares: theta^2 + S - 2 theta rho cancels to ~1e-8 when flat
+    rho = np.sqrt(np.polyval(bx, c) ** 2 + (1.0 - c * c) * np.polyval(bu, c) ** 2)
+    v2 = (theta - rho) ** 2 + (1.0 - c * c) * np.polyval(bh, c) ** 2
+    return math.sqrt(float(v2.min()) / 2.0)
 
 
-def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1,
-                     seeds_per_axis: int = 32, refine_top: int = 4) -> np.ndarray:
-    """Minimum derivative residual over phases for (gamma, 2(2m pi - gamma),
-    gamma) correctors, per gamma.
+def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1) -> np.ndarray:
+    """Exact least derivative residual over both phases of the (gamma,
+    2(2m pi - gamma), gamma) corrector, as (gamma, residual) rows.
 
-    Returns an array of (gamma, residual) rows.  The residual reaches the
-    design floor only where gamma is an integer multiple of pi, which is the
-    whole point of the scan: no other symmetric 3-pulse split admits a
-    first-order-flat sequence.
+    In the toggling frame the error derivative of the full sequence has
+    Frobenius norm |v| / sqrt(2), v = sum_k theta_k m_k with m_k pulse k's
+    axis carried back through the earlier pulses; _split_residual minimises
+    |v| in closed form, free of the target azimuth.  The residual vanishes
+    only at integer multiples of pi: no other symmetric 3-pulse split admits
+    a first-order-flat sequence.
     """
     if gammas is None:
         gammas = np.linspace(0.12, TWO_PI - 0.12, 61)
-    grid = np.linspace(0.0, TWO_PI, seeds_per_axis, endpoint=False)
-    p1, p2 = np.meshgrid(grid, grid, indexing="ij")
-    p1 = p1.ravel()
-    p2 = p2.ravel()
-    rows = []
-    for gamma in np.asarray(gammas, dtype=float):
-        eta = 2.0 * (2.0 * m * np.pi - gamma)
-        deriv = _batch_error_deriv(target, gamma, eta, p1, p2)
-        norms = np.sqrt(np.sum(np.abs(deriv) ** 2, axis=(1, 2)))
-        order = np.argsort(norms)[:refine_top]
-        best = float(norms.min())
-        for idx in order:
-            best = min(best, _refine_pair(target, gamma, eta, (p1[idx], p2[idx])))
-        rows.append((float(gamma), best))
-    return np.array(rows)
+    return np.array([(g, _split_residual(target.theta, g, m))
+                     for g in np.asarray(gammas, dtype=float).tolist()])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cpulse.analysis import (COEFF_WINDOW, ORDER_WINDOW, FitWindowError,
-                             NotSuperior, SweepTable, crossover, fidelity,
+from cpulse.analysis import (COEFF_WINDOW, INFIDELITY_FLOOR, ORDER_WINDOW,
+                             FitWindowError, NotSuperior, SweepTable,
+                             crossover, fidelity,
                              fit_error_scaling, fit_grid, fit_scaling,
                              infidelity, plain_sweep, sweep)
 from cpulse.design import design_five_pulse, design_wm
@@ -180,3 +181,52 @@ class TestCrossover:
         null = PulseSequence.from_pairs([(0.0, 0.0)])
         with pytest.raises(NotSuperior):
             crossover(null, target)
+
+
+def oracle_infidelity(mp, pulses, target, eps):
+    """1 - |Tr(V U-dagger)| / 2 from a quaternion product in mpmath.
+
+    V = w I - i v.sigma composes the pulses in time order at angles scaled
+    by (1 + eps); the trace overlap with the ideal target is the quaternion
+    dot product.
+    """
+    def quat(angle, phase, scale):
+        half = mp.mpf(angle) * scale / 2
+        s = mp.sin(half)
+        return (mp.cos(half), s * mp.cos(mp.mpf(phase)),
+                s * mp.sin(mp.mpf(phase)), mp.mpf(0))
+
+    w, x, y, z = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+    scale = 1 + mp.mpf(eps)
+    for p in pulses:
+        a, b, c, d = quat(p.angle, p.phase, scale)
+        # later pulse on the left: (a, b, c, d)(w, x, y, z)
+        w, x, y, z = (a * w - b * x - c * y - d * z,
+                      a * x + w * b + c * z - d * y,
+                      a * y + w * c + d * x - b * z,
+                      a * z + w * d + b * y - c * x)
+    tw, tx, ty, tz = quat(target.theta, target.alpha, 1)
+    return 1 - abs(w * tw + x * tx + y * ty + z * tz)
+
+
+class TestPrecisionOracle:
+    @pytest.mark.parametrize("theta,alpha", [(PI, PI), (PI / 2, 0.3), (0.5, 1.0)])
+    def test_infidelity_matches_50_digit_oracle(self, theta, alpha):
+        # above INFIDELITY_FLOOR the double-precision infidelity must agree
+        # with the oracle to 1e-5 relative
+        mpmath = pytest.importorskip("mpmath")
+        target = TargetRotation(theta, alpha)
+        ideal = target.unitary()
+        checked = 0
+        for seq in (design_wm(1, target).sequence, design_wm(2, target).sequence,
+                    design_five_pulse(2, 2, 2, target)[0].sequence):
+            full = embed_target(seq, target, 1.0)
+            for eps in np.logspace(-5, -1, 30):
+                with mpmath.workdps(50):
+                    ref = float(oracle_infidelity(mpmath, full, target, eps))
+                if ref < INFIDELITY_FLOOR:
+                    continue
+                got = infidelity(compile_sequence(full, eps), ideal)
+                assert abs(got - ref) <= 1e-5 * ref, (eps, got, ref)
+                checked += 1
+        assert checked >= 30

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from cpulse.cli import main, parse_angle
-from cpulse.pulses import format_sequence, parse_sequence
+from cpulse.design import design_wn
+from cpulse.pulses import (TargetRotation, format_sequence, parse_sequence,
+                           sequence_to_json)
 
 PI = math.pi
 
@@ -168,6 +170,34 @@ class TestSequenceFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(blob))
         assert main(["sweep", "--seq", str(path), "--eps-count", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+class TestEmbeddedTarget:
+    @pytest.fixture
+    def bb1_half_pi(self, tmp_path):
+        # BB1 designed for a pi/2 target, saved with that target embedded
+        target = TargetRotation(PI / 2, 0.0)
+        path = tmp_path / "bb1.json"
+        path.write_text(json.dumps(
+            sequence_to_json(design_wn(1, target).sequence, target)))
+        return str(path)
+
+    @pytest.mark.parametrize("flags", [[], ["--theta", "pi/2"],
+                                       ["--theta", "pi/2", "--alpha", "2pi"]])
+    def test_file_target_wins(self, capsys, bb1_half_pi, flags):
+        assert main(["verify", "--seq", bb1_half_pi] + flags) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_coeff_uses_file_target(self, capsys, bb1_half_pi):
+        assert main(["coeff", "--seq", bb1_half_pi, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == pytest.approx(
+            6.0, abs=0.05)
+
+    def test_conflicting_flag_exits_2(self, capsys, bb1_half_pi):
+        assert main(["verify", "--seq", bb1_half_pi, "--theta", "pi"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1

@@ -261,3 +261,64 @@ class TestScan:
     def test_root_found_at_pi(self):
         rows = three_pulse_scan(TargetRotation(PI, 0.0), gammas=[PI])
         assert rows[0][1] < 1e-9
+
+    @pytest.mark.parametrize("theta,alpha,m,gamma", [
+        (4.0, 2.0, 2, PI), (1.0, 0.3, 3, 3.480977)])
+    def test_exact_minimum_over_phases(self, theta, alpha, m, gamma):
+        grid_min, _, _ = brute_force_minimum(theta, alpha, m, gamma)
+        res = three_pulse_scan(TargetRotation(theta, alpha), [gamma], m)[0, 1]
+        assert res <= grid_min * (1 + 1e-8)
+        assert res >= grid_min - 1e-3
+        turned = three_pulse_scan(TargetRotation(theta, alpha + 1.3), [gamma], m)
+        assert turned[0, 1] == res
+
+    def test_matches_refined_search(self):
+        # zoom in from the grid minimum on the matrix-route residual; here a
+        # critical polynomial formed from squared terms, whose top
+        # coefficients cancel only to roundoff, landed 1.6e-9 high
+        theta, alpha, m, gamma = 2.540835790722586, 4.3481660540211, 1, 4.954548245743669
+        target = TargetRotation(theta, alpha)
+        eta = 2 * (2 * m * PI - gamma)
+        best, p1, p2 = brute_force_minimum(theta, alpha, m, gamma, n=128)
+        span = 2 * PI / 128
+        for _ in range(14):
+            span /= 4
+            best, p1, p2 = min(
+                (derivative_residual(PulseSequence.from_pairs(
+                    [(gamma, a), (eta, b), (gamma, a)]), target), a, b)
+                for a in np.linspace(p1 - 4 * span, p1 + 4 * span, 9)
+                for b in np.linspace(p2 - 4 * span, p2 + 4 * span, 9))
+        res = three_pulse_scan(target, [gamma], m)[0, 1]
+        assert res == pytest.approx(best, rel=1e-12)
+
+
+def brute_force_minimum(theta, alpha, m, gamma, n=512):
+    """Smallest derivative residual over an n x n (phi1, phi2) grid, with its
+    phases: central difference of the quaternion product of (theta, alpha),
+    (gamma, phi1), (eta, phi2), (gamma, phi1); |dU/deps|_F = sqrt(2) |dq/deps|.
+    """
+    eta = 2 * (2 * m * PI - gamma)
+    grid = np.linspace(0.0, 2 * PI, n, endpoint=False)
+    phi1, phi2 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    h = 1e-6
+    qs = [quaternion_product(
+        [(theta, np.full_like(phi1, alpha)), (gamma, phi1), (eta, phi2),
+         (gamma, phi1)], eps) for eps in (h, -h)]
+    res = math.sqrt(2) * np.linalg.norm(qs[0] - qs[1], axis=0) / (2 * h)
+    i = int(np.argmin(res))
+    return float(res[i]), phi1[i], phi2[i]
+
+
+def quaternion_product(pulses, eps):
+    """(w, x, y, z) of the time-ordered product of R(angle (1 + eps), phase)
+    over arrays of phases; U = w I - i (x, y, z).sigma."""
+    w, v = 1.0, np.zeros((3, 1))
+    for angle, phase in pulses:
+        half = 0.5 * angle * (1 + eps)
+        pw = math.cos(half)
+        pv = math.sin(half) * np.array([np.cos(phase), np.sin(phase),
+                                        np.zeros_like(phase)])
+        # later pulse on the left: (pw, pv)(w, v)
+        w, v = (pw * w - np.sum(pv * v, axis=0),
+                pw * v + w * pv + np.cross(pv, v, axis=0))
+    return np.vstack([w, v])
