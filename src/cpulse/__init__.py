@@ -9,18 +9,15 @@ from .analysis import (COEFF_WINDOW, ORDER_WINDOW, FitReport, FitWindowError,
                        NotSuperior, SweepTable, crossover, fidelity,
                        fit_error_scaling, fit_grid, fit_scaling, infidelity,
                        plain_sweep, sweep)
-from .bch import (Su2Series, UnsupportedOrder, analytic_c, commutator,
-                  p_epsilon, sbch_truncated, series_bracket,
-                  sixth_order_coefficient)
+from .bch import analytic_c, p_epsilon, sixth_order_coefficient
 from .design import (DesignResult, InfeasibleDesign, derivative_residual,
                      design_five_pulse, design_wm, design_wn,
                      error_derivative, identity_residual, three_pulse_scan)
 from .pulses import (Pulse, PulseSequence, TargetRotation, compile_sequence,
                      embed_target, format_sequence, parse_sequence,
-                     phase_shifted, repeated, sequence_from_json,
-                     sequence_to_json)
-from .su2 import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, exp_pauli,
-                  is_unitary, rotation, su2_parts, unitarity_defect, xy_axis)
+                     repeated, sequence_from_json, sequence_to_json)
+from .su2 import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, rotation,
+                  su2_parts, xy_axis)
 
 __version__ = "0.1.0"
 
@@ -28,15 +25,14 @@ __all__ = [
     "COEFF_WINDOW", "ORDER_WINDOW", "FitReport", "FitWindowError",
     "NotSuperior", "SweepTable", "crossover", "fidelity", "fit_error_scaling",
     "fit_grid", "fit_scaling", "infidelity", "plain_sweep", "sweep",
-    "Su2Series", "UnsupportedOrder", "analytic_c", "commutator", "p_epsilon",
-    "sbch_truncated", "series_bracket", "sixth_order_coefficient",
+    "analytic_c", "p_epsilon", "sixth_order_coefficient",
     "DesignResult", "InfeasibleDesign", "derivative_residual",
     "design_five_pulse", "design_wm", "design_wn", "error_derivative",
     "identity_residual", "three_pulse_scan",
     "Pulse", "PulseSequence", "TargetRotation", "compile_sequence",
-    "embed_target", "format_sequence", "parse_sequence", "phase_shifted",
-    "repeated", "sequence_from_json", "sequence_to_json",
-    "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "dagger", "exp_pauli",
-    "is_unitary", "rotation", "su2_parts", "unitarity_defect", "xy_axis",
+    "embed_target", "format_sequence", "parse_sequence", "repeated",
+    "sequence_from_json", "sequence_to_json",
+    "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "dagger", "rotation",
+    "su2_parts", "xy_axis",
     "__version__",
 ]

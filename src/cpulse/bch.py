@@ -1,29 +1,20 @@
-"""Truncated symmetric Baker-Campbell-Hausdorff engine over su(2).
+"""Symmetric Baker-Campbell-Hausdorff oracle over su(2), as cross products.
 
-Generators are stored as real 3-vectors v standing for the anti-Hermitian
-element -i v.sigma; the -i is absorbed only at exponentiation time, which
-keeps all series arithmetic real.  Under that convention the bracket of two
-stored vectors is 2 (a x b).
-
-This module is the analytic oracle for the error expansion of a corrected
-rotation: the symmetric product collapses to a series in the fractional
-error whose linear term is the design condition and whose cubic term fixes
+Generators are real 3-vectors v standing for -i v.sigma, so the bracket of
+two stored vectors is 2 (a x b).  The log of e^{tR/2} e^{tS} e^{tR/2} is
+t (R + S) + t^3 c(R, S) + O(t^5) with c(R, S) = -(1/24) [R + 2S, [R, S]]
+(Cummins, Llewellyn and Jones, PRA 67, 042308, 2003).  Composed across the
+corrector and then against the target it gives the error log of a corrected
+rotation: its linear row is the design condition and its cubic row fixes
 the sixth-order infidelity coefficient.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .pulses import PulseSequence, TargetRotation
 from .su2 import axis_vector
-
-SBCH_MAX_ORDER = 4  # odd expansion; the t^5 term is out of scope
-
-
-class UnsupportedOrder(ValueError):
-    """Requested truncation order beyond the implemented t^3 term."""
 
 
 def commutator(a, b) -> np.ndarray:
@@ -31,96 +22,14 @@ def commutator(a, b) -> np.ndarray:
     return 2.0 * np.cross(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
-@dataclass(frozen=True)
-class Su2Series:
-    """Polynomial in the error with su(2) vector coefficients.
-
-    coeffs has shape (max_order + 1, 3); powers beyond max_order are
-    identically zero (truncated away by every operation).
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 2 or c.shape[1] != 3:
-            raise ValueError("coefficients must form an (order+1, 3) array")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def max_order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @classmethod
-    def zero(cls, max_order: int = 3) -> "Su2Series":
-        return cls(np.zeros((max_order + 1, 3)))
-
-    @classmethod
-    def constant(cls, vec, max_order: int = 3) -> "Su2Series":
-        c = np.zeros((max_order + 1, 3))
-        c[0] = np.asarray(vec, dtype=float)
-        return cls(c)
-
-    def coeff(self, power: int) -> np.ndarray:
-        if 0 <= power <= self.max_order:
-            return self.coeffs[power].copy()
-        return np.zeros(3)
-
-    def __add__(self, other: "Su2Series") -> "Su2Series":
-        n = max(self.max_order, other.max_order)
-        c = np.zeros((n + 1, 3))
-        c[: self.max_order + 1] += self.coeffs
-        c[: other.max_order + 1] += other.coeffs
-        return Su2Series(c)
-
-    def scaled(self, factor: float, power_shift: int = 0) -> "Su2Series":
-        """Multiply by factor * eps^power_shift (shift may be negative when
-        the vacated low orders are zero)."""
-        c = np.zeros_like(self.coeffs)
-        for k in range(self.max_order + 1):
-            j = k + power_shift
-            if j < 0:
-                if np.any(self.coeffs[k] != 0):
-                    raise ValueError("negative power created by shift")
-                continue
-            if j <= self.max_order:
-                c[j] = factor * self.coeffs[k]
-        return Su2Series(c)
+def _cubic(r, s) -> np.ndarray:
+    """t^3 coefficient of the symmetric BCH: -(1/24) [R + 2S, [R, S]]."""
+    return (-1.0 / 24.0) * commutator(r + 2.0 * s, commutator(r, s))
 
 
-def series_bracket(a: Su2Series, b: Su2Series) -> Su2Series:
-    """Commutator of two series, truncated at the common max order."""
-    n = max(a.max_order, b.max_order)
-    c = np.zeros((n + 1, 3))
-    for i in range(a.max_order + 1):
-        ai = a.coeffs[i]
-        if not np.any(ai):
-            continue
-        for j in range(b.max_order + 1):
-            if i + j > n:
-                break
-            c[i + j] += 2.0 * np.cross(ai, b.coeffs[j])
-    return Su2Series(c)
-
-
-def sbch_truncated(r: Su2Series, s: Su2Series, t_coeff: float = 1.0,
-                   t_power: int = 0, order: int = SBCH_MAX_ORDER) -> Su2Series:
-    """log of e^{tR/2} e^{tS} e^{tR/2} through the t^3 term.
-
-    t is the monomial t_coeff * eps^t_power, so the same routine serves both
-    the numeric check (t_power = 0) and the nested error expansion.  The
-    expansion is odd in t: t (R + S) - (1/24) t^3 [R + 2S, [R, S]], with the
-    next correction at t^5.
-    """
-    if order > SBCH_MAX_ORDER:
-        raise UnsupportedOrder(
-            f"symmetric BCH implemented through t^{SBCH_MAX_ORDER} only")
-    total = (r + s).scaled(t_coeff, t_power)
-    if order >= 3:
-        nested = series_bracket(r + s.scaled(2.0), series_bracket(r, s))
-        total = total + nested.scaled(-(t_coeff ** 3) / 24.0, 3 * t_power)
-    return total
+def sbch(r, s, t: float) -> np.ndarray:
+    """log of e^{tR/2} e^{tS} e^{tR/2} through t^3; the next term is t^5."""
+    return t * (r + s) + t ** 3 * _cubic(r, s)
 
 
 def corrector_generators(corrector: PulseSequence, target: TargetRotation):
@@ -143,30 +52,31 @@ def corrector_generators(corrector: PulseSequence, target: TargetRotation):
     return q, r, s
 
 
-def p_epsilon(corrector: PulseSequence, target: TargetRotation) -> Su2Series:
-    """Error-log series of the corrected rotation through third order.
+def p_epsilon(corrector: PulseSequence, target: TargetRotation) -> np.ndarray:
+    """Error-log coefficients of the corrected rotation through eps^3.
 
-    Composes the symmetric BCH twice: once across the corrector, once
-    against the target generator.  When the first-derivative condition
-    holds the linear coefficient vanishes and the cubic one reduces to
-    -(1/24)[R + 2S, [R, S]]; otherwise the nonzero linear coefficient is
-    simply reported in the series.
+    Row k of the (4, 3) result is the eps^k coefficient.  The corrector's
+    log eps (r + s) + eps^3 c(r, s), doubled and divided by eps, is
+    d + 2 eps^2 c(r, s) with d = 2 (r + s); composing it against q at
+    t = eps/2 gives row 1 = q/2 + r + s and row 3 = c(r, s) + c(q, d)/8,
+    with rows 0 and 2 zero.  A flat corrector has row 1 = 0, so d = -q and
+    row 3 is c(r, s) alone; otherwise the nonzero row 1 is reported.
     """
     q, r, s = corrector_generators(corrector, target)
-    inner = sbch_truncated(Su2Series.constant(r), Su2Series.constant(s),
-                           t_coeff=1.0, t_power=1)
-    doubled = inner.scaled(2.0, -1)
-    return sbch_truncated(Su2Series.constant(q), doubled,
-                          t_coeff=0.5, t_power=1)
+    d = 2.0 * (r + s)
+    series = np.zeros((4, 3))
+    series[1] = 0.5 * (q + d)
+    series[3] = _cubic(r, s) + _cubic(q, d) / 8.0
+    return series
 
 
-def sixth_order_coefficient(series: Su2Series) -> float:
-    """Infidelity coefficient C in 1 - F = C eps^6 from the cubic term.
+def sixth_order_coefficient(series: np.ndarray) -> float:
+    """Infidelity coefficient C in 1 - F = C eps^6 from the cubic row.
 
     F = 1 + (1/4) Tr(P^2) and Tr((-i w.sigma)^2) = -2 |w|^2, so
     C = |w|^2 / 2 for the cubic coefficient w.
     """
-    w = series.coeff(3)
+    w = series[3]
     return 0.5 * float(w @ w)
 
 

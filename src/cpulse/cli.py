@@ -84,12 +84,27 @@ def _target(args, embedded=None) -> TargetRotation:
     return target
 
 
-def _load_sequence(path: str):
-    if path.endswith(".json"):
-        with open(path) as fh:
-            return sequence_from_json(json.load(fh))
+def _pick_branch(branches, branch: int):
+    if not 0 <= branch < len(branches):
+        raise ValueError(f"branch {branch} out of range (found {len(branches)})")
+    return branches[branch]
+
+
+def _load_sequence(path: str, branch: int):
+    """(sequence, embedded target or None) from a pulse file.  A `design
+    --format json` file holds a 'branches' list; --branch picks the entry."""
     with open(path) as fh:
-        return parse_sequence(fh.read()), None
+        if not path.endswith(".json"):
+            return parse_sequence(fh.read()), None
+        obj = json.load(fh)
+    if isinstance(obj, dict) and "branches" in obj:
+        if not isinstance(obj["branches"], list):
+            raise ValueError("'branches' must be a list")
+        entry = _pick_branch(obj["branches"], branch)
+        if not isinstance(entry, dict):
+            raise ValueError(f"branches[{branch}] must be an object")
+        obj["pulses"] = entry.get("pulses")
+    return sequence_from_json(obj)
 
 
 def _design_results(args, target):
@@ -105,16 +120,12 @@ def _design_results(args, target):
 def _resolve_sequence(args):
     """Corrector sequence, label and target for commands taking any source."""
     if getattr(args, "seq", None):
-        seq, embedded = _load_sequence(args.seq)
+        seq, embedded = _load_sequence(args.seq, args.branch)
         return seq, "file", _target(args, embedded)
     target = _target(args)
     if args.family == "plain":
         return None, "plain", target
-    results = _design_results(args, target)
-    branch = getattr(args, "branch", 0)
-    if not 0 <= branch < len(results):
-        raise ValueError(f"branch {branch} out of range (found {len(results)})")
-    res = results[branch]
+    res = _pick_branch(_design_results(args, target), args.branch)
     return res.sequence, res.label, target
 
 
@@ -399,9 +410,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_angles(argv):
+    """'--alpha -pi/2' -> '--alpha=-pi/2': argparse reads a token that
+    starts with '-' and is not a plain number as an option."""
+    out = []
+    for token in argv:
+        if (out and out[-1] in ("--theta", "--alpha") and token.startswith("-")
+                and _PI_FORM.match(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_angles(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InfeasibleDesign as exc:

@@ -80,13 +80,6 @@ class TargetRotation:
             raise ValueError("target theta must lie in (0, 4*pi)")
         object.__setattr__(self, "alpha", reduce_angle(self.alpha))
 
-    @classmethod
-    def from_signed(cls, theta: float, alpha: float) -> "TargetRotation":
-        """Normalize a possibly negative rotation angle to phase + pi."""
-        if theta < 0:
-            return cls(-theta, alpha + np.pi)
-        return cls(theta, alpha)
-
     def unitary(self) -> np.ndarray:
         return rotation(self.theta, self.alpha)
 
@@ -118,15 +111,6 @@ def embed_target(seq: PulseSequence, target: TargetRotation,
     head = [Pulse(split * target.theta, target.alpha)] if split > 0 else []
     tail = [Pulse((1.0 - split) * target.theta, target.alpha)] if split < 1 else []
     return PulseSequence(tuple(head) + seq.pulses + tuple(tail))
-
-
-def phase_shifted(seq: PulseSequence, delta: float) -> PulseSequence:
-    """Increment every pulse phase by delta (mod 2*pi).
-
-    The compiled matrix transforms by conjugation with exp(-i*delta*Z/2),
-    so shifting sequence and target together leaves fidelities unchanged.
-    """
-    return PulseSequence(tuple(Pulse(p.angle, p.phase + delta) for p in seq))
 
 
 def repeated(seq: PulseSequence, n: int) -> PulseSequence:

@@ -37,6 +37,8 @@ def exp_pauli(vec, scale: float = 1.0) -> np.ndarray:
 
     For unit-norm v this is cos(scale) I - i sin(scale) v.sigma; a general v
     is split into norm and direction.  A zero vector gives the identity.
+    The package itself builds pulses with `rotation`; this general form is
+    the test suite's closed-form reference for generators off the XY plane.
     """
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,) or not (np.all(np.isfinite(v)) and np.isfinite(scale)):
@@ -65,15 +67,6 @@ def rotation(theta: float, alpha: float) -> np.ndarray:
 def dagger(u: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return u.conj().T
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """Largest entrywise deviation of u u-dagger from the identity."""
-    return float(np.max(np.abs(u @ dagger(u) - IDENTITY)))
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:
-    return unitarity_defect(u) <= tol
 
 
 def su2_parts(u: np.ndarray):

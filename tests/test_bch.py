@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cpulse.bch import (Su2Series, UnsupportedOrder, analytic_c, commutator,
-                        corrector_generators, p_epsilon, sbch_truncated,
-                        series_bracket, sixth_order_coefficient)
+from cpulse.bch import (analytic_c, commutator, corrector_generators,
+                        p_epsilon, sbch, sixth_order_coefficient)
 from cpulse.design import design_wn
-from cpulse.pulses import PulseSequence, TargetRotation
-from cpulse.su2 import axis_vector, exp_pauli, pauli_sum
+from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
+                           embed_target)
+from cpulse.su2 import (axis_vector, dagger, exp_pauli, pauli_sum, rotation,
+                        su2_parts)
 
 PI = np.pi
 EX = np.array([1.0, 0.0, 0.0])
@@ -20,6 +21,13 @@ def bb1_corrector(theta=PI, alpha=0.0):
     phi1 = alpha + math.acos(-theta / (4 * PI))
     return PulseSequence.from_pairs(
         [(PI, phi1), (2 * PI, 3 * phi1 - 2 * alpha), (PI, phi1)])
+
+
+def log_vector(u):
+    """g with u = exp(-i g.sigma), for u near the identity."""
+    w, v = su2_parts(u)
+    norm = np.linalg.norm(v)
+    return v * (math.atan2(norm, w) / norm)
 
 
 class TestCommutator:
@@ -54,27 +62,9 @@ class TestCommutator:
 
 class TestSeries:
     def test_commuting_inputs_give_linear_term_only(self):
-        r = Su2Series.constant(0.7 * EX)
-        out = sbch_truncated(r, r, t_coeff=1.0, t_power=1)
-        assert np.allclose(out.coeff(1), 2 * 0.7 * EX)
-        assert np.allclose(out.coeff(3), 0.0)
-
-    def test_truncation_order_guard(self):
-        r = Su2Series.constant(EX)
-        with pytest.raises(UnsupportedOrder):
-            sbch_truncated(r, r, order=5)
-
-    def test_negative_shift_requires_zero_low_orders(self):
-        s = Su2Series.constant(EX)
-        with pytest.raises(ValueError):
-            s.scaled(1.0, -1)
-
-    def test_bracket_convolution(self):
-        a = Su2Series.constant(EX).scaled(1.0, 1)  # eps * X
-        b = Su2Series.constant(EY)                 # Y
-        out = series_bracket(a, b)
-        assert np.allclose(out.coeff(1), 2 * EZ)
-        assert np.allclose(out.coeff(0), 0.0)
+        r = 0.7 * EX
+        for t in (1.0, 0.3):
+            assert np.allclose(sbch(r, r, t), 2 * 0.7 * t * EX)
 
     def test_defect_scales_as_t5(self):
         # halving t must shrink the truncation defect by about 32x
@@ -84,9 +74,7 @@ class TestSeries:
         defects = []
         for t in (0.1, 0.05, 0.025):
             product = exp_pauli(r, t / 2) @ exp_pauli(s, t) @ exp_pauli(r, t / 2)
-            series = sbch_truncated(Su2Series.constant(r), Su2Series.constant(s),
-                                    t_coeff=t)
-            approx = exp_pauli(series.coeff(0))
+            approx = exp_pauli(sbch(r, s, t))
             defects.append(np.linalg.norm(product - approx))
         for big, small in zip(defects, defects[1:]):
             assert big / small == pytest.approx(32.0, rel=0.1)
@@ -96,7 +84,7 @@ class TestPEpsilon:
     def test_designed_corrector_cancels_linear_term(self):
         target = TargetRotation(PI, 0.0)
         series = p_epsilon(bb1_corrector(), target)
-        assert np.linalg.norm(series.coeff(1)) < 1e-12
+        assert np.linalg.norm(series[1]) < 1e-12
 
     def test_cubic_term_is_pure_double_bracket(self):
         target = TargetRotation(PI, 0.0)
@@ -104,13 +92,13 @@ class TestPEpsilon:
         series = p_epsilon(corrector, target)
         _, r, s = corrector_generators(corrector, target)
         expected = -np.asarray(commutator(r + 2 * s, commutator(r, s))) / 24.0
-        assert np.allclose(series.coeff(3), expected, atol=1e-12)
+        assert np.allclose(series[3], expected, atol=1e-12)
 
     def test_naive_corrector_keeps_linear_term(self):
         target = TargetRotation(PI, 0.0)
         naive = PulseSequence.from_pairs([(PI, 0.0), (2 * PI, 0.0), (PI, 0.0)])
         series = p_epsilon(naive, target)
-        assert np.linalg.norm(series.coeff(1)) > 1.0
+        assert np.linalg.norm(series[1]) > 1.0
 
     def test_cubic_term_independent_of_target_angle(self):
         # co-designed phases keep the double bracket free of the target term
@@ -120,7 +108,33 @@ class TestPEpsilon:
             series = p_epsilon(corrector, target)
             _, r, s = corrector_generators(corrector, target)
             expected = -np.asarray(commutator(r + 2 * s, commutator(r, s))) / 24.0
-            assert np.allclose(series.coeff(3), expected, atol=1e-10)
+            assert np.allclose(series[3], expected, atol=1e-10)
+
+    def test_rows_match_matrix_route(self):
+        # odd part of the log of R(theta/2)^-1 U(eps) R(theta/2)^-1, with the
+        # corrector embedded at the half-turn, fitted as a eps + b eps^3 + c eps^5
+        rng = np.random.default_rng(41)
+        eps = np.array([1e-2, 5e-3, 2.5e-3])
+        powers = np.stack([eps, eps ** 3, eps ** 5], axis=1)
+        for _ in range(40):
+            phi1, phi2, alpha = rng.uniform(0, 2 * PI, size=3)
+            target = TargetRotation(rng.uniform(0.2, 4 * PI - 0.2), alpha)
+            corrector = PulseSequence.from_pairs(
+                [(PI, phi1), (2 * PI, phi2), (PI, phi1)])
+            full = embed_target(corrector, target, 0.5)
+            half = dagger(rotation(target.theta / 2, target.alpha))
+            odd = np.array([
+                (log_vector(half @ compile_sequence(full, e) @ half)
+                 - log_vector(half @ compile_sequence(full, -e) @ half)) / 2
+                for e in eps])
+            linear, cubic, _ = np.linalg.solve(powers, odd)
+            series = p_epsilon(corrector, target)
+            assert series.shape == (4, 3)
+            assert not np.any(series[0]) and not np.any(series[2])
+            assert np.linalg.norm(linear - series[1]) <= \
+                1e-9 * np.linalg.norm(series[1])
+            assert np.linalg.norm(cubic - series[3]) <= \
+                1e-5 * np.linalg.norm(series[3])
 
     def test_rejects_other_shapes(self):
         target = TargetRotation(PI, 0.0)

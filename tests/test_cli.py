@@ -203,6 +203,58 @@ class TestEmbeddedTarget:
         assert err.count("\n") == 1
 
 
+class TestDesignFiles:
+    W121_HALF_PI = ["--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1",
+                    "--theta", "pi/2"]
+
+    @pytest.fixture
+    def design_file(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        assert main(["design"] + self.W121_HALF_PI
+                    + ["--format", "json", "--out", str(path)]) == 0
+        return str(path)
+
+    def test_verify_picks_branch(self, capsys, design_file):
+        assert main(["verify", "--seq", design_file, "--branch", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "PASS order" in out
+
+    def test_sweep_matches_designed_family(self, capsys, design_file, tmp_path):
+        from_file = tmp_path / "file.csv"
+        designed = tmp_path / "designed.csv"
+        assert main(["sweep", "--seq", design_file, "--out", str(from_file)]) == 0
+        assert main(["sweep"] + self.W121_HALF_PI + ["--out", str(designed)]) == 0
+        assert from_file.read_bytes() == designed.read_bytes()
+
+    def test_branch_out_of_range_exits_2(self, capsys, design_file):
+        assert main(["verify", "--seq", design_file, "--branch", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("blob", [{"branches": 3}, {"branches": [3]}])
+    def test_malformed_branches_exit_2(self, capsys, tmp_path, blob):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        assert main(["sweep", "--seq", str(path), "--eps-count", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSignedAngleArgs:
+    @pytest.mark.parametrize("value", ["-pi/2", "-3pi/4"])
+    def test_separate_token_matches_joined(self, capsys, tmp_path, value):
+        split = tmp_path / "split.csv"
+        joined = tmp_path / "joined.csv"
+        base = ["sweep", "--family", "wm", "--theta", "pi", "--eps-count", "4"]
+        assert main(base + ["--alpha", value, "--out", str(split)]) == 0
+        assert main(base + [f"--alpha={value}", "--out", str(joined)]) == 0
+        assert split.read_bytes() == joined.read_bytes()
+
+    def test_negative_theta_reaches_target_check(self, capsys):
+        assert main(["sweep", "--family", "plain", "--theta", "-pi"]) == 2
+        assert capsys.readouterr().err.startswith("error: target theta")
+
+
 class TestSimulate:
     def test_plain_matrix(self, capsys):
         assert main(["simulate", "--family", "plain", "--theta", "pi",

@@ -12,7 +12,7 @@ from cpulse.cli import main
 # keys from the sequence schema, mixed with arbitrary ones, so that nearly
 # valid files are generated as well as junk
 _KEYS = st.sampled_from(["pulses", "angle", "phase", "target", "theta",
-                         "alpha"]) | st.text(max_size=3)
+                         "alpha", "branches"]) | st.text(max_size=3)
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda children: (st.lists(children, max_size=4)

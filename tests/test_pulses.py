@@ -6,11 +6,15 @@ import pytest
 from cpulse.analysis import fidelity
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation,
                            compile_sequence, embed_target, format_sequence,
-                           parse_sequence, phase_shifted, repeated,
-                           sequence_from_json, sequence_to_json)
+                           parse_sequence, repeated, sequence_from_json,
+                           sequence_to_json)
 from cpulse.su2 import EZ, IDENTITY, exp_pauli, rotation
 
 PI = np.pi
+
+
+def phase_shifted(seq, delta):
+    return PulseSequence(tuple(Pulse(p.angle, p.phase + delta) for p in seq))
 
 
 def bb1_corrector(theta=PI, alpha=0.0):
@@ -43,13 +47,6 @@ class TestTypes:
             TargetRotation(5 * PI, 0.0)
         t = TargetRotation(PI, -1.0)
         assert t.alpha == pytest.approx(2 * PI - 1.0)
-
-    def test_target_from_signed(self):
-        t = TargetRotation.from_signed(-PI / 2, 0.3)
-        assert t.theta == pytest.approx(PI / 2)
-        assert t.alpha == pytest.approx(0.3 + PI)
-        # same physical rotation
-        assert np.allclose(t.unitary(), rotation(-PI / 2, 0.3), atol=1e-12)
 
 
 class TestCompile:
