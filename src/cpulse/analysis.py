@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import Pulse, PulseSequence, TargetRotation, compile_sequence, embed_target
-from .su2 import dagger, su2_parts
+from .su2 import _split
 
 # Log-spaced fit window for the scaling *order*: below 1e-3 the infidelity of
 # a 6th-order sequence sinks toward the numerical floor, above 10^-1.5 the
@@ -32,10 +32,19 @@ class NotSuperior(ValueError):
     """Raised when a sequence does not beat the bare pulse at small error."""
 
 
+def _times_dagger(v: np.ndarray, u: np.ndarray) -> tuple:
+    """Entries (g00, g01, g10, g11) of g = v u-dagger as Python complexes."""
+    (v00, v01), (v10, v11) = v.tolist()
+    (u00, u01), (u10, u11) = u.tolist()
+    u00, u01, u10, u11 = u00.conjugate(), u01.conjugate(), u10.conjugate(), u11.conjugate()
+    return (v00 * u00 + v01 * u01, v00 * u10 + v01 * u11,
+            v10 * u00 + v11 * u01, v10 * u10 + v11 * u11)
+
+
 def fidelity(v: np.ndarray, u: np.ndarray) -> float:
-    """Trace overlap |Tr(v u-dagger)| / 2, insensitive to global phase."""
-    g = v @ dagger(u)
-    return 0.5 * abs(g[0, 0] + g[1, 1])
+    """Trace overlap |Tr(v u-dagger)| / 2 from scalar entries; blind to global phase."""
+    g00, _, _, g11 = _times_dagger(v, u)
+    return 0.5 * abs(g00 + g11)
 
 
 def infidelity(v: np.ndarray, u: np.ndarray) -> float:
@@ -43,11 +52,11 @@ def infidelity(v: np.ndarray, u: np.ndarray) -> float:
 
     Uses the SU(2) split g = w I - i s.sigma: 1 - |w| = |s|^2 / (1 + |w|),
     and |s| stays accurate (~1e-16 absolute) however close g is to a global
-    phase.  Valid for the SU(2) matrices produced by this library.
+    phase.  g and its vector part are formed from the entries as Python
+    scalars.  Valid for the SU(2) matrices produced by this library.
     """
-    g = v @ dagger(u)
-    _, vec = su2_parts(g)
-    s = min(float(vec @ vec), 1.0)
+    _, x, y, z = _split(*_times_dagger(v, u))
+    s = min(x * x + y * y + z * z, 1.0)
     return s / (1.0 + math.sqrt(1.0 - s))
 
 
@@ -92,7 +101,7 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
     eps = np.asarray(list(eps_grid), dtype=float)
     full = embed_target(seq, target, split) if embed else seq
     ideal = target.unitary()
-    infids = np.array([infidelity(compile_sequence(full, e), ideal) for e in eps])
+    infids = np.array([infidelity(compile_sequence(full, e), ideal) for e in eps.tolist()])
     return SweepTable(eps, 1.0 - infids, infids, label)
 
 

@@ -49,9 +49,10 @@ def parse_angle(text: str) -> float:
     s = str(text).strip().replace(" ", "")
     m = _PI_FORM.match(s)
     if m:
-        value = float(m.group("coeff") or 1.0) * math.pi
-        if m.group("div"):
-            value /= float(m.group("div"))
+        div = float(m.group("div") or 1.0)
+        if div == 0.0:
+            raise ValueError(f"cannot parse angle {text!r}: division by zero")
+        value = float(m.group("coeff") or 1.0) * math.pi / div
         return -value if m.group("sign") == "-" else value
     try:
         return float(s)
@@ -412,11 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _join_signed_angles(argv):
     """'--alpha -pi/2' -> '--alpha=-pi/2': argparse reads a token that
-    starts with '-' and is not a plain number as an option."""
+    starts with '-' and is not a plain number as an option.  A prefix that
+    argparse expands to the flag ('--alph', '--th') is joined the same way."""
     out = []
     for token in argv:
-        if (out and out[-1] in ("--theta", "--alpha") and token.startswith("-")
-                and _PI_FORM.match(token)):
+        if (out and len(out[-1]) > 2 and any(f.startswith(out[-1]) for f in ("--theta", "--alpha"))
+                and token.startswith("-") and _PI_FORM.match(token)):
             out[-1] += "=" + token
         else:
             out.append(token)

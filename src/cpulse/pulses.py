@@ -6,11 +6,12 @@ fractional error epsilon scales every pulse angle by (1 + epsilon), the
 embedded target pulse included.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import IDENTITY, TWO_PI, rotation
+from .su2 import TWO_PI, rotation
 
 
 def reduce_angle(phi: float) -> float:
@@ -88,14 +89,16 @@ def compile_sequence(seq: PulseSequence, epsilon: float = 0.0) -> np.ndarray:
     """Matrix product of the sequence with every angle scaled by (1 + epsilon).
 
     Time ordering: the first pulse is rightmost in the product, so
-    compile(s1 ++ s2) = compile(s2) @ compile(s1).
+    compile(s1 ++ s2) = compile(s2) @ compile(s1).  The running product is
+    four Python complexes; the 2x2 array is built once at the end.
     """
-    if not np.isfinite(epsilon) or abs(epsilon) >= 1.0:
+    if not math.isfinite(epsilon) or abs(epsilon) >= 1.0:
         raise ValueError("fractional error must satisfy |epsilon| < 1")
-    u = IDENTITY.copy()
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for p in seq:
-        u = rotation(p.angle * (1.0 + epsilon), p.phase) @ u
-    return u
+        (r00, r01), (r10, r11) = rotation(p.angle * (1.0 + epsilon), p.phase).tolist()
+        a, b, c, d = r00 * a + r01 * c, r00 * b + r01 * d, r10 * a + r11 * c, r10 * b + r11 * d
+    return np.array([[a, b], [c, d]], dtype=complex)
 
 
 def embed_target(seq: PulseSequence, target: TargetRotation,

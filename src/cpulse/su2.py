@@ -4,6 +4,8 @@ Everything here is evaluated exactly (trig identities on 2x2 matrices),
 never by a truncated series or a general matrix exponential.
 """
 
+import math
+
 import numpy as np
 
 IDENTITY = np.eye(2, dtype=complex)
@@ -54,19 +56,26 @@ def rotation(theta: float, alpha: float) -> np.ndarray:
     """Rotation by theta about the XY-plane axis at azimuth alpha.
 
     Returns cos(theta/2) I - i sin(theta/2) (X cos(alpha) + Y sin(alpha)),
-    an exact SU(2) element.  theta may be negative (opposite sense).
+    an exact SU(2) element, as a 2x2 complex array whose entries come from
+    scalar trig on Python floats.  theta may be negative (opposite sense).
     """
-    if not (np.isfinite(theta) and np.isfinite(alpha)):
+    if not (math.isfinite(theta) and math.isfinite(alpha)):
         raise ValueError("rotation angles must be finite")
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
-    return np.array([[c, -1j * s * np.exp(-1j * alpha)],
-                     [-1j * s * np.exp(1j * alpha), c]])
+    c = math.cos(0.5 * theta)
+    s = math.sin(0.5 * theta)
+    sc, ss = s * math.cos(alpha), s * math.sin(alpha)
+    return np.array([[c, complex(-ss, -sc)], [complex(ss, -sc), c]])
 
 
 def dagger(u: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return u.conj().T
+
+
+def _split(a: complex, b: complex, c: complex, d: complex) -> tuple:
+    """(w, x, y, z) of the SU(2) matrix [[a, b], [c, d]] = w I - i (x, y, z).sigma."""
+    return (0.5 * (a.real + d.real), -0.5 * (b.imag + c.imag),
+            0.5 * (c.real - b.real), 0.5 * (d.imag - a.imag))
 
 
 def su2_parts(u: np.ndarray):
@@ -77,8 +86,5 @@ def su2_parts(u: np.ndarray):
     infidelities far below double rounding (1 - |w| ~ 1e-18) computable: the
     small vector part is obtained without cancellation against 1.
     """
-    w = 0.5 * (u[0, 0].real + u[1, 1].real)
-    x = -0.5 * (u[0, 1].imag + u[1, 0].imag)
-    y = 0.5 * (u[1, 0].real - u[0, 1].real)
-    z = 0.5 * (u[1, 1].imag - u[0, 0].imag)
+    w, x, y, z = _split(*u.ravel().tolist())
     return w, np.array([x, y, z])

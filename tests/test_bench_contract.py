@@ -1,0 +1,50 @@
+"""The benchmark's own gates, run in-process against the library.
+
+bench/tracer.py counts calls per sweep point, and bench/check.py re-derives
+every sweep row from an independent quaternion product.  A change to the
+evaluation path that breaks either gate fails here, before a benchmark run.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import check  # noqa: E402
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+from cpulse.cli import main  # noqa: E402
+
+
+def test_tracer_exact_count_selfcheck():
+    assert tracer.exact_count_selfcheck() == []
+
+
+def run_sweep(capsys, job):
+    code = main(job.argv)
+    return check.check_sweep(job, code, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("source,family,k,fmt_", [
+    (["--family", "plain"], None, None, "json"),
+    (workloads.family_args("wn", 4), "wn", 4, "csv"),
+], ids=["plain-json", "w1x4-csv"])
+def test_family_sweep_passes_checker(capsys, source, family, k, fmt_):
+    rng = random.Random(f"contract:{source}")
+    theta, alpha = workloads.random_target(rng)
+    pulses = ([(theta, alpha)] if family is None
+              else check.family_pulses(family, k, theta, alpha))
+    job = workloads.sweep_job(rng, source, pulses, theta, alpha, fmt_)
+    assert run_sweep(capsys, job) == []
+
+
+def test_five_pulse_file_sweep_passes_checker(capsys, tmp_path):
+    rng = random.Random("contract:five")
+    files = workloads.five_pulse_files(rng, tmp_path)
+    for path, pulses, theta, alpha in files[(2, 2, 2)]:
+        job = workloads.sweep_job(rng, ["--seq", str(path)], pulses, theta, alpha, "csv")
+        assert run_sweep(capsys, job) == [], path.name

@@ -30,6 +30,13 @@ class TestAngleParsing:
         with pytest.raises(ValueError):
             parse_angle("pie")
 
+    @pytest.mark.parametrize("text", ["pi/0", "pi/0.0", "-3pi/0"])
+    def test_zero_divisor_exits_2_with_one_line(self, capsys, text):
+        assert main(["design", "--theta", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "division by zero" in err
+        assert err.count("\n") == 1
+
 
 class TestDesign:
     def test_bb1_phase_printed(self, capsys):
@@ -249,6 +256,19 @@ class TestSignedAngleArgs:
         assert main(base + ["--alpha", value, "--out", str(split)]) == 0
         assert main(base + [f"--alpha={value}", "--out", str(joined)]) == 0
         assert split.read_bytes() == joined.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--alph", "--al", "--a"])
+    def test_abbreviated_flag_matches_joined(self, capsys, tmp_path, flag):
+        split = tmp_path / "split.csv"
+        joined = tmp_path / "joined.csv"
+        base = ["sweep", "--family", "wm", "--theta", "pi", "--eps-count", "4"]
+        assert main(base + [flag, "-pi/2", "--out", str(split)]) == 0
+        assert main(base + ["--alpha=-pi/2", "--out", str(joined)]) == 0
+        assert split.read_bytes() == joined.read_bytes()
+
+    def test_abbreviated_theta_reaches_target_check(self, capsys):
+        assert main(["sweep", "--family", "plain", "--th", "-pi"]) == 2
+        assert capsys.readouterr().err.startswith("error: target theta")
 
     def test_negative_theta_reaches_target_check(self, capsys):
         assert main(["sweep", "--family", "plain", "--theta", "-pi"]) == 2

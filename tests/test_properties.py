@@ -1,0 +1,62 @@
+"""Property tests for the scalar SU(2) path: concatenation order, agreement
+with the benchmark checker's quaternion product, and the scalar overlap
+against the matrix formula."""
+
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import check  # noqa: E402
+
+from cpulse.analysis import fidelity, infidelity  # noqa: E402
+from cpulse.pulses import Pulse, PulseSequence, compile_sequence  # noqa: E402
+from cpulse.su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, su2_parts  # noqa: E402
+
+_PULSE = st.builds(Pulse, st.floats(0.0, 4 * math.pi), st.floats(-10.0, 10.0))
+_SEQ = st.lists(_PULSE, min_size=1, max_size=6).map(lambda ps: PulseSequence(tuple(ps)))
+_EPS = st.floats(-0.9, 0.9)
+_QUAT = (st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+         .filter(lambda q: math.fsum(c * c for c in q) > 1e-6))
+
+
+def su2_matrix(q):
+    w, x, y, z = np.array(q) / math.sqrt(math.fsum(c * c for c in q))
+    return w * IDENTITY - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(s1=_SEQ, s2=_SEQ, eps=_EPS)
+def test_concatenation_is_product_in_reverse_order(s1, s2, eps):
+    joined = compile_sequence(PulseSequence(s1.pulses + s2.pulses), eps)
+    assert np.max(np.abs(joined - compile_sequence(s2, eps) @ compile_sequence(s1, eps))) <= 1e-14
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(seq=_SEQ, eps=_EPS)
+def test_compile_matches_quaternion_reference(seq, eps):
+    w, v = su2_parts(compile_sequence(seq, eps))
+    rw, rv = check.compose([(p.angle, p.phase) for p in seq], [eps])
+    assert abs(w - rw[0]) <= 1e-14
+    assert np.max(np.abs(v - rv[:, 0])) <= 1e-14
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(qv=_QUAT, qu=_QUAT)
+def test_scalar_overlap_matches_matrix_formula(qv, qu):
+    v, u = su2_matrix(qv), su2_matrix(qu)
+    g = v @ dagger(u)
+    _, vec = su2_parts(g)
+    s = min(float(vec @ vec), 1.0)
+    # s / (1 + sqrt(1 - s)) amplifies a rounding of s by 1 / (2 sqrt(1 - s)),
+    # which is large only near fidelity 0; the tolerance carries that factor
+    tol = 1e-15 * max(1.0, 1.0 / math.sqrt(max(1.0 - s, 1e-300)))
+    assert abs(infidelity(v, u) - s / (1.0 + math.sqrt(1.0 - s))) <= tol
+    assert abs(fidelity(v, u) - 0.5 * abs(g[0, 0] + g[1, 1])) <= 1e-15
