@@ -38,6 +38,9 @@ TABLE1_ROWS = [
     ("W222", ("fivepulse", (2, 2, 2)), 877.8),
 ]
 TABLE1_TOL = 0.01
+# sweep rows per write: a write per row is a syscall each on unbuffered
+# stdout, one string for the whole sweep costs its size in memory
+SWEEP_BLOCK = 1024
 
 _PI_FORM = re.compile(
     r"^(?P<sign>[+-]?)(?P<coeff>\d+(?:\.\d*)?|\.\d+)?pi(?:/(?P<div>\d+(?:\.\d*)?))?$",
@@ -64,12 +67,14 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _write(args, text: str) -> None:
+def _write(args, text) -> None:
+    """Write a string, or an iterable of string blocks, to --out or stdout."""
+    blocks = [text] if isinstance(text, str) else text
     if getattr(args, "out", None):
         with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _target(args, embedded=None) -> TargetRotation:
@@ -212,17 +217,24 @@ def cmd_sweep(args) -> int:
         table = plain_sweep(target, grid)
     else:
         table = sweep(seq, target, grid, split=args.split, label=label)
-    if args.format == "json":
-        rows = [{"epsilon": e, "fidelity": f, "infidelity": i}
-                for e, f, i in zip(table.epsilons, table.fidelities,
-                                   table.infidelities)]
-        _write(args, json.dumps({"label": table.label, "rows": rows}, indent=2) + "\n")
-        return EXIT_OK
-    lines = ["epsilon,fidelity,infidelity"]
-    for e, f, i in zip(table.epsilons, table.fidelities, table.infidelities):
-        lines.append(",".join((_fmt(e), _fmt(f), _fmt(i))))
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, _sweep_blocks(table, args.format == "json"))
     return EXIT_OK
+
+
+def _sweep_blocks(table, as_json: bool):
+    """Sweep output in blocks of SWEEP_BLOCK rows rendered from Python floats;
+    for the finite floats of a sweep, %r is json's float repr."""
+    cols = (table.epsilons.tolist(), table.fidelities.tolist(), table.infidelities.tolist())
+    head, row, sep, tail = (
+        ('{\n  "label": %s,\n  "rows": [\n' % json.dumps(table.label),
+         '    {\n      "epsilon": %r,\n      "fidelity": %r,\n      "infidelity": %r\n    }',
+         ",\n", "\n  ]\n}\n") if as_json else
+        ("epsilon,fidelity,infidelity\n", "%.17g,%.17g,%.17g", "\n", "\n"))
+    yield head
+    for k in range(0, len(cols[0]), SWEEP_BLOCK):
+        rows = zip(*(c[k:k + SWEEP_BLOCK] for c in cols))
+        yield (sep if k else "") + sep.join(row % r for r in rows)
+    yield tail
 
 
 def cmd_coeff(args) -> int:

@@ -230,3 +230,33 @@ class TestPrecisionOracle:
                 assert abs(got - ref) <= 1e-5 * ref, (eps, got, ref)
                 checked += 1
         assert checked >= 30
+
+    def test_infidelity_near_fidelity_zero_matches_50_digit_overlap(self):
+        # near-orthogonal pairs: 1 - F sits just below 1, where recovering
+        # |w| as sqrt(1 - |s|^2) loses half the digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(7)
+
+        def matrix(q):
+            w, x, y, z = q
+            return np.array([[complex(w, -z), complex(-y, -x)],
+                             [complex(y, -x), complex(w, z)]])
+
+        worst = 0.0
+        for _ in range(3000):
+            qu = rng.normal(size=4)
+            qu /= np.linalg.norm(qu)
+            perp = rng.normal(size=4)
+            perp -= (perp @ qu) * qu
+            perp /= np.linalg.norm(perp)
+            dot = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -2)
+            qv = dot * qu + math.sqrt(1.0 - dot * dot) * perp
+            qv /= np.linalg.norm(qv)
+            v, u = matrix(qv), matrix(qu)
+            with mpmath.workdps(50):
+                # Tr(v u-dagger) / 2 of these matrices is exactly the
+                # quaternion dot product of qv and qu
+                ref = 1 - abs(mpmath.fsum(mpmath.mpf(a) * b
+                                          for a, b in zip(qv.tolist(), qu.tolist())))
+                worst = max(worst, abs(float(infidelity(v, u) - ref)))
+        assert worst <= 2e-15, worst

@@ -1,9 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cpulse import cli
+from cpulse.analysis import SweepTable
 from cpulse.cli import main, parse_angle
 from cpulse.design import design_wn
 from cpulse.pulses import (TargetRotation, format_sequence, parse_sequence,
@@ -115,6 +118,69 @@ class TestSweep:
     def test_io_failure_exits_3(self, capsys):
         assert main(["sweep", "--family", "plain",
                      "--out", "/nonexistent/dir/x.csv"]) == 3
+        capsys.readouterr()
+        assert main(["sweep", "--family", "plain", "--format", "json",
+                     "--out", "/nonexistent/dir/x.json"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+
+    @pytest.mark.parametrize("argv", [["--family", "wm", "--split", "2"],
+                                      ["--family", "plain", "--eps-count", "1"]])
+    def test_rejected_sweep_leaves_out_file_alone(self, capsys, tmp_path, argv):
+        out = tmp_path / "x.json"
+        out.write_bytes(b"kept\n")
+        assert main(["sweep", "--format", "json", "--out", str(out)] + argv) == 2
+        assert out.read_bytes() == b"kept\n"
+
+    def test_json_sweep_memory(self, tmp_path):
+        # the output is written in blocks, so a 20k-point sweep holds only
+        # the grid's arrays, their float lists and one block of text
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--family", "plain", "--eps-count", "20000",
+                         "--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, peak
+
+
+class TestSweepRenderer:
+    """Streamed sweep output against json.dumps and a CSV line loop on the
+    same table, across block boundaries."""
+
+    B = cli.SWEEP_BLOCK
+
+    @staticmethod
+    def table(n):
+        rng = np.random.default_rng(n)
+        eps = np.cumsum(rng.uniform(1e-6, 1e-3, n))
+        infid = 10.0 ** rng.uniform(-40, 0, n)
+        infid[0] = 0.0
+        return SweepTable(eps, 1.0 - infid, infid, 'plain "W1"')
+
+    @staticmethod
+    def reference(t, fmt):
+        if fmt == "json":
+            rows = [{"epsilon": e, "fidelity": f, "infidelity": i}
+                    for e, f, i in zip(t.epsilons, t.fidelities, t.infidelities)]
+            return json.dumps({"label": t.label, "rows": rows}, indent=2) + "\n"
+        lines = ["epsilon,fidelity,infidelity"]
+        for e, f, i in zip(t.epsilons, t.fidelities, t.infidelities):
+            lines.append(",".join(("%.17g" % e, "%.17g" % f, "%.17g" % i)))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_match_reference(self, capsys, tmp_path, monkeypatch, n, fmt):
+        t = self.table(n)
+        monkeypatch.setattr(cli, "plain_sweep", lambda target, grid: t)
+        argv = ["sweep", "--family", "plain", "--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.encode()
+        out = tmp_path / "s.out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert printed == out.read_bytes() == self.reference(t, fmt).encode()
 
 
 class TestCoeff:
