@@ -95,10 +95,11 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
     suffer the same fractional error); embed=False sweeps the sequence as
     given, for bare-pulse baselines.
     """
-    eps = np.asarray(list(eps_grid), dtype=float)
+    eps = np.fromiter(eps_grid, dtype=float)
     full = embed_target(seq, target, split) if embed else seq
     uc = target.unitary().conj().tolist()
-    infids = np.array([_overlap(compile_sequence(full, e), uc)[1] for e in eps.tolist()])
+    infids = np.fromiter((_overlap(compile_sequence(full, e), uc)[1] for e in map(float, eps)),
+                         dtype=float, count=eps.size)
     return SweepTable(eps, 1.0 - infids, infids, label)
 
 
@@ -117,7 +118,9 @@ def fit_grid(window=ORDER_WINDOW, n: int = FIT_POINTS) -> np.ndarray:
 def fit_scaling(table: SweepTable, window=ORDER_WINDOW) -> FitReport:
     """Least-squares line on (log eps, log(1-F)) over the window.
 
-    order is the slope and coefficient is exp(intercept).  Raises
+    order is the slope and coefficient is exp(intercept), both in closed form
+    from the centred data: slope = sum(xc yc) / sum(xc^2), with xc and yc the
+    deviations of x = log eps and y = log(1-F) from their means.  Raises
     FitWindowError when any infidelity in the window sits at the numerical
     floor; shrink the window from below (larger eps_min) in that case.
     """
@@ -133,12 +136,12 @@ def fit_scaling(table: SweepTable, window=ORDER_WINDOW) -> FitReport:
             "raise eps_min above %.3g" % (INFIDELITY_FLOOR, eps[infid <= INFIDELITY_FLOOR].max()))
     x = np.log(eps)
     y = np.log(infid)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (intercept + slope * x)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
-    return FitReport(float(slope), float(np.exp(intercept)), r2,
-                     (float(lo), float(hi)), int(eps.size))
+    xc, yc = x - x.mean(), y - y.mean()
+    slope = float(np.sum(xc * yc) / np.sum(xc * xc))
+    intercept = float(y.mean() - slope * x.mean())
+    ss_tot = float(np.sum(yc * yc))
+    r2 = 1.0 - float(np.sum((yc - slope * xc) ** 2)) / ss_tot if ss_tot > 0 else 0.0
+    return FitReport(slope, math.exp(intercept), r2, (float(lo), float(hi)), int(eps.size))
 
 
 def fit_error_scaling(seq: PulseSequence, target: TargetRotation,

@@ -209,8 +209,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.eps_count < 2 or not args.eps_min < args.eps_max:
-        raise ValueError("grid needs eps-min < eps-max and at least 2 points")
+    if args.eps_count < 2 or not -math.inf < args.eps_min < args.eps_max < math.inf:
+        raise ValueError("grid needs finite eps-min < eps-max and at least 2 points")
     grid = np.linspace(args.eps_min, args.eps_max, args.eps_count)
     seq, label, target = _resolve_sequence(args)
     if seq is None:
@@ -224,15 +224,15 @@ def cmd_sweep(args) -> int:
 def _sweep_blocks(table, as_json: bool):
     """Sweep output in blocks of SWEEP_BLOCK rows rendered from Python floats;
     for the finite floats of a sweep, %r is json's float repr."""
-    cols = (table.epsilons.tolist(), table.fidelities.tolist(), table.infidelities.tolist())
+    cols = (table.epsilons, table.fidelities, table.infidelities)
     head, row, sep, tail = (
         ('{\n  "label": %s,\n  "rows": [\n' % json.dumps(table.label),
          '    {\n      "epsilon": %r,\n      "fidelity": %r,\n      "infidelity": %r\n    }',
          ",\n", "\n  ]\n}\n") if as_json else
         ("epsilon,fidelity,infidelity\n", "%.17g,%.17g,%.17g", "\n", "\n"))
     yield head
-    for k in range(0, len(cols[0]), SWEEP_BLOCK):
-        rows = zip(*(c[k:k + SWEEP_BLOCK] for c in cols))
+    for k in range(0, cols[0].size, SWEEP_BLOCK):
+        rows = zip(*(c[k:k + SWEEP_BLOCK].tolist() for c in cols))
         yield (sep if k else "") + sep.join(row % r for r in rows)
     yield tail
 
@@ -423,23 +423,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_signed_angles(argv):
-    """'--alpha -pi/2' -> '--alpha=-pi/2': argparse reads a token that
-    starts with '-' and is not a plain number as an option.  A prefix that
-    argparse expands to the flag ('--alph', '--th') is joined the same way."""
+def _join_signed_values(argv):
+    """'--alpha -pi/2' -> '--alpha=-pi/2', '--eps-min -1e-3' -> '--eps-min=-1e-3':
+    argparse reads a '-'-led token that is not a plain number ('-1', '-.5') as
+    an option.  A pi form or a float is joined to --theta, --alpha, --eps-min,
+    --eps-max, --split or a prefix argparse expands ('--alph', '--eps-mi')."""
     out = []
     for token in argv:
-        if (out and len(out[-1]) > 2 and any(f.startswith(out[-1]) for f in ("--theta", "--alpha"))
-                and token.startswith("-") and _PI_FORM.match(token)):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
+        out.append(token)
+        if len(out) > 1 and len(out[-2]) > 2 and token.startswith("-") and any(
+                f.startswith(out[-2]) for f in ("--theta", "--alpha", "--eps-min", "--eps-max",
+                                                "--split")):
+            if not _PI_FORM.match(token):
+                try:
+                    float(token)
+                except ValueError:
+                    continue
+            out[-2:] = [out[-2] + "=" + token]
     return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_signed_angles(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InfeasibleDesign as exc:

@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import infidelity
 from .pulses import (PulseSequence, TargetRotation, compile_sequence,
                      embed_target, reduce_angle, repeated)
-from .su2 import IDENTITY, TWO_PI, dagger, rotation, xy_axis
+from .su2 import IDENTITY, TWO_PI, rotation
 
 IDENTITY_TOL = 1e-12
 DERIVATIVE_TOL = 1e-9
@@ -53,19 +53,20 @@ def identity_residual(seq: PulseSequence) -> float:
 def error_derivative(seq: PulseSequence) -> np.ndarray:
     """d/d(epsilon) of the compiled sequence at epsilon = 0, exactly.
 
-    Sum over pulses of (later product) (-i angle/2 H) (earlier product,
-    pulse included), H being the pulse's axis generator.
+    The product U and its derivative D are carried forward as Python
+    complexes: pulse R with generator G = -i angle/2 (X cos phase + Y sin
+    phase) maps U to R U and D to R D + G R U.
     """
-    mats = [rotation(p.angle, p.phase) for p in seq]
-    prefix = [IDENTITY.copy()]
-    for m in mats:
-        prefix.append(m @ prefix[-1])
-    total = prefix[-1]
-    deriv = np.zeros((2, 2), dtype=complex)
-    for k, p in enumerate(seq):
-        suffix = total @ dagger(prefix[k + 1])
-        deriv += suffix @ ((-0.5j * p.angle) * xy_axis(p.phase)) @ prefix[k + 1]
-    return deriv
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    da = db = dc = dd = 0.0
+    for p in seq:
+        (r00, r01), (r10, r11) = rotation(p.angle, p.phase).tolist()
+        a, b, c, d = r00 * a + r01 * c, r00 * b + r01 * d, r10 * a + r11 * c, r10 * b + r11 * d
+        hc, hs = 0.5 * p.angle * math.cos(p.phase), 0.5 * p.angle * math.sin(p.phase)
+        g01, g10 = complex(-hs, -hc), complex(hs, -hc)
+        da, db, dc, dd = (r00 * da + r01 * dc + g01 * c, r00 * db + r01 * dd + g01 * d,
+                          r10 * da + r11 * dc + g10 * a, r10 * db + r11 * dd + g10 * b)
+    return np.array([[da, db], [dc, dd]], dtype=complex)
 
 
 def derivative_residual(seq: PulseSequence, target: TargetRotation) -> float:
@@ -75,7 +76,7 @@ def derivative_residual(seq: PulseSequence, target: TargetRotation) -> float:
     is placement-independent at a design point, where it vanishes.
     """
     full = embed_target(seq, target, 1.0)
-    return float(np.linalg.norm(error_derivative(full)))
+    return math.hypot(*map(abs, error_derivative(full).ravel().tolist()))
 
 
 def _validated(label, seq, phases, target, mirror=None) -> DesignResult:

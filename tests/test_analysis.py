@@ -8,7 +8,7 @@ from cpulse.analysis import (COEFF_WINDOW, INFIDELITY_FLOOR, ORDER_WINDOW,
                              crossover, fidelity,
                              fit_error_scaling, fit_grid, fit_scaling,
                              infidelity, plain_sweep, sweep)
-from cpulse.design import design_five_pulse, design_wm
+from cpulse.design import design_five_pulse, design_wm, design_wn
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
 from cpulse.su2 import EZ, exp_pauli, rotation
@@ -161,6 +161,50 @@ class TestFit:
         table = plain_sweep(target, [0.01, 0.02])
         with pytest.raises(ValueError):
             fit_scaling(table, window=(0.005, 0.03))
+
+    def test_fit_calls_no_least_squares_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit must not call a numpy least-squares solver")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        for window in (ORDER_WINDOW, COEFF_WINDOW):
+            report = fit_error_scaling(bb1_corrector(), TargetRotation(PI, 0.0), window)
+            assert report.order == pytest.approx(6.0, abs=0.05)
+            assert report.coefficient == pytest.approx(4.7, rel=0.01)
+            assert report.r_squared > 0.9999
+
+    def test_matches_50_digit_least_squares(self):
+        # slope and C against a 50-digit least-squares line through the same
+        # double (log eps, log(1-F)) points, for ~200 random W_m and W1xn fits
+        # in both windows; np.polyfit on those points sets the bar
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(12)
+        worst = {"closed form": [0.0, 0.0], "np.polyfit": [0.0, 0.0]}
+        for i in range(200):
+            target = TargetRotation(rng.uniform(0.5, 4 * PI - 0.1), rng.uniform(0, 2 * PI))
+            k = int(rng.integers(1, 4))
+            design = design_wm if i % 2 else design_wn
+            window = (ORDER_WINDOW, COEFF_WINDOW)[i // 2 % 2]
+            table = sweep(design(k, target).sequence, target, fit_grid(window))
+            x, y = np.log(table.epsilons), np.log(table.infidelities)
+            with mpmath.workdps(50):
+                xs, ys = [mpmath.mpf(v) for v in x.tolist()], [mpmath.mpf(v) for v in y.tolist()]
+                xm, ym = mpmath.fsum(xs) / len(xs), mpmath.fsum(ys) / len(ys)
+                slope = (mpmath.fsum((a - xm) * (b - ym) for a, b in zip(xs, ys))
+                         / mpmath.fsum((a - xm) ** 2 for a in xs))
+                coeff = mpmath.exp(ym - slope * xm)
+                report = fit_scaling(table, window)
+                poly_slope, poly_intercept = np.polyfit(x, y, 1)
+                for name, (s, c) in (
+                        ("closed form", (report.order, report.coefficient)),
+                        ("np.polyfit", (poly_slope, math.exp(poly_intercept)))):
+                    errs = worst[name]
+                    errs[0] = max(errs[0], float(abs(s / slope - 1)))
+                    errs[1] = max(errs[1], float(abs(c / coeff - 1)))
+        # measured: closed form 3.7e-16 and 1.5e-14, np.polyfit 8.8e-16 and 2.2e-14
+        assert worst["closed form"][0] <= worst["np.polyfit"][0], worst
+        assert worst["closed form"][1] <= worst["np.polyfit"][1], worst
 
 
 class TestCrossover:

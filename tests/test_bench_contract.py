@@ -1,8 +1,9 @@
 """The benchmark's own gates, run in-process against the library.
 
 bench/tracer.py counts calls per sweep point, and bench/check.py re-derives
-every sweep row from an independent quaternion product.  A change to the
-evaluation path that breaks either gate fails here, before a benchmark run.
+every sweep row from an independent quaternion product and every fit from
+its own power-law fit.  A change to the evaluation path that breaks either
+gate fails here, before a benchmark run.
 """
 
 import random
@@ -24,9 +25,9 @@ def test_tracer_exact_count_selfcheck():
     assert tracer.exact_count_selfcheck() == []
 
 
-def run_sweep(capsys, job):
+def run_job(capsys, job):
     code = main(job.argv)
-    return check.check_sweep(job, code, capsys.readouterr().out)
+    return check.check(job, code, capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("source,family,k,fmt_", [
@@ -39,7 +40,7 @@ def test_family_sweep_passes_checker(capsys, source, family, k, fmt_):
     pulses = ([(theta, alpha)] if family is None
               else check.family_pulses(family, k, theta, alpha))
     job = workloads.sweep_job(rng, source, pulses, theta, alpha, fmt_)
-    assert run_sweep(capsys, job) == []
+    assert run_job(capsys, job) == []
 
 
 def test_five_pulse_file_sweep_passes_checker(capsys, tmp_path):
@@ -47,4 +48,28 @@ def test_five_pulse_file_sweep_passes_checker(capsys, tmp_path):
     files = workloads.five_pulse_files(rng, tmp_path)
     for path, pulses, theta, alpha in files[(2, 2, 2)]:
         job = workloads.sweep_job(rng, ["--seq", str(path)], pulses, theta, alpha, "csv")
-        assert run_sweep(capsys, job) == [], path.name
+        assert run_job(capsys, job) == [], path.name
+
+
+def test_table1_passes_checker(capsys):
+    assert run_job(capsys, workloads.Job("table1", ["table1"])) == []
+
+
+@pytest.mark.parametrize("family,k,window,fmt_", [
+    ("wm", 2, "order", "json"), ("wn", 3, "coeff", "text")])
+def test_coeff_passes_checker(capsys, family, k, window, fmt_):
+    rng = random.Random(f"contract:coeff:{window}")
+    theta, alpha = workloads.random_target(rng, workloads.FIT_THETA_MIN)
+    argv = (["coeff"] + workloads.family_args(family, k) + workloads.target_args(theta, alpha)
+            + ["--window", window, "--format", fmt_])
+    job = workloads.Job("coeff", argv, {"family": family, "k": k, "window": window,
+                                        "format": fmt_, "theta": theta, "alpha": alpha})
+    assert run_job(capsys, job) == []
+
+
+def test_verify_passes_checker(capsys):
+    rng = random.Random("contract:verify")
+    theta, alpha = workloads.random_target(rng, workloads.FIT_THETA_MIN)
+    argv = ["verify"] + workloads.family_args("wm", 1) + workloads.target_args(theta, alpha)
+    job = workloads.Job("verify", argv, {"family": "wm", "k": 1, "theta": theta, "alpha": alpha})
+    assert run_job(capsys, job) == []

@@ -133,8 +133,9 @@ class TestSweep:
         assert out.read_bytes() == b"kept\n"
 
     def test_json_sweep_memory(self, tmp_path):
-        # the output is written in blocks, so a 20k-point sweep holds only
-        # the grid's arrays, their float lists and one block of text
+        # the output is written in blocks, so a 20k-point sweep holds no
+        # whole-output string and no row dicts; test_sweep_memory_is_arrays
+        # sets the tighter bound
         tracemalloc.start()
         try:
             assert main(["sweep", "--family", "plain", "--eps-count", "20000",
@@ -143,6 +144,27 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 6e6, peak
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sweep_memory_is_arrays(self, tmp_path, fmt):
+        # no whole-grid Python list either: a 20k-point sweep holds four
+        # float arrays (grid, epsilons, fidelities, infidelities, 160 kB
+        # each) plus one block of rows as floats and text (~1.1 MB in all)
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--family", "plain", "--eps-count", "20000",
+                         "--format", fmt, "--out", str(tmp_path / "s.out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, peak
+
+    @pytest.mark.parametrize("bound", [["--eps-max", "inf"], ["--eps-min", "-inf"],
+                                       ["--eps-max", "nan"], ["--eps-min=nan"]])
+    def test_non_finite_grid_exits_2_with_one_line(self, capsys, bound):
+        assert main(["sweep", "--family", "plain"] + bound) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: grid needs finite"), err
 
 
 class TestSweepRenderer:
@@ -331,6 +353,25 @@ class TestSignedAngleArgs:
         assert main(base + [flag, "-pi/2", "--out", str(split)]) == 0
         assert main(base + ["--alpha=-pi/2", "--out", str(joined)]) == 0
         assert split.read_bytes() == joined.read_bytes()
+
+    @pytest.mark.parametrize("argv,flag,full,value", [
+        (["sweep", "--eps-count", "4"], "--eps-min", "--eps-min", "-1e-3"),
+        (["sweep", "--eps-count", "4", "--eps-min", "-0.5"], "--eps-max", "--eps-max", "-2E-3"),
+        (["sweep", "--eps-count", "4"], "--eps-mi", "--eps-min", "-1e-3"),
+        (["simulate", "--format", "json"], "--eps", "--eps", "-1e-3"),
+        (["simulate"], "--ep", "--eps", "-2.5e-1"),
+        (["sweep", "--eps-count", "4", "--theta", "pi"], "--alpha", "--alpha", "-1e-3"),
+    ])
+    def test_exponent_form_matches_joined(self, capsys, tmp_path, argv, flag, full, value):
+        split = tmp_path / "split.out"
+        joined = tmp_path / "joined.out"
+        assert main(argv + [flag, value, "--out", str(split)]) == 0
+        assert main(argv + [f"{full}={value}", "--out", str(joined)]) == 0
+        assert split.read_bytes() == joined.read_bytes()
+
+    def test_negative_split_reaches_split_check(self, capsys):
+        assert main(["sweep", "--family", "wm", "--split", "-1e-3"]) == 2
+        assert capsys.readouterr().err.startswith("error: split must lie")
 
     def test_abbreviated_theta_reaches_target_check(self, capsys):
         assert main(["sweep", "--family", "plain", "--th", "-pi"]) == 2

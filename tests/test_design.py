@@ -10,6 +10,7 @@ from cpulse.design import (InfeasibleDesign, derivative_residual,
                            three_pulse_scan)
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target, reduce_angle)
+from cpulse.su2 import rotation, xy_axis
 
 PI = np.pi
 
@@ -240,6 +241,28 @@ class TestResiduals:
             assert rel < 1e-6
             assert derivative_residual(seq, target) == pytest.approx(
                 float(np.linalg.norm(fd)), rel=1e-6)
+
+    def test_derivative_matches_prefix_suffix_products(self):
+        # the sum over pulses of (later product) (-i angle/2 H) (earlier
+        # product, pulse included), in 2x2 matrix products
+        def reference(seq):
+            prefix = [np.eye(2, dtype=complex)]
+            for p in seq:
+                prefix.append(rotation(p.angle, p.phase) @ prefix[-1])
+            deriv = np.zeros((2, 2), dtype=complex)
+            for p, before in zip(seq, prefix[1:]):
+                later = prefix[-1] @ before.conj().T
+                deriv += later @ ((-0.5j * p.angle) * xy_axis(p.phase)) @ before
+            return deriv
+
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            seq = PulseSequence.from_pairs(
+                [(rng.uniform(0, 4 * PI), rng.uniform(0, 2 * PI))
+                 for _ in range(rng.integers(1, 14))])
+            ref = reference(seq)
+            assert (np.linalg.norm(error_derivative(seq) - ref)
+                    <= 1e-14 * np.linalg.norm(ref)), seq
 
     def test_designed_sequences_have_flat_finite_difference(self):
         target = TargetRotation(PI, 0.0)
