@@ -1,4 +1,9 @@
-"""Command line front end: design, simulate, sweep, fit, verify, table1.
+"""Command line front end: design, simulate, sweep, coeff, verify, table1.
+
+A source is a designed family, --family plain or a --seq file.  simulate,
+sweep and coeff resolve it once to the error-bearing pulse list: the bare
+target pulse for plain, else the corrector placed inside the target.
+design, simulate and coeff print text or, with --format json, one object.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible design or bad
 input, 3 I/O error.  CSV output is byte-stable for a fixed invocation
@@ -14,7 +19,7 @@ import sys
 import numpy as np
 
 from .analysis import (COEFF_WINDOW, ORDER_WINDOW, fidelity,
-                       fit_error_scaling, infidelity, plain_sweep, sweep)
+                       fit_error_scaling, infidelity, sweep)
 from .bch import analytic_c
 from .design import (InfeasibleDesign, derivative_residual, design_five_pulse,
                      design_wm, design_wn, identity_residual,
@@ -118,48 +123,52 @@ def _design_results(args, target):
         return [design_wn(args.n, target)]
     if args.family == "wm":
         return [design_wm(args.m, target)]
-    if args.family == "fivepulse":
-        return design_five_pulse(args.p, args.q, args.r, target)
-    raise ValueError(f"family {args.family!r} has no designed phases")
+    return design_five_pulse(args.p, args.q, args.r, target)
 
 
 def _resolve_sequence(args):
-    """Corrector sequence, label and target for commands taking any source."""
-    if getattr(args, "seq", None):
+    """Corrector sequence, label and target from --seq or a designed family."""
+    if args.seq:
         seq, embedded = _load_sequence(args.seq, args.branch)
         return seq, "file", _target(args, embedded)
     target = _target(args)
-    if args.family == "plain":
-        return None, "plain", target
     res = _pick_branch(_design_results(args, target), args.branch)
     return res.sequence, res.label, target
 
 
-def _result_json(res, target):
-    return {
-        "label": res.label,
-        "phases": list(res.phases),
-        "mirror_phases": None if res.mirror_phases is None else list(res.mirror_phases),
-        "identity_residual": res.identity_residual,
-        "derivative_residual": res.derivative_residual,
-        "pulses": sequence_to_json(res.sequence, target)["pulses"],
-    }
+def _full_sequence(args):
+    """Error-bearing pulse list, label and target: the bare target pulse for
+    --family plain, else the corrector placed inside the target at --split
+    (1.0 for a command without --split)."""
+    if args.family == "plain" and not args.seq:
+        target = _target(args)
+        return PulseSequence((Pulse(target.theta, target.alpha),)), "plain", target
+    seq, label, target = _resolve_sequence(args)
+    return embed_target(seq, target, getattr(args, "split", 1.0)), label, target
+
+
+def _emit(args, obj, lines) -> int:
+    """Write obj as indented JSON under --format json, else the text lines."""
+    _write(args, json.dumps(obj, indent=2) + "\n" if args.format == "json"
+           else "\n".join(lines) + "\n")
+    return EXIT_OK
 
 
 def cmd_design(args) -> int:
     target = _target(args)
     results = _design_results(args, target)
-    if args.format == "json":
-        obj = {
-            "family": args.family,
-            "target": {"theta": target.theta, "alpha": target.alpha},
-            "branches": [_result_json(r, target) for r in results],
-        }
-        _write(args, json.dumps(obj, indent=2) + "\n")
-        return EXIT_OK
+    branches = []
     lines = [f"# {results[0].label} target: theta={_fmt(target.theta)} "
              f"alpha={_fmt(target.alpha)}"]
     for i, res in enumerate(results):
+        branches.append({
+            "label": res.label,
+            "phases": list(res.phases),
+            "mirror_phases": None if res.mirror_phases is None else list(res.mirror_phases),
+            "identity_residual": res.identity_residual,
+            "derivative_residual": res.derivative_residual,
+            "pulses": sequence_to_json(res.sequence, target)["pulses"],
+        })
         if len(results) > 1:
             lines.append(f"# branch {i + 1} of {len(results)}")
         for j, phi in enumerate(res.phases, start=1):
@@ -170,31 +179,25 @@ def cmd_design(args) -> int:
         lines.append("derivative_residual = %.3g" % res.derivative_residual)
         lines.append("# pulses (angle_rad phase_rad), time order:")
         lines.append(format_sequence(res.sequence).rstrip("\n"))
-    _write(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    obj = {"family": args.family, "target": {"theta": target.theta, "alpha": target.alpha},
+           "branches": branches}
+    return _emit(args, obj, lines)
 
 
 def cmd_simulate(args) -> int:
-    seq, label, target = _resolve_sequence(args)
-    if seq is None:
-        full = PulseSequence((Pulse(target.theta, target.alpha),))
-    else:
-        full = embed_target(seq, target, args.split)
+    full, label, target = _full_sequence(args)
     u = compile_sequence(full, args.eps)
     ideal = target.unitary()
     fid = fidelity(u, ideal)
     infid = infidelity(u, ideal)
-    if args.format == "json":
-        obj = {
-            "label": label,
-            "epsilon": args.eps,
-            "matrix": [[[u[i, j].real, u[i, j].imag] for j in range(2)]
-                       for i in range(2)],
-            "fidelity": fid,
-            "infidelity": infid,
-        }
-        _write(args, json.dumps(obj, indent=2) + "\n")
-        return EXIT_OK
+    obj = {
+        "label": label,
+        "epsilon": args.eps,
+        "matrix": [[[u[i, j].real, u[i, j].imag] for j in range(2)]
+                   for i in range(2)],
+        "fidelity": fid,
+        "infidelity": infid,
+    }
     lines = [f"# {label} compiled at epsilon = {_fmt(args.eps)}"]
     for i in range(2):
         lines.append("  ".join(
@@ -204,19 +207,17 @@ def cmd_simulate(args) -> int:
             for j in range(2)))
     lines.append("fidelity   = " + _fmt(fid))
     lines.append("infidelity = " + _fmt(infid))
-    _write(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit(args, obj, lines)
 
 
 def cmd_sweep(args) -> int:
-    if args.eps_count < 2 or not -math.inf < args.eps_min < args.eps_max < math.inf:
-        raise ValueError("grid needs finite eps-min < eps-max and at least 2 points")
-    grid = np.linspace(args.eps_min, args.eps_max, args.eps_count)
-    seq, label, target = _resolve_sequence(args)
-    if seq is None:
-        table = plain_sweep(target, grid)
-    else:
-        table = sweep(seq, target, grid, split=args.split, label=label)
+    # the error model's own domain: compile_sequence rejects |eps| >= 1, and
+    # a finite grid wider than that overflows np.linspace
+    if args.eps_count < 2 or not -1.0 < args.eps_min < args.eps_max < 1.0:
+        raise ValueError("grid needs finite -1 < eps-min < eps-max < 1 and at least 2 points")
+    full, label, target = _full_sequence(args)
+    table = sweep(full, target, np.linspace(args.eps_min, args.eps_max, args.eps_count),
+                  embed=False, label=label)
     _write(args, _sweep_blocks(table, args.format == "json"))
     return EXIT_OK
 
@@ -238,48 +239,30 @@ def _sweep_blocks(table, as_json: bool):
 
 
 def cmd_coeff(args) -> int:
-    seq, label, target = _resolve_sequence(args)
+    full, label, target = _full_sequence(args)
     window = COEFF_WINDOW if args.window == "coeff" else ORDER_WINDOW
-    if seq is None:
-        bare = PulseSequence((Pulse(target.theta, target.alpha),))
-        report = fit_error_scaling(bare, target, window, embed=False)
-    else:
-        report = fit_error_scaling(seq, target, window)
-    if args.format == "json":
-        obj = {"label": label, "order": report.order,
-               "coefficient": report.coefficient, "r_squared": report.r_squared,
-               "window": list(report.window), "n_points": report.n_points}
-        _write(args, json.dumps(obj, indent=2) + "\n")
-        return EXIT_OK
-    _write(args, "\n".join([
+    report = fit_error_scaling(full, target, window, embed=False)
+    obj = {"label": label, "order": report.order,
+           "coefficient": report.coefficient, "r_squared": report.r_squared,
+           "window": list(report.window), "n_points": report.n_points}
+    return _emit(args, obj, [
         f"# {label}",
         "order       = " + _fmt(report.order),
         "coefficient = " + _fmt(report.coefficient),
         "r_squared   = " + _fmt(report.r_squared),
         "window      = [%s, %s]" % (_fmt(report.window[0]), _fmt(report.window[1])),
-    ]) + "\n")
-    return EXIT_OK
-
-
-def _table1_fit(kind, target):
-    """Fit reports for one table row; five-pulse rows carry one report per
-    phase branch."""
-    family, ps = kind
-    if family == "wm":
-        results = [design_wm(ps[0], target)]
-    else:
-        results = design_five_pulse(*ps, target)
-    fits = [fit_error_scaling(r.sequence, target, COEFF_WINDOW) for r in results]
-    return results, fits
+    ])
 
 
 def cmd_table1(args) -> int:
     target = TargetRotation(math.pi, math.pi)
     lines = ["label,fitted_C,fitted_order,paper_C,rel_err"]
     failures = []
-    for label, kind, paper_c in TABLE1_ROWS:
-        _, fits = _table1_fit(kind, target)
-        best = min(fits, key=lambda f: abs(f.coefficient - paper_c))
+    for label, (family, ps), paper_c in TABLE1_ROWS:
+        # a five-pulse row has one design per phase branch; the closest fit counts
+        results = [design_wm(ps[0], target)] if family == "wm" else design_five_pulse(*ps, target)
+        best = min((fit_error_scaling(r.sequence, target, COEFF_WINDOW) for r in results),
+                   key=lambda f: abs(f.coefficient - paper_c))
         rel = (best.coefficient - paper_c) / paper_c
         lines.append(",".join((label, _fmt(best.coefficient), _fmt(best.order),
                                _fmt(paper_c), _fmt(rel))))
@@ -294,69 +277,31 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(seq, target):
-    """(name, passed, detail) rows for one corrector sequence."""
-    checks = []
-    ident = identity_residual(seq)
-    checks.append(("identity_residual", ident < 1e-12, "%.3g" % ident))
-    deriv = derivative_residual(seq, target)
-    checks.append(("derivative_residual", deriv < 1e-9, "%.3g" % deriv))
-    report = fit_error_scaling(seq, target, ORDER_WINDOW)
-    checks.append(("order", abs(report.order - 6.0) <= 0.05,
-                   "%.4f" % report.order))
-    checks.append(("r_squared", report.r_squared > 0.9999,
-                   "%.8f" % report.r_squared))
-    angles = seq.angles
-    if len(seq) == 3 and np.allclose(angles, [math.pi, 2 * math.pi, math.pi]):
-        cfit = fit_error_scaling(seq, target, COEFF_WINDOW).coefficient
-        cref = analytic_c(seq.pulses[1].phase - seq.pulses[0].phase)
-        ok = cref > 0 and abs(cfit - cref) / cref < 0.01
-        checks.append(("analytic_coefficient", ok,
-                       "fit %.6g vs analytic %.6g" % (cfit, cref)))
-    return checks
-
-
 def cmd_verify(args) -> int:
-    lines = []
-    all_ok = True
+    """PASS/FAIL lines for the 3-pulse scan, or for one corrector sequence."""
     if args.scan:
-        target = TargetRotation(math.pi, 0.0)
-        rows = three_pulse_scan(target)
-        bad = [g for g, res in rows
-               if (res < 1e-9) != (min(abs(g - math.pi), abs(g - 2 * math.pi)) <= 0.02)]
-        ok = not bad
-        all_ok &= ok
-        lines.append("%s three_pulse_scan: flat residual only at pi multiples"
-                     % ("PASS" if ok else "FAIL"))
+        rows = three_pulse_scan(TargetRotation(math.pi, 0.0))
+        ok = all((res < 1e-9) == (min(abs(g - math.pi), abs(g - 2 * math.pi)) <= 0.02)
+                 for g, res in rows)
+        checks = [("three_pulse_scan", ok, "flat residual only at pi multiples")]
     else:
         seq, _, target = _resolve_sequence(args)
-        if seq is None:
-            raise ValueError("verify needs a designed family or --seq file")
-        for name, ok, detail in _verify_checks(seq, target):
-            all_ok &= ok
-            lines.append("%s %s: %s" % ("PASS" if ok else "FAIL", name, detail))
-    _write(args, "\n".join(lines) + "\n")
-    return EXIT_OK if all_ok else EXIT_VERIFY
-
-
-def _add_target_args(p):
-    p.add_argument("--theta", help="target angle, radians or pi form "
-                                   "(default: the --seq file's, else pi)")
-    p.add_argument("--alpha", help="target axis azimuth (default: the --seq file's, else 0)")
-
-
-def _add_family_args(p, with_plain=False):
-    choices = ["wn", "wm", "fivepulse"] + (["plain"] if with_plain else [])
-    p.add_argument("--family", choices=choices, default="wm")
-    p.add_argument("--n", type=int, default=1, help="repeat count for wn")
-    p.add_argument("--m", type=int, default=1, help="angle scale for wm")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
-
-
-def _add_common_output(p):
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+        ident = identity_residual(seq)
+        deriv = derivative_residual(seq, target)
+        report = fit_error_scaling(seq, target, ORDER_WINDOW)
+        checks = [("identity_residual", ident < 1e-12, "%.3g" % ident),
+                  ("derivative_residual", deriv < 1e-9, "%.3g" % deriv),
+                  ("order", abs(report.order - 6.0) <= 0.05, "%.4f" % report.order),
+                  ("r_squared", report.r_squared > 0.9999, "%.8f" % report.r_squared)]
+        if len(seq) == 3 and np.allclose(seq.angles, [math.pi, 2 * math.pi, math.pi]):
+            cfit = fit_error_scaling(seq, target, COEFF_WINDOW).coefficient
+            cref = analytic_c(seq.pulses[1].phase - seq.pulses[0].phase)
+            ok = cref > 0 and abs(cfit - cref) / cref < 0.01
+            checks.append(("analytic_coefficient", ok,
+                           "fit %.6g vs analytic %.6g" % (cfit, cref)))
+    _write(args, "".join("%s %s: %s\n" % ("PASS" if ok else "FAIL", name, detail)
+                         for name, ok, detail in checks))
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,60 +309,45 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cpulse",
         description="Composite pulse sequences robust to pulse-length errors")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("design", help="solve family phases")
-    _add_family_args(p)
-    _add_target_args(p)
-    _add_common_output(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_design)
-
-    p = sub.add_parser("simulate", help="compile a sequence at one error value")
-    _add_family_args(p, with_plain=True)
-    _add_target_args(p)
-    _add_common_output(p)
-    p.add_argument("--seq", default=None, help="pulse file (.txt or .json)")
-    p.add_argument("--branch", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--split", type=float, default=1.0)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="fidelity vs error CSV")
-    _add_family_args(p, with_plain=True)
-    _add_target_args(p)
-    _add_common_output(p)
-    p.add_argument("--seq", default=None)
-    p.add_argument("--branch", type=int, default=0)
-    p.add_argument("--split", type=float, default=1.0)
-    p.add_argument("--eps-min", type=float, default=0.0)
-    p.add_argument("--eps-max", type=float, default=0.3)
-    p.add_argument("--eps-count", type=int, default=60)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("coeff", help="fit the infidelity power law")
-    _add_family_args(p, with_plain=True)
-    _add_target_args(p)
-    _add_common_output(p)
-    p.add_argument("--seq", default=None)
-    p.add_argument("--branch", type=int, default=0)
-    p.add_argument("--window", choices=["order", "coeff"], default="order")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_coeff)
-
-    p = sub.add_parser("verify", help="run the invariant checks")
-    _add_family_args(p)
-    _add_target_args(p)
-    _add_common_output(p)
-    p.add_argument("--seq", default=None)
-    p.add_argument("--branch", type=int, default=0)
-    p.add_argument("--scan", action="store_true",
-                   help="run the 3-pulse exhaustiveness scan instead")
-    p.set_defaults(func=cmd_verify)
+    split = ("--split", {"type": float, "default": 1.0})
+    # name, help, handler, extra --family choice, --seq keywords (None: no
+    # --seq/--branch), options after --branch, --format choices (None: none)
+    for name, help_, func, plain, seq, options, formats in (
+            ("design", "solve family phases", cmd_design, [], None, (), ["text", "json"]),
+            ("simulate", "compile a sequence at one error value", cmd_simulate, ["plain"],
+             {"help": "pulse file (.txt or .json)"},
+             (("--eps", {"type": float, "default": 0.0}), split), ["text", "json"]),
+            ("sweep", "fidelity vs error CSV", cmd_sweep, ["plain"], {},
+             (split, ("--eps-min", {"type": float, "default": 0.0}),
+              ("--eps-max", {"type": float, "default": 0.3}),
+              ("--eps-count", {"type": int, "default": 60})), ["csv", "json"]),
+            ("coeff", "fit the infidelity power law", cmd_coeff, ["plain"], {},
+             (("--window", {"choices": ["order", "coeff"], "default": "order"}),),
+             ["text", "json"]),
+            ("verify", "run the invariant checks", cmd_verify, [], {},
+             (("--scan", {"action": "store_true",
+                          "help": "run the 3-pulse exhaustiveness scan instead"}),), None)):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--family", choices=["wn", "wm", "fivepulse"] + plain, default="wm")
+        p.add_argument("--n", type=int, default=1, help="repeat count for wn")
+        p.add_argument("--m", type=int, default=1, help="angle scale for wm")
+        for flag, default in (("--p", 1), ("--q", 2), ("--r", 1)):
+            p.add_argument(flag, type=int, default=default)
+        p.add_argument("--theta", help="target angle, radians or pi form "
+                                       "(default: the --seq file's, else pi)")
+        p.add_argument("--alpha", help="target axis azimuth (default: the --seq file's, else 0)")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        if seq is not None:
+            p.add_argument("--seq", default=None, **seq)
+            p.add_argument("--branch", type=int, default=0)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(func=func)
 
     p = sub.add_parser("table1", help="reproduce the published coefficients")
-    _add_common_output(p)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_table1)
 
     return parser

@@ -16,7 +16,8 @@ from .su2 import TWO_PI, rotation
 
 def reduce_angle(phi: float) -> float:
     """Map an angle to [0, 2*pi)."""
-    return float(phi) % TWO_PI
+    r = float(phi) % TWO_PI
+    return r if r < TWO_PI else 0.0   # a tiny negative angle rounds up to 2*pi
 
 
 @dataclass(frozen=True)

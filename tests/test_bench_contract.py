@@ -1,11 +1,14 @@
 """The benchmark's own gates, run in-process against the library.
 
 bench/tracer.py counts calls per sweep point, and bench/check.py re-derives
-every sweep row from an independent quaternion product and every fit from
-its own power-law fit.  A change to the evaluation path that breaks either
-gate fails here, before a benchmark run.
+every sweep row from an independent quaternion product, every fit from its
+own power-law fit, and every designed branch from its zero-error identity,
+its finite-difference derivative and, for three-pulse families, its closed
+form.  A change to the evaluation path that breaks either gate fails here,
+before a benchmark run.
 """
 
+import json
 import random
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import check  # noqa: E402
+import quickstart  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
@@ -73,3 +77,33 @@ def test_verify_passes_checker(capsys):
     argv = ["verify"] + workloads.family_args("wm", 1) + workloads.target_args(theta, alpha)
     job = workloads.Job("verify", argv, {"family": "wm", "k": 1, "theta": theta, "alpha": alpha})
     assert run_job(capsys, job) == []
+
+
+@pytest.mark.parametrize("fmt_", ["text", "json"])
+def test_five_pulse_design_passes_checker(capsys, fmt_):
+    rng = random.Random(f"contract:design:W222:{fmt_}")
+    theta, alpha = workloads.random_target(rng)
+    argv = (["design", "--family", "fivepulse", "--p", "2", "--q", "2", "--r", "2"]
+            + workloads.target_args(theta, alpha) + ["--format", fmt_])
+    job = workloads.Job("design", argv, {"family": "fivepulse", "pqr": (2, 2, 2),
+                                         "format": fmt_, "theta": theta, "alpha": alpha})
+    assert run_job(capsys, job) == []
+
+
+@pytest.mark.parametrize("family,k,fmt_", [("wm", 2, "text"), ("wn", 3, "json")])
+def test_three_pulse_design_passes_checker(capsys, family, k, fmt_):
+    rng = random.Random(f"contract:design:{family}")
+    theta, alpha = workloads.random_target(rng)
+    argv = (["design"] + workloads.family_args(family, k) + workloads.target_args(theta, alpha)
+            + ["--format", fmt_])
+    job = workloads.Job("design", argv, {"family": family, "k": k, "format": fmt_,
+                                         "theta": theta, "alpha": alpha})
+    assert run_job(capsys, job) == []
+
+
+def test_quickstart_passes_checker():
+    case = json.loads(workloads.EXPECTED.read_text())["quickstart"][0]
+    job = workloads.Job("quickstart", [], {"theta": case["theta"], "alpha": case["alpha"],
+                                           "expected": case})
+    out = json.dumps(quickstart.run(case["theta"], case["alpha"]))
+    assert check.check(job, 0, out) == []

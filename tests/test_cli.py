@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -147,9 +148,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_sweep_memory_is_arrays(self, tmp_path, fmt):
-        # no whole-grid Python list either: a 20k-point sweep holds four
-        # float arrays (grid, epsilons, fidelities, infidelities, 160 kB
-        # each) plus one block of rows as floats and text (~1.1 MB in all)
+        # no whole-grid Python list either: a 20k-point sweep holds three
+        # float arrays (epsilons, fidelities, infidelities, 160 kB each)
+        # plus one block of rows as floats and text (~1 MB in all)
         tracemalloc.start()
         try:
             assert main(["sweep", "--family", "plain", "--eps-count", "20000",
@@ -165,6 +166,35 @@ class TestSweep:
         assert main(["sweep", "--family", "plain"] + bound) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: grid needs finite"), err
+
+    @pytest.mark.parametrize("bounds", [["--eps-min=-1e308", "--eps-max", "1e308"],
+                                        ["--eps-max", "1.5"], ["--eps-min", "-1"]])
+    def test_grid_outside_error_domain_exits_2_with_one_line(self, capsys, bounds):
+        # a finite grid wider than -1 < eps < 1 is rejected before np.linspace,
+        # whose range would overflow, and before any point is computed
+        assert main(["sweep", "--family", "plain"] + bounds) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: grid needs finite -1 < eps-min"), err
+
+    def test_grid_released_before_write(self, tmp_path, monkeypatch):
+        # the np.linspace grid goes straight into sweep, which copies it into
+        # the table, so the write holds three grid-sized arrays, not four
+        grids = []
+        real_linspace, real_write = np.linspace, cli._write
+
+        def linspace(*args, **kwargs):
+            grid = real_linspace(*args, **kwargs)
+            grids.append(weakref.ref(grid))
+            return grid
+
+        def write(args, text):
+            assert grids and all(ref() is None for ref in grids)
+            return real_write(args, text)
+
+        monkeypatch.setattr(cli.np, "linspace", linspace)
+        monkeypatch.setattr(cli, "_write", write)
+        assert main(["sweep", "--family", "plain", "--eps-count", "50",
+                     "--out", str(tmp_path / "s.csv")]) == 0
 
 
 class TestSweepRenderer:
@@ -196,7 +226,7 @@ class TestSweepRenderer:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bytes_match_reference(self, capsys, tmp_path, monkeypatch, n, fmt):
         t = self.table(n)
-        monkeypatch.setattr(cli, "plain_sweep", lambda target, grid: t)
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: t)
         argv = ["sweep", "--family", "plain", "--format", fmt]
         assert main(argv) == 0
         printed = capsys.readouterr().out.encode()

@@ -28,6 +28,12 @@ class TestTypes:
         assert Pulse(1.0, 7.0).phase == pytest.approx(7.0 - 2 * PI)
         assert Pulse(1.0, -0.5).phase == pytest.approx(2 * PI - 0.5)
 
+    def test_tiny_negative_angle_reduces_below_two_pi(self):
+        # -1e-300 % 2pi rounds to 2pi itself, which a second reduction maps
+        # to 0, so a text or JSON round trip would change the phase
+        assert Pulse(1.0, -1e-300).phase == 0.0
+        assert TargetRotation(1.0, -1e-300).alpha == 0.0
+
     def test_pulse_rejects_negative_angle(self):
         with pytest.raises(ValueError):
             Pulse(-0.1, 0.0)
