@@ -8,7 +8,7 @@ fidelity scaling.
 from .analysis import (COEFF_WINDOW, ORDER_WINDOW, FitReport, FitWindowError,
                        NotSuperior, SweepTable, crossover, fidelity,
                        fit_error_scaling, fit_grid, fit_scaling, infidelity,
-                       plain_sweep, sweep)
+                       sweep)
 from .bch import analytic_c, p_epsilon, sixth_order_coefficient
 from .design import (DesignResult, InfeasibleDesign, derivative_residual,
                      design_five_pulse, design_wm, design_wn,
@@ -16,15 +16,14 @@ from .design import (DesignResult, InfeasibleDesign, derivative_residual,
 from .pulses import (Pulse, PulseSequence, TargetRotation, compile_sequence,
                      embed_target, format_sequence, parse_sequence,
                      repeated, sequence_from_json, sequence_to_json)
-from .su2 import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, rotation,
-                  su2_parts, xy_axis)
+from .su2 import rotation, su2_parts
 
 __version__ = "0.1.0"
 
 __all__ = [
     "COEFF_WINDOW", "ORDER_WINDOW", "FitReport", "FitWindowError",
     "NotSuperior", "SweepTable", "crossover", "fidelity", "fit_error_scaling",
-    "fit_grid", "fit_scaling", "infidelity", "plain_sweep", "sweep",
+    "fit_grid", "fit_scaling", "infidelity", "sweep",
     "analytic_c", "p_epsilon", "sixth_order_coefficient",
     "DesignResult", "InfeasibleDesign", "derivative_residual",
     "design_five_pulse", "design_wm", "design_wn", "error_derivative",
@@ -32,7 +31,6 @@ __all__ = [
     "Pulse", "PulseSequence", "TargetRotation", "compile_sequence",
     "embed_target", "format_sequence", "parse_sequence", "repeated",
     "sequence_from_json", "sequence_to_json",
-    "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "dagger", "rotation",
-    "su2_parts", "xy_axis",
+    "rotation", "su2_parts",
     "__version__",
 ]

@@ -1,10 +1,11 @@
 """Fidelity evaluation, error sweeps, scaling fits and crossover search."""
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .pulses import Pulse, PulseSequence, TargetRotation, compile_sequence, embed_target
 from .su2 import _split
 
@@ -101,12 +102,6 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
     infids = np.fromiter((_overlap(compile_sequence(full, e), uc)[1] for e in map(float, eps)),
                          dtype=float, count=eps.size)
     return SweepTable(eps, 1.0 - infids, infids, label)
-
-
-def plain_sweep(target: TargetRotation, eps_grid) -> SweepTable:
-    """Baseline sweep of the bare error-prone pulse for the same target."""
-    bare = PulseSequence((Pulse(target.theta, target.alpha),))
-    return sweep(bare, target, eps_grid, embed=False, label="plain")
 
 
 def fit_grid(window=ORDER_WINDOW, n: int = FIT_POINTS) -> np.ndarray:

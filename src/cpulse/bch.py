@@ -9,10 +9,11 @@ rotation: its linear row is the design condition and its cubic row fixes
 the sixth-order infidelity coefficient.
 """
 
+from __future__ import annotations
+
 import math
 
-import numpy as np
-
+from ._numpy import np
 from .pulses import PulseSequence, TargetRotation
 from .su2 import axis_vector
 

@@ -16,8 +16,7 @@ import math
 import re
 import sys
 
-import numpy as np
-
+from ._numpy import np
 from .analysis import (COEFF_WINDOW, ORDER_WINDOW, fidelity,
                        fit_error_scaling, infidelity, sweep)
 from .bch import analytic_c
@@ -46,6 +45,12 @@ TABLE1_TOL = 0.01
 # sweep rows per write: a write per row is a syscall each on unbuffered
 # stdout, one string for the whole sweep costs its size in memory
 SWEEP_BLOCK = 1024
+# Upper bounds on the integer flags: a job's time and memory grow linearly
+# with --n and --eps-count, so without a bound one argument can ask for a
+# job that runs for days or exhausts memory.
+MAX_MULTIPLE = 1000
+MAX_EPS_COUNT = 10 ** 6
+_INT_CAPS = dict.fromkeys("nmpqr", MAX_MULTIPLE) | {"eps_count": MAX_EPS_COUNT}
 
 _PI_FORM = re.compile(
     r"^(?P<sign>[+-]?)(?P<coeff>\d+(?:\.\d*)?|\.\d+)?pi(?:/(?P<div>\d+(?:\.\d*)?))?$",
@@ -142,6 +147,8 @@ def _full_sequence(args):
     (1.0 for a command without --split)."""
     if args.family == "plain" and not args.seq:
         target = _target(args)
+        if not 0.0 <= getattr(args, "split", 1.0) <= 1.0:
+            raise ValueError("split must lie in [0, 1]")
         return PulseSequence((Pulse(target.theta, target.alpha),)), "plain", target
     seq, label, target = _resolve_sequence(args)
     return embed_target(seq, target, getattr(args, "split", 1.0)), label, target
@@ -320,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("sweep", "fidelity vs error CSV", cmd_sweep, ["plain"], {},
              (split, ("--eps-min", {"type": float, "default": 0.0}),
               ("--eps-max", {"type": float, "default": 0.3}),
-              ("--eps-count", {"type": int, "default": 60})), ["csv", "json"]),
+              ("--eps-count", {"type": int, "default": 60,
+                               "help": f"grid points, 2 to {MAX_EPS_COUNT}"})),
+             ["csv", "json"]),
             ("coeff", "fit the infidelity power law", cmd_coeff, ["plain"], {},
              (("--window", {"choices": ["order", "coeff"], "default": "order"}),),
              ["text", "json"]),
@@ -329,10 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "help": "run the 3-pulse exhaustiveness scan instead"}),), None)):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--family", choices=["wn", "wm", "fivepulse"] + plain, default="wm")
-        p.add_argument("--n", type=int, default=1, help="repeat count for wn")
-        p.add_argument("--m", type=int, default=1, help="angle scale for wm")
+        p.add_argument("--n", type=int, default=1,
+                       help=f"repeat count for wn, at most {MAX_MULTIPLE}")
+        p.add_argument("--m", type=int, default=1,
+                       help=f"angle scale for wm, at most {MAX_MULTIPLE}")
         for flag, default in (("--p", 1), ("--q", 2), ("--r", 1)):
-            p.add_argument(flag, type=int, default=default)
+            p.add_argument(flag, type=int, default=default,
+                           help=f"fivepulse angle multiple, at most {MAX_MULTIPLE}")
         p.add_argument("--theta", help="target angle, radians or pi form "
                                        "(default: the --seq file's, else pi)")
         p.add_argument("--alpha", help="target axis azimuth (default: the --seq file's, else 0)")
@@ -377,6 +389,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
+        for name, cap in _INT_CAPS.items():
+            if getattr(args, name, 0) > cap:
+                raise ValueError(f"--{name.replace('_', '-')} must be at most {cap}")
         return args.func(args)
     except InfeasibleDesign as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

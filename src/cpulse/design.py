@@ -9,15 +9,14 @@ the law of cosines, at most two per pinned azimuth); every returned result
 is re-validated against the matrix-level residuals.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .analysis import infidelity
-from .pulses import (PulseSequence, TargetRotation, compile_sequence,
-                     embed_target, reduce_angle, repeated)
-from .su2 import IDENTITY, TWO_PI, rotation
+from ._numpy import np
+from .pulses import PulseSequence, TargetRotation, embed_target, reduce_angle, repeated
+from .su2 import TWO_PI, _split
 
 IDENTITY_TOL = 1e-12
 DERIVATIVE_TOL = 1e-9
@@ -45,27 +44,39 @@ class DesignResult:
     mirror_phases: tuple | None = None
 
 
-def identity_residual(seq: PulseSequence) -> float:
-    """1 - trace fidelity of the compiled sequence against the identity."""
-    return infidelity(compile_sequence(seq, 0.0), IDENTITY)
+def _first_order_jet(seq: PulseSequence) -> tuple:
+    """U and dU/d(epsilon) of the compiled sequence at epsilon = 0, exactly,
+    as eight Python complexes: U = [[a, b], [c, d]], then D likewise.
 
-
-def error_derivative(seq: PulseSequence) -> np.ndarray:
-    """d/d(epsilon) of the compiled sequence at epsilon = 0, exactly.
-
-    The product U and its derivative D are carried forward as Python
-    complexes: pulse R with generator G = -i angle/2 (X cos phase + Y sin
-    phase) maps U to R U and D to R D + G R U.
+    Pulse R with generator G = -i angle/2 (X cos phase + Y sin phase) maps U
+    to R U and D to R D + G R U.  R's entries are su2.rotation's, formed
+    here from the cos and sin of the phase that G uses.
     """
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     da = db = dc = dd = 0.0
     for p in seq:
-        (r00, r01), (r10, r11) = rotation(p.angle, p.phase).tolist()
-        a, b, c, d = r00 * a + r01 * c, r00 * b + r01 * d, r10 * a + r11 * c, r10 * b + r11 * d
-        hc, hs = 0.5 * p.angle * math.cos(p.phase), 0.5 * p.angle * math.sin(p.phase)
+        cp, sp = math.cos(p.phase), math.sin(p.phase)
+        r, s = math.cos(0.5 * p.angle), math.sin(0.5 * p.angle)
+        r01, r10 = complex(-s * sp, -s * cp), complex(s * sp, -s * cp)
+        a, b, c, d = r * a + r01 * c, r * b + r01 * d, r10 * a + r * c, r10 * b + r * d
+        hc, hs = 0.5 * p.angle * cp, 0.5 * p.angle * sp
         g01, g10 = complex(-hs, -hc), complex(hs, -hc)
-        da, db, dc, dd = (r00 * da + r01 * dc + g01 * c, r00 * db + r01 * dd + g01 * d,
-                          r10 * da + r11 * dc + g10 * a, r10 * db + r11 * dd + g10 * b)
+        da, db, dc, dd = (r * da + r01 * dc + g01 * c, r * db + r01 * dd + g01 * d,
+                          r10 * da + r * dc + g10 * a, r10 * db + r * dd + g10 * b)
+    return a, b, c, d, da, db, dc, dd
+
+
+def identity_residual(seq: PulseSequence) -> float:
+    """1 - trace fidelity of the compiled sequence against the identity,
+    |s|^2 / (1 + |w|) from its split as in analysis.infidelity."""
+    w, x, y, z = _split(*_first_order_jet(seq)[:4])
+    return (x * x + y * y + z * z) / (1.0 + abs(w))
+
+
+def error_derivative(seq: PulseSequence) -> np.ndarray:
+    """d/d(epsilon) of the compiled sequence at epsilon = 0, exactly, as a
+    2x2 complex array."""
+    da, db, dc, dd = _first_order_jet(seq)[4:]
     return np.array([[da, db], [dc, dd]], dtype=complex)
 
 
@@ -76,7 +87,7 @@ def derivative_residual(seq: PulseSequence, target: TargetRotation) -> float:
     is placement-independent at a design point, where it vanishes.
     """
     full = embed_target(seq, target, 1.0)
-    return math.hypot(*map(abs, error_derivative(full).ravel().tolist()))
+    return math.hypot(*map(abs, _first_order_jet(full)[4:]))
 
 
 def _validated(label, seq, phases, target, mirror=None) -> DesignResult:
@@ -93,7 +104,7 @@ def _validated(label, seq, phases, target, mirror=None) -> DesignResult:
 
 def _symmetric_three_pulse(scale: int, target: TargetRotation, even: bool):
     """Shared closed form: cos(phi1 - alpha) = -theta / (4 scale pi)."""
-    c = -target.theta / (4.0 * scale * np.pi)
+    c = -target.theta / (4.0 * scale * math.pi)
     if abs(c) > 1.0:
         raise InfeasibleDesign(
             f"target angle {target.theta:.6g} exceeds the reachable "
@@ -121,7 +132,7 @@ def design_wn(n: int, target: TargetRotation) -> DesignResult:
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
     (phi1, phi2), mirror = _symmetric_three_pulse(int(n), target, even=False)
-    block = PulseSequence.from_pairs([(np.pi, phi1), (2 * np.pi, phi2), (np.pi, phi1)])
+    block = PulseSequence.from_pairs([(math.pi, phi1), (2 * math.pi, phi2), (math.pi, phi1)])
     seq = repeated(block, int(n))
     return _validated(f"W1x{n}" if n > 1 else "W1", seq, (phi1, phi2), target, mirror)
 
@@ -138,7 +149,7 @@ def design_wm(m: int, target: TargetRotation) -> DesignResult:
     m = int(m)
     (phi1, phi2), mirror = _symmetric_three_pulse(m, target, even=(m % 2 == 0))
     seq = PulseSequence.from_pairs(
-        [(m * np.pi, phi1), (2 * m * np.pi, phi2), (m * np.pi, phi1)])
+        [(m * math.pi, phi1), (2 * m * math.pi, phi2), (m * math.pi, phi1)])
     return _validated(f"W{m}", seq, (phi1, phi2), target, mirror)
 
 
@@ -181,7 +192,7 @@ def _pinned_triangle(weights, t, pin_idx, pin_val):
 
 def _conjugated_to_phases(z, p, q, target):
     """Invert the conjugated azimuths back to raw pulse phases."""
-    frame = target.alpha + np.pi
+    frame = target.alpha + math.pi
     c1, c2, c3 = (zi + frame for zi in z)
     phi1 = c1
     phi2 = 2.0 * phi1 - c2 if p % 2 else c2
@@ -218,7 +229,7 @@ def design_five_pulse(p: int, q: int, r: int,
     phase_sets = []
     best = math.inf
     for pin_idx in range(3):
-        for pin_val in (0.0, np.pi):
+        for pin_val in (0.0, math.pi):
             sols, gap = _pinned_triangle(weights, t, pin_idx, pin_val)
             best = min(best, gap)
             phase_sets.extend(_conjugated_to_phases(z, p, q, target) for z in sols)
@@ -227,8 +238,8 @@ def design_five_pulse(p: int, q: int, r: int,
     for phases in sorted(phase_sets):
         phi1, phi2, phi3 = phases
         seq = PulseSequence.from_pairs([
-            (p * np.pi, phi1), (q * np.pi, phi2), (2 * r * np.pi, phi3),
-            (q * np.pi, phi2), (p * np.pi, phi1)])
+            (p * math.pi, phi1), (q * math.pi, phi2), (2 * r * math.pi, phi3),
+            (q * math.pi, phi2), (p * math.pi, phi1)])
         results.append(_validated(f"W{p}{q}{r}", seq, phases, target))
     if not results:
         # |complex residual| maps to the matrix Frobenius norm via sqrt(2)*pi
@@ -263,7 +274,7 @@ def _split_residual(theta, gamma, m):
     root of the sextic S'^2 (S - Q) - theta^2 (S' - Q')^2; other roots,
     clipped, only add candidates.
     """
-    eta = 2.0 * (2.0 * m * np.pi - gamma)
+    eta = 2.0 * (2.0 * m * math.pi - gamma)
     k = 1.0 - math.cos(eta)
     cg, sg, se = math.cos(gamma), math.sin(gamma), math.sin(eta)
     bx = [gamma * k, eta, gamma * (2.0 - k)]

@@ -6,11 +6,12 @@ fractional error epsilon scales every pulse angle by (1 + epsilon), the
 embedded target pulse included.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .su2 import TWO_PI, rotation
 
 
@@ -28,7 +29,7 @@ class Pulse:
     phase: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.angle) and np.isfinite(self.phase)):
+        if not (math.isfinite(self.angle) and math.isfinite(self.phase)):
             raise ValueError("pulse angle and phase must be finite")
         if self.angle < 0:
             raise ValueError("pulse angle must be >= 0 (fold sign into the phase)")
@@ -50,7 +51,7 @@ class PulseSequence:
         object.__setattr__(self, "pulses", pulses)
 
     @classmethod
-    def from_pairs(cls, pairs) -> "PulseSequence":
+    def from_pairs(cls, pairs) -> PulseSequence:
         return cls(tuple(Pulse(a, p) for a, p in pairs))
 
     def __len__(self):
@@ -76,7 +77,7 @@ class TargetRotation:
     alpha: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.alpha)):
+        if not (math.isfinite(self.theta) and math.isfinite(self.alpha)):
             raise ValueError("target angles must be finite")
         if not 0.0 < self.theta < 2.0 * TWO_PI:
             raise ValueError("target theta must lie in (0, 4*pi)")

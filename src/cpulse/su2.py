@@ -4,52 +4,18 @@ Everything here is evaluated exactly (trig identities on 2x2 matrices),
 never by a truncated series or a general matrix exponential.
 """
 
+from __future__ import annotations
+
 import math
 
-import numpy as np
+from ._numpy import np
 
-IDENTITY = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-EZ = np.array([0.0, 0.0, 1.0])
-
-TWO_PI = 2.0 * np.pi
-
-
-def pauli_sum(vec) -> np.ndarray:
-    """Hermitian matrix v . sigma for a real 3-vector v."""
-    vx, vy, vz = vec
-    return vx * SIGMA_X + vy * SIGMA_Y + vz * SIGMA_Z
+TWO_PI = 2.0 * math.pi
 
 
 def axis_vector(phi: float) -> np.ndarray:
     """Unit 3-vector of the XY-plane axis at azimuth phi."""
     return np.array([np.cos(phi), np.sin(phi), 0.0])
-
-
-def xy_axis(phi: float) -> np.ndarray:
-    """Hermitian involution X cos(phi) + Y sin(phi) (squares to identity)."""
-    return pauli_sum(axis_vector(phi))
-
-
-def exp_pauli(vec, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * v.sigma) in closed form.
-
-    For unit-norm v this is cos(scale) I - i sin(scale) v.sigma; a general v
-    is split into norm and direction.  A zero vector gives the identity.
-    The package itself builds pulses with `rotation`; this general form is
-    the test suite's closed-form reference for generators off the XY plane.
-    """
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (3,) or not (np.all(np.isfinite(v)) and np.isfinite(scale)):
-        raise ValueError("generator must be a finite real 3-vector with finite scale")
-    norm = float(np.sqrt(v @ v))
-    if norm == 0.0:
-        return IDENTITY.copy()
-    angle = scale * norm
-    return np.cos(angle) * IDENTITY - 1j * np.sin(angle) * pauli_sum(v / norm)
 
 
 def rotation(theta: float, alpha: float) -> np.ndarray:
@@ -65,11 +31,6 @@ def rotation(theta: float, alpha: float) -> np.ndarray:
     s = math.sin(0.5 * theta)
     sc, ss = s * math.cos(alpha), s * math.sin(alpha)
     return np.array([[c, complex(-ss, -sc)], [complex(ss, -sc), c]])
-
-
-def dagger(u: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return u.conj().T
 
 
 def _split(a: complex, b: complex, c: complex, d: complex) -> tuple:

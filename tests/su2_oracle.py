@@ -1,0 +1,59 @@
+"""Test-side SU(2) references: Pauli matrices, the general closed-form
+exponential and the bare-pulse sweep baseline.
+
+The package needs none of these; the tests use them as independent
+matrix-level references for the scalar routines in cpulse.
+"""
+
+import numpy as np
+
+from cpulse.analysis import SweepTable, sweep
+from cpulse.pulses import Pulse, PulseSequence, TargetRotation
+from cpulse.su2 import axis_vector
+
+IDENTITY = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+EZ = np.array([0.0, 0.0, 1.0])
+
+
+def pauli_sum(vec) -> np.ndarray:
+    """Hermitian matrix v . sigma for a real 3-vector v."""
+    vx, vy, vz = vec
+    return vx * SIGMA_X + vy * SIGMA_Y + vz * SIGMA_Z
+
+
+def xy_axis(phi: float) -> np.ndarray:
+    """Hermitian involution X cos(phi) + Y sin(phi) (squares to identity)."""
+    return pauli_sum(axis_vector(phi))
+
+
+def exp_pauli(vec, scale: float = 1.0) -> np.ndarray:
+    """exp(-i * scale * v.sigma) in closed form.
+
+    For unit-norm v this is cos(scale) I - i sin(scale) v.sigma; a general v
+    is split into norm and direction.  A zero vector gives the identity.
+    The package builds pulses with `rotation`; this general form is the
+    closed-form reference for generators off the XY plane.
+    """
+    v = np.asarray(vec, dtype=float)
+    if v.shape != (3,) or not (np.all(np.isfinite(v)) and np.isfinite(scale)):
+        raise ValueError("generator must be a finite real 3-vector with finite scale")
+    norm = float(np.sqrt(v @ v))
+    if norm == 0.0:
+        return IDENTITY.copy()
+    angle = scale * norm
+    return np.cos(angle) * IDENTITY - 1j * np.sin(angle) * pauli_sum(v / norm)
+
+
+def dagger(u: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return u.conj().T
+
+
+def plain_sweep(target: TargetRotation, eps_grid) -> SweepTable:
+    """Baseline sweep of the bare error-prone pulse for the same target."""
+    bare = PulseSequence((Pulse(target.theta, target.alpha),))
+    return sweep(bare, target, eps_grid, embed=False, label="plain")

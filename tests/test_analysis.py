@@ -7,11 +7,12 @@ from cpulse.analysis import (COEFF_WINDOW, INFIDELITY_FLOOR, ORDER_WINDOW,
                              FitWindowError, NotSuperior, SweepTable,
                              crossover, fidelity,
                              fit_error_scaling, fit_grid, fit_scaling,
-                             infidelity, plain_sweep, sweep)
+                             infidelity, sweep)
 from cpulse.design import design_five_pulse, design_wm, design_wn
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
-from cpulse.su2 import EZ, exp_pauli, rotation
+from cpulse.su2 import rotation
+from su2_oracle import EZ, exp_pauli, plain_sweep
 
 PI = np.pi
 BB1_C = 5 * PI ** 6 / 1024  # exact sixth-order coefficient of the m=1 family

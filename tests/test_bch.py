@@ -8,8 +8,8 @@ from cpulse.bch import (analytic_c, commutator, corrector_generators,
 from cpulse.design import design_wn
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
-from cpulse.su2 import (axis_vector, dagger, exp_pauli, pauli_sum, rotation,
-                        su2_parts)
+from cpulse.su2 import axis_vector, rotation, su2_parts
+from su2_oracle import dagger, exp_pauli, pauli_sum
 
 PI = np.pi
 EX = np.array([1.0, 0.0, 0.0])

@@ -412,6 +412,54 @@ class TestSignedAngleArgs:
         assert capsys.readouterr().err.startswith("error: target theta")
 
 
+class TestPlainSplit:
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("split", ["5", "-0.5", "nan"])
+    def test_out_of_range_split_exits_2_with_one_line(self, capsys, command, split):
+        # the bare pulse ignores the split, but checks it like every other source
+        assert main([command, "--family", "plain", "--split", split]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: split must lie in [0, 1]"]
+
+    @pytest.mark.parametrize("argv", [["simulate", "--eps", "0.1"],
+                                      ["sweep", "--eps-count", "5", "--format", "json"]])
+    def test_valid_split_leaves_output_unchanged(self, capsys, argv):
+        assert main(argv + ["--family", "plain", "--theta", "1.2"]) == 0
+        bare = capsys.readouterr().out
+        assert main(argv + ["--family", "plain", "--theta", "1.2", "--split", "0.3"]) == 0
+        assert capsys.readouterr().out == bare
+
+
+class TestIntegerBounds:
+    @pytest.mark.parametrize("argv,flag,cap", [
+        (["design", "--family", "wn", "--n", "1001"], "--n", 1000),
+        (["design", "--family", "wm", "--m", "1001"], "--m", 1000),
+        (["design", "--family", "fivepulse", "--p", "1001"], "--p", 1000),
+        (["coeff", "--family", "fivepulse", "--q", "10000000"], "--q", 1000),
+        (["verify", "--family", "fivepulse", "--r", "1001"], "--r", 1000),
+        (["sweep", "--family", "wn", "--n", "100000000", "--eps-count", "3"], "--n", 1000),
+        (["simulate", "--family", "plain", "--m", "1001"], "--m", 1000),
+        (["sweep", "--family", "plain", "--eps-count", "1000001"], "--eps-count", 10 ** 6),
+    ])
+    def test_over_the_cap_exits_2_with_one_line(self, capsys, argv, flag, cap):
+        assert (cli.MAX_MULTIPLE, cli.MAX_EPS_COUNT) == (1000, 10 ** 6)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be at most {cap}"]
+
+    def test_cap_itself_is_accepted(self, capsys):
+        assert main(["design", "--family", "wn", "--n", str(cli.MAX_MULTIPLE),
+                     "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert len(obj["branches"][0]["pulses"]) == 3 * cli.MAX_MULTIPLE
+
+    @pytest.mark.parametrize("command", ["design", "simulate", "sweep", "coeff", "verify"])
+    def test_help_states_the_caps(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert text.count(f"at most {cli.MAX_MULTIPLE}") == 5
+        assert (f"2 to {cli.MAX_EPS_COUNT}" in text) == (command == "sweep")
+
+
 class TestSimulate:
     def test_plain_matrix(self, capsys):
         assert main(["simulate", "--family", "plain", "--theta", "pi",

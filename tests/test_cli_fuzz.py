@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from cpulse.cli import main  # noqa: E402
+from cpulse.cli import MAX_EPS_COUNT, MAX_MULTIPLE, main  # noqa: E402
 
 # keys from the sequence schema, mixed with arbitrary ones, so that nearly
 # valid files are generated as well as junk
@@ -43,9 +43,11 @@ _NUMBER = (st.sampled_from(["0", "-0", "-1", "0.5", "-0.3", "1.5", "1e-3", "-1e-
            | st.floats().map(repr))
 _JUNK = st.sampled_from(["", " ", "pi/", "--pi", "abc", "1/2", "pi pi", "0x10", "-"])
 _REAL = _PI | _NUMBER | _JUNK
-# Integer flags are capped: nothing bounds them, and `design --family wn
-# --n 100000000` would build a 3e8-pulse tuple.
-_SMALL_INT = st.integers(-2, 8).map(str)
+# Integer flags: small values, which run, and values past the CLI's caps,
+# which exit 2 before any work.  Values just under a cap are valid but slow
+# (`--eps-count 1000000` sweeps for seconds), so they are not drawn.
+_INT = (st.integers(-2, 8) | st.integers(MAX_MULTIPLE + 1, 10 ** 12)).map(str)
+_EPS_COUNT = (st.integers(-1, 64) | st.integers(MAX_EPS_COUNT + 1, 10 ** 12)).map(str)
 
 _REAL_FLAGS = ["--theta", "--alpha", "--eps", "--split", "--eps-min", "--eps-max",
                "--alph", "--the", "--eps-mi", "--eps-ma", "--spl"]
@@ -58,8 +60,8 @@ _CHOICES = {"--family": ["wm", "wn", "fivepulse", "plain", "bogus"], "--fam": ["
 def _option(seq_dir):
     return st.one_of(
         st.tuples(st.sampled_from(_REAL_FLAGS), _REAL),
-        st.tuples(st.sampled_from(_INT_FLAGS), _SMALL_INT | _JUNK),
-        st.tuples(st.just("--eps-count"), st.integers(-1, 64).map(str) | _JUNK),
+        st.tuples(st.sampled_from(_INT_FLAGS), _INT | _JUNK),
+        st.tuples(st.just("--eps-count"), _EPS_COUNT | _JUNK),
         st.sampled_from(sorted(_CHOICES)).flatmap(
             lambda f: st.tuples(st.just(f), st.sampled_from(_CHOICES[f]))),
         st.tuples(st.just("--seq"),

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cpulse.analysis import fit_error_scaling
+from cpulse.analysis import fit_error_scaling, infidelity
 from cpulse.design import (InfeasibleDesign, derivative_residual,
                            design_five_pulse, design_wm, design_wn,
                            error_derivative, identity_residual,
                            three_pulse_scan)
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target, reduce_angle)
-from cpulse.su2 import rotation, xy_axis
+from cpulse.su2 import rotation
+from su2_oracle import IDENTITY, xy_axis
 
 PI = np.pi
 
@@ -263,6 +264,20 @@ class TestResiduals:
             ref = reference(seq)
             assert (np.linalg.norm(error_derivative(seq) - ref)
                     <= 1e-14 * np.linalg.norm(ref)), seq
+
+    def test_residuals_match_the_matrix_routes_exactly(self):
+        # identity_residual and derivative_residual read U and dU/deps from
+        # one scalar loop; the compiled matrix against the identity and the
+        # norm of error_derivative's array give the same floats
+        target = TargetRotation(1.3, 0.4)
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            seq = PulseSequence.from_pairs(
+                [(rng.uniform(0, 4 * PI), rng.uniform(0, 2 * PI))
+                 for _ in range(rng.integers(1, 14))])
+            assert identity_residual(seq) == infidelity(compile_sequence(seq, 0.0), IDENTITY)
+            deriv = error_derivative(embed_target(seq, target, 1.0))
+            assert derivative_residual(seq, target) == math.hypot(*map(abs, deriv.ravel().tolist()))
 
     def test_designed_sequences_have_flat_finite_difference(self):
         target = TargetRotation(PI, 0.0)

@@ -25,7 +25,8 @@ from cpulse.cli import main  # noqa: E402
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, compile_sequence,  # noqa: E402
                            embed_target, format_sequence, parse_sequence,
                            sequence_from_json, sequence_to_json)
-from cpulse.su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, su2_parts  # noqa: E402
+from cpulse.su2 import su2_parts  # noqa: E402
+from su2_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger  # noqa: E402
 
 _PULSE = st.builds(Pulse, st.floats(0.0, 4 * math.pi), st.floats(-10.0, 10.0))
 _SEQ = st.lists(_PULSE, min_size=1, max_size=6).map(lambda ps: PulseSequence(tuple(ps)))

@@ -8,7 +8,8 @@ from cpulse.pulses import (Pulse, PulseSequence, TargetRotation,
                            compile_sequence, embed_target, format_sequence,
                            parse_sequence, repeated, sequence_from_json,
                            sequence_to_json)
-from cpulse.su2 import EZ, IDENTITY, exp_pauli, rotation
+from cpulse.su2 import rotation
+from su2_oracle import EZ, IDENTITY, exp_pauli
 
 PI = np.pi
 

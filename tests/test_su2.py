@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cpulse.su2 import (EZ, IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger,
-                        exp_pauli, rotation, su2_parts, xy_axis)
+from cpulse.su2 import rotation, su2_parts
+from su2_oracle import (EZ, IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger,
+                        exp_pauli, xy_axis)
 
 RTOL = 1e-12
 
