@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .pulses import Pulse, PulseSequence, TargetRotation, compile_sequence, embed_target
+from .pulses import (Pulse, PulseSequence, TargetRotation, _jet, compile_sequence,
+                     embed_target)
 from .su2 import _split
 
 # Log-spaced fit window for the scaling *order*: below 1e-3 the infidelity of
@@ -33,18 +34,31 @@ class NotSuperior(ValueError):
     """Raised when a sequence does not beat the bare pulse at small error."""
 
 
-def _overlap(v: np.ndarray, uc) -> tuple:
-    """(fidelity, infidelity) of v against u, uc = u.conj().tolist(), from the
-    Python-scalar entries of g = v u-dagger = w I - i s.sigma.  1 - |w| is
-    |s|^2 / (1 + |w|), with w and s from the split: both are accurate to
-    ~1e-16 absolute, near a global phase and near fidelity 0 alike.
+def _entry_overlap(v00, v01, v10, v11, uc) -> tuple:
+    """(fidelity, infidelity) of v = [[v00, v01], [v10, v11]] against u,
+    uc = u.conj().tolist(), from the Python-scalar entries of
+    g = v u-dagger = w I - i s.sigma.  1 - |w| is |s|^2 / (1 + |w|), with w
+    and s from the split: both are accurate to ~1e-16 absolute, near a
+    global phase and near fidelity 0 alike.
     """
-    (v00, v01), (v10, v11) = v.tolist()
     (u00, u01), (u10, u11) = uc
     g = (v00 * u00 + v01 * u01, v00 * u10 + v01 * u11,
          v10 * u00 + v11 * u01, v10 * u10 + v11 * u11)
     w, x, y, z = _split(*g)
     return 0.5 * abs(g[0] + g[3]), (x * x + y * y + z * z) / (1.0 + abs(w))
+
+
+def _overlap(v: np.ndarray, uc) -> tuple:
+    """_entry_overlap of the 2x2 array v."""
+    (v00, v01), (v10, v11) = v.tolist()
+    return _entry_overlap(v00, v01, v10, v11, uc)
+
+
+def _target_conj(target: TargetRotation) -> tuple:
+    """target.unitary().conj().tolist() as Python complexes, without an
+    array: the bare target pulse compiled at epsilon = 0."""
+    a, b, c, d = _jet(PulseSequence((Pulse(target.theta, target.alpha),)), 0.0, 0)
+    return (a.conjugate(), b.conjugate()), (c.conjugate(), d.conjugate())
 
 
 def fidelity(v: np.ndarray, u: np.ndarray) -> float:
@@ -104,47 +118,85 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
     return SweepTable(eps, 1.0 - infids, infids, label)
 
 
-def fit_grid(window=ORDER_WINDOW, n: int = FIT_POINTS) -> np.ndarray:
-    """Log-spaced epsilon grid covering a fit window."""
+def _log_grid(window, n: int) -> list:
+    """n log-spaced errors over the window as Python floats: np.logspace's
+    exponents exactly (k * step + start, the last one stop itself), each
+    raised to a power of 10 by libm's pow."""
     lo, hi = window
-    return np.logspace(np.log10(lo), np.log10(hi), n)
+    start, stop = math.log10(lo), math.log10(hi)
+    step = (stop - start) / max(n - 1, 1)
+    exponents = [k * step + start for k in range(n)]
+    if n > 1:
+        exponents[-1] = stop
+    return [10.0 ** x for x in exponents]
+
+
+def fit_grid(window=ORDER_WINDOW, n: int = FIT_POINTS) -> np.ndarray:
+    """Log-spaced epsilon grid covering a fit window: the grid
+    fit_error_scaling evaluates, as an array."""
+    return np.array(_log_grid(window, n))
+
+
+def _fit_power_law(eps: list, infid: list, window) -> FitReport:
+    """Least-squares line on (log eps, log(1-F)) from Python floats, in
+    closed form from the centred data: slope = sum(xc yc) / sum(xc^2), with
+    xc and yc the deviations of x = log eps and y = log(1-F) from their
+    means, every sum correctly rounded (math.fsum)."""
+    lo, hi = window
+    n = len(eps)
+    if n < 3:
+        raise ValueError("need at least 3 sweep points inside the fit window")
+    floored = [e for e, f in zip(eps, infid) if f <= INFIDELITY_FLOOR]
+    if floored:
+        raise FitWindowError(
+            "infidelity reaches the numerical floor (%.0e) inside the window; "
+            "raise eps_min above %.3g" % (INFIDELITY_FLOOR, max(floored)))
+    x = [math.log(e) for e in eps]
+    y = [math.log(f) for f in infid]
+    x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
+    xc = [v - x_mean for v in x]
+    yc = [v - y_mean for v in y]
+    slope = math.fsum(a * b for a, b in zip(xc, yc)) / math.fsum(a * a for a in xc)
+    intercept = y_mean - slope * x_mean
+    ss_tot = math.fsum(b * b for b in yc)
+    r2 = (1.0 - math.fsum((b - slope * a) ** 2 for a, b in zip(xc, yc)) / ss_tot
+          if ss_tot > 0 else 0.0)
+    return FitReport(slope, math.exp(intercept), r2, (float(lo), float(hi)), n)
 
 
 def fit_scaling(table: SweepTable, window=ORDER_WINDOW) -> FitReport:
-    """Least-squares line on (log eps, log(1-F)) over the window.
+    """Power-law fit of a sweep table's infidelity over the window.
 
-    order is the slope and coefficient is exp(intercept), both in closed form
-    from the centred data: slope = sum(xc yc) / sum(xc^2), with xc and yc the
-    deviations of x = log eps and y = log(1-F) from their means.  Raises
-    FitWindowError when any infidelity in the window sits at the numerical
-    floor; shrink the window from below (larger eps_min) in that case.
+    The points inside the window are fitted as fit_error_scaling fits its
+    own grid: a least-squares line on (log eps, log(1-F)) in closed form.
+    Raises FitWindowError when any infidelity in the window sits at the
+    numerical floor; shrink the window from below (larger eps_min) in that
+    case.
     """
     lo, hi = window
     mask = (table.epsilons >= lo * (1 - 1e-12)) & (table.epsilons <= hi * (1 + 1e-12))
-    eps = table.epsilons[mask]
-    infid = table.infidelities[mask]
-    if eps.size < 3:
-        raise ValueError("need at least 3 sweep points inside the fit window")
-    if np.any(infid <= INFIDELITY_FLOOR):
-        raise FitWindowError(
-            "infidelity reaches the numerical floor (%.0e) inside the window; "
-            "raise eps_min above %.3g" % (INFIDELITY_FLOOR, eps[infid <= INFIDELITY_FLOOR].max()))
-    x = np.log(eps)
-    y = np.log(infid)
-    xc, yc = x - x.mean(), y - y.mean()
-    slope = float(np.sum(xc * yc) / np.sum(xc * xc))
-    intercept = float(y.mean() - slope * x.mean())
-    ss_tot = float(np.sum(yc * yc))
-    r2 = 1.0 - float(np.sum((yc - slope * xc) ** 2)) / ss_tot if ss_tot > 0 else 0.0
-    return FitReport(slope, math.exp(intercept), r2, (float(lo), float(hi)), int(eps.size))
+    return _fit_power_law(table.epsilons[mask].tolist(), table.infidelities[mask].tolist(),
+                          window)
 
 
 def fit_error_scaling(seq: PulseSequence, target: TargetRotation,
                       window=ORDER_WINDOW, n: int = FIT_POINTS,
                       embed: bool = True) -> FitReport:
-    """Sweep on a log grid over the window, then fit the power law."""
-    table = sweep(seq, target, fit_grid(window, n), embed=embed)
-    return fit_scaling(table, window)
+    """Power-law fit of the infidelity over n log-spaced errors in the window.
+
+    The same numbers as fit_scaling(sweep(seq, target, fit_grid(window, n),
+    embed=embed), window), field for field, without building an array: each
+    point is the scalar kernel's compiled sequence against the target's
+    conjugate entries, taken once.  Raises FitWindowError as fit_scaling.
+    """
+    lo, hi = window
+    if not 0.0 < lo < hi:
+        raise ValueError("fit window needs 0 < eps_min < eps_max")
+    full = embed_target(seq, target, 1.0) if embed else seq
+    uc = _target_conj(target)
+    eps = _log_grid(window, n)
+    infid = [_entry_overlap(*_jet(full, e, 0), uc)[1] for e in eps]
+    return _fit_power_law(eps, infid, window)
 
 
 def crossover(seq: PulseSequence, target: TargetRotation,
@@ -155,15 +207,18 @@ def crossover(seq: PulseSequence, target: TargetRotation,
     Both the composite (target embedded) and the bare pulse suffer the same
     fractional error.  Marches from eps_probe and bisects the first sign
     change of the fidelity gap to within tol; returns +inf when the
-    composite stays superior over (0, eps_max].
+    composite stays superior over (0, eps_max].  Each fidelity comes from
+    the scalar kernel against the target's conjugate entries, taken once:
+    the values of fidelity(compile_sequence(...), target.unitary()),
+    without building an array.
     """
     full = embed_target(seq, target, 1.0)
     bare = PulseSequence((Pulse(target.theta, target.alpha),))
-    ideal = target.unitary()
+    uc = _target_conj(target)
 
     def gap(e: float) -> float:
-        return (fidelity(compile_sequence(full, e), ideal)
-                - fidelity(compile_sequence(bare, e), ideal))
+        return (_entry_overlap(*_jet(full, e, 0), uc)[0]
+                - _entry_overlap(*_jet(bare, e, 0), uc)[0])
 
     if gap(eps_probe) <= 0:
         raise NotSuperior(

@@ -39,9 +39,8 @@ def corrector_generators(corrector: PulseSequence, target: TargetRotation):
     q is theta times the target axis; r is pi times the first corrector
     axis; s is pi times the reflected middle axis at 2*phi1 - phi2.
     """
-    angles = corrector.angles
-    if len(corrector) != 3 or not np.allclose(angles, [np.pi, 2 * np.pi, np.pi],
-                                              atol=1e-12):
+    if len(corrector) != 3 or any(abs(p.angle - a) > 1e-12 for p, a in
+                                  zip(corrector, (math.pi, 2 * math.pi, math.pi))):
         raise ValueError("corrector must be a (pi, 2*pi, pi) pulse triple")
     phi1 = corrector.pulses[0].phase
     phi2 = corrector.pulses[1].phase

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .pulses import PulseSequence, TargetRotation, embed_target, reduce_angle, repeated
+from .pulses import (PulseSequence, TargetRotation, _jet, embed_target, reduce_angle,
+                     repeated)
 from .su2 import TWO_PI, _split
 
 IDENTITY_TOL = 1e-12
@@ -44,39 +45,17 @@ class DesignResult:
     mirror_phases: tuple | None = None
 
 
-def _first_order_jet(seq: PulseSequence) -> tuple:
-    """U and dU/d(epsilon) of the compiled sequence at epsilon = 0, exactly,
-    as eight Python complexes: U = [[a, b], [c, d]], then D likewise.
-
-    Pulse R with generator G = -i angle/2 (X cos phase + Y sin phase) maps U
-    to R U and D to R D + G R U.  R's entries are su2.rotation's, formed
-    here from the cos and sin of the phase that G uses.
-    """
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    da = db = dc = dd = 0.0
-    for p in seq:
-        cp, sp = math.cos(p.phase), math.sin(p.phase)
-        r, s = math.cos(0.5 * p.angle), math.sin(0.5 * p.angle)
-        r01, r10 = complex(-s * sp, -s * cp), complex(s * sp, -s * cp)
-        a, b, c, d = r * a + r01 * c, r * b + r01 * d, r10 * a + r * c, r10 * b + r * d
-        hc, hs = 0.5 * p.angle * cp, 0.5 * p.angle * sp
-        g01, g10 = complex(-hs, -hc), complex(hs, -hc)
-        da, db, dc, dd = (r * da + r01 * dc + g01 * c, r * db + r01 * dd + g01 * d,
-                          r10 * da + r * dc + g10 * a, r10 * db + r * dd + g10 * b)
-    return a, b, c, d, da, db, dc, dd
-
-
 def identity_residual(seq: PulseSequence) -> float:
     """1 - trace fidelity of the compiled sequence against the identity,
     |s|^2 / (1 + |w|) from its split as in analysis.infidelity."""
-    w, x, y, z = _split(*_first_order_jet(seq)[:4])
+    w, x, y, z = _split(*_jet(seq, 0.0, 0))
     return (x * x + y * y + z * z) / (1.0 + abs(w))
 
 
 def error_derivative(seq: PulseSequence) -> np.ndarray:
     """d/d(epsilon) of the compiled sequence at epsilon = 0, exactly, as a
     2x2 complex array."""
-    da, db, dc, dd = _first_order_jet(seq)[4:]
+    da, db, dc, dd = _jet(seq)[4:]
     return np.array([[da, db], [dc, dd]], dtype=complex)
 
 
@@ -87,7 +66,7 @@ def derivative_residual(seq: PulseSequence, target: TargetRotation) -> float:
     is placement-independent at a design point, where it vanishes.
     """
     full = embed_target(seq, target, 1.0)
-    return math.hypot(*map(abs, _first_order_jet(full)[4:]))
+    return math.hypot(*map(abs, _jet(full)[4:]))
 
 
 def _validated(label, seq, phases, target, mirror=None) -> DesignResult:

@@ -103,6 +103,37 @@ def compile_sequence(seq: PulseSequence, epsilon: float = 0.0) -> np.ndarray:
     return np.array([[a, b], [c, d]], dtype=complex)
 
 
+def _jet(seq: PulseSequence, epsilon: float = 0.0, order: int = 1) -> tuple:
+    """compile_sequence(seq, epsilon) as four Python complexes a, b, c, d
+    (U = [[a, b], [c, d]], equal to it bit for bit), followed with order 1
+    by dU/d(epsilon) likewise.
+
+    Each pulse's rotation R is formed exactly as su2.rotation forms it, at
+    angle * (1 + epsilon).  R = exp((1 + epsilon) G), with G = -i angle/2
+    (X cos phase + Y sin phase), so dR/d(epsilon) = G R: U maps to R U and
+    D to R D + G R U.  Input checks and messages are compile_sequence's.
+    """
+    if not math.isfinite(epsilon) or abs(epsilon) >= 1.0:
+        raise ValueError("fractional error must satisfy |epsilon| < 1")
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    da = db = dc = dd = 0.0
+    for p in seq:
+        cp, sp = math.cos(p.phase), math.sin(p.phase)
+        half = 0.5 * (p.angle * (1.0 + epsilon))
+        try:
+            r, s = math.cos(half), math.sin(half)
+        except ValueError:   # the scaled angle overflowed to inf
+            raise ValueError("rotation angles must be finite") from None
+        r01, r10 = complex(-s * sp, -s * cp), complex(s * sp, -s * cp)
+        a, b, c, d = r * a + r01 * c, r * b + r01 * d, r10 * a + r * c, r10 * b + r * d
+        if order:
+            hc, hs = 0.5 * p.angle * cp, 0.5 * p.angle * sp
+            g01, g10 = complex(-hs, -hc), complex(hs, -hc)
+            da, db, dc, dd = (r * da + r01 * dc + g01 * c, r * db + r01 * dd + g01 * d,
+                              r10 * da + r * dc + g10 * a, r10 * db + r * dd + g10 * b)
+    return (a, b, c, d, da, db, dc, dd) if order else (a, b, c, d)
+
+
 def embed_target(seq: PulseSequence, target: TargetRotation,
                  split: float = 1.0) -> PulseSequence:
     """Place the corrector inside the target rotation.

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +229,66 @@ class TestCrossover:
         with pytest.raises(NotSuperior):
             crossover(null, target)
 
+
+
+# crossover values recorded while its fidelities came from compile_sequence
+# and 2x2 arrays: the scalar kernel gives the same fidelities to the last
+# bit, so every bisection step and the value are unchanged
+W222_CROSSOVERS_PI_PI = [
+    0.21130126953125017, 0.21130126953125017, 0.20459228515625016, 0.18315869140625013,
+    0.1475834960937501, 0.17554833984375012, 0.1477104492187501, 0.1477104492187501,
+    0.1475834960937501, 0.17554833984375012, 0.18315869140625013, 0.20459228515625016]
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+
+
+class TestScalarFitPath:
+    @pytest.mark.parametrize("window", [ORDER_WINDOW, COEFF_WINDOW])
+    @pytest.mark.parametrize("design", [lambda t: design_wn(1, t), lambda t: design_wn(3, t),
+                                        lambda t: design_five_pulse(2, 2, 2, t)[0]],
+                             ids=["W1", "W1x3", "W222"])
+    def test_matches_the_sweep_route_field_for_field(self, design, window):
+        for target in (TargetRotation(PI, PI), TargetRotation(2.3, 0.8)):
+            seq = design(target).sequence
+            direct = fit_error_scaling(seq, target, window)
+            assert direct == fit_scaling(sweep(seq, target, fit_grid(window)), window)
+            assert direct.n_points == 40 and direct.window == window
+
+    @pytest.mark.parametrize("window", [ORDER_WINDOW, COEFF_WINDOW])
+    @pytest.mark.parametrize("n", [3, 40, 101])
+    def test_grid_is_logspace_exponents_through_libm_pow(self, window, n):
+        # the exponents are np.linspace's bit for bit; the powers may differ
+        # from np.logspace by one ulp, as numpy's SIMD power (AVX-512) is not
+        # libm's pow
+        lo, hi = window
+        exponents = np.linspace(np.log10(lo), np.log10(hi), n).tolist()
+        grid = fit_grid(window, n).tolist()
+        assert grid == [10.0 ** x for x in exponents]
+        for got, ref in zip(grid, np.logspace(np.log10(lo), np.log10(hi), n).tolist()):
+            assert abs(got - ref) <= math.ulp(ref)
+
+    def test_rejects_an_empty_window(self):
+        target = TargetRotation(PI, 0.0)
+        for window in ((1e-2, 1e-3), (1e-2, 1e-2), (0.0, 1e-2)):
+            with pytest.raises(ValueError, match="0 < eps_min < eps_max"):
+                fit_error_scaling(bb1_corrector(), target, window)
+
+    def test_floor_raises_window_error(self):
+        with pytest.raises(FitWindowError, match="raise eps_min above"):
+            fit_error_scaling(bb1_corrector(), TargetRotation(PI, 0.0), (1e-5, 4e-5))
+
+    def test_crossover_bits_at_pi_pi(self):
+        target = TargetRotation(PI, PI)
+        assert crossover(design_wm(1, target).sequence, target) == math.inf
+        assert [crossover(b.sequence, target)
+                for b in design_five_pulse(2, 2, 2, target)] == W222_CROSSOVERS_PI_PI
+
+    def test_crossover_bits_at_the_quick_start_targets(self):
+        for case in json.loads(EXPECTED.read_text())["quickstart"]:
+            target = TargetRotation(case["theta"], case["alpha"])
+            bb1 = design_wm(1, target).sequence
+            w121 = design_five_pulse(1, 2, 1, target)[0].sequence
+            assert repr(crossover(bb1, target)) == case["crossover_bb1"]
+            assert repr(crossover(w121, target)) == case["crossover_w121"]
 
 def oracle_infidelity(mp, pulses, target, eps):
     """1 - |Tr(V U-dagger)| / 2 from a quaternion product in mpmath.

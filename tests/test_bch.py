@@ -5,7 +5,7 @@ import pytest
 
 from cpulse.bch import (analytic_c, commutator, corrector_generators,
                         p_epsilon, sbch, sixth_order_coefficient)
-from cpulse.design import design_wn
+from cpulse.design import design_wm, design_wn
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
 from cpulse.su2 import axis_vector, rotation, su2_parts
@@ -144,6 +144,26 @@ class TestPEpsilon:
             p_epsilon(PulseSequence.from_pairs(
                 [(2 * PI, 0.0), (4 * PI, 1.0), (2 * PI, 0.0)]), target)
 
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9, 2e-5])
+    def test_angle_check_is_absolute(self, index, offset):
+        # numpy's default rtol (1e-5) once let (pi + 2e-5, 2 pi, pi) through
+        # as if exact; the check is absolute at 1e-12, like the phase check
+        target = TargetRotation(PI, PI)
+        pairs = [(p.angle, p.phase) for p in design_wm(1, target).sequence]
+        pairs[index] = (pairs[index][0] + offset, pairs[index][1])
+        with pytest.raises(ValueError, match="pulse triple"):
+            p_epsilon(PulseSequence.from_pairs(pairs), target)
+
+    def test_designed_correctors_pass_the_angle_check(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            target = TargetRotation(rng.uniform(0.1, 4 * PI - 0.1), rng.uniform(0, 2 * PI))
+            for res in (design_wm(1, target), design_wn(1, target)):
+                c = sixth_order_coefficient(p_epsilon(res.sequence, target))
+                delta = res.sequence.pulses[1].phase - res.sequence.pulses[0].phase
+                assert c == pytest.approx(analytic_c(delta), rel=1e-12, abs=1e-12)
 
 class TestAnalyticCoefficient:
     def test_bb1_value(self):

@@ -1,6 +1,8 @@
-"""Where numpy gets loaded.  cpulse binds numpy lazily, so a design job runs
-on math and Python complexes alone.  pytest has imported numpy already, so
-each check runs in a fresh interpreter with only src on the path."""
+"""Where numpy gets loaded.  cpulse binds numpy lazily, so design, coeff,
+verify (without --scan) and table1 run on math and Python complexes alone;
+sweep, simulate and verify --scan build arrays and load it.  pytest has
+imported numpy already, so each check runs in a fresh interpreter with only
+src on the path."""
 
 import contextlib
 import io
@@ -25,6 +27,68 @@ def fresh(code: str) -> str:
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def fresh_main(argv) -> tuple:
+    """(exit code, whether numpy's core got loaded, stdout) of cpulse.cli.main
+    on argv in a fresh interpreter."""
+    out = fresh(f"""
+import contextlib, io, json, sys
+from cpulse.cli import main
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = main({argv!r})
+print(json.dumps([code, "numpy._core" in sys.modules, buf.getvalue()]))
+""")
+    return tuple(json.loads(out))
+
+
+@pytest.fixture(scope="module")
+def five_pulse_file(tmp_path_factory):
+    """A W121 branch with its target, as a `--seq` JSON file."""
+    target = cpulse.TargetRotation(1.9, 0.7)
+    seq = cpulse.design_five_pulse(1, 2, 1, target)[0].sequence
+    path = tmp_path_factory.mktemp("seq") / "w121.json"
+    path.write_text(json.dumps(cpulse.sequence_to_json(seq, target)))
+    return str(path)
+
+
+@pytest.mark.parametrize("window", ["order", "coeff"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("source", ["family", "seq"])
+def test_coeff_never_loads_numpy(five_pulse_file, source, window, fmt):
+    src = (["--seq", five_pulse_file] if source == "seq"
+           else ["--family", "wm", "--m", "2", "--theta", "1.3", "--alpha", "0.4"])
+    code, loaded, out = fresh_main(["coeff"] + src + ["--window", window, "--format", fmt])
+    assert (code, loaded) == (0, False), out
+    assert "coefficient" in out
+
+
+@pytest.mark.parametrize("source,check", [
+    (["--family", "wm", "--m", "1", "--theta", "1.3", "--alpha", "0.4"],
+     "PASS analytic_coefficient"),
+    (["--family", "wn", "--n", "3", "--theta", "2.0"], "PASS order"),
+    (None, "PASS order")], ids=["wm1", "wn3", "seq-w121"])
+def test_verify_never_loads_numpy(five_pulse_file, source, check):
+    code, loaded, out = fresh_main(["verify"] + (source or ["--seq", five_pulse_file]))
+    assert (code, loaded) == (0, False), out
+    assert check in out
+
+
+def test_table1_never_loads_numpy():
+    code, loaded, out = fresh_main(["table1"])
+    assert (code, loaded) == (0, False), out
+    assert len(out.splitlines()) == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eps-count", "5"], ["simulate", "--eps", "0.1"], ["verify", "--scan"]],
+    ids=["sweep", "simulate", "verify-scan"])
+def test_array_commands_load_numpy(argv):
+    # documented: a sweep table, a compiled matrix and the scan's polynomial
+    # roots are numpy arrays
+    code, loaded, _ = fresh_main(argv)
+    assert (code, loaded) == (0, True)
 
 
 @pytest.mark.parametrize("family", [["wm", "--m", "2"], ["wn", "--n", "3"],

@@ -1,7 +1,8 @@
 """Property tests: concatenation order, agreement with the benchmark
-checker's quaternion product, the scalar overlap against the matrix formula,
-phase covariance, split invariance through the CLI, and the text and JSON
-round trips of a sequence."""
+checker's quaternion product, the scalar kernel against compile_sequence,
+the scalar overlap against the matrix formula, phase covariance, split
+invariance through the CLI, and the text and JSON round trips of a
+sequence."""
 
 import contextlib
 import io
@@ -22,8 +23,8 @@ import check  # noqa: E402
 
 from cpulse.analysis import fidelity, infidelity  # noqa: E402
 from cpulse.cli import main  # noqa: E402
-from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, compile_sequence,  # noqa: E402
-                           embed_target, format_sequence, parse_sequence,
+from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _jet,  # noqa: E402
+                           compile_sequence, embed_target, format_sequence, parse_sequence,
                            sequence_from_json, sequence_to_json)
 from cpulse.su2 import su2_parts  # noqa: E402
 from su2_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger  # noqa: E402
@@ -55,6 +56,58 @@ def test_compile_matches_quaternion_reference(seq, eps):
     rw, rv = check.compose([(p.angle, p.phase) for p in seq], [eps])
     assert abs(w - rw[0]) <= 1e-14
     assert np.max(np.abs(v - rv[:, 0])) <= 1e-14
+
+
+_LONG_SEQ = st.lists(_PULSE, min_size=1, max_size=13).map(lambda ps: PulseSequence(tuple(ps)))
+_OPEN_EPS = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+# central differences at step FD_STEP stay inside |eps| < 1 from here
+_FD_EPS = st.floats(-0.999, 0.999)
+FD_STEP = 1e-5
+
+
+def float_bits(entries):
+    """reprs of the real and imaginary parts, signed zeros told apart."""
+    return [repr(x) for z in entries for x in (z.real, z.imag)]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(seq=_LONG_SEQ, eps=_OPEN_EPS, order=st.sampled_from([0, 1]))
+def test_jet_value_is_compile_sequence_bit_for_bit(seq, eps, order):
+    u = _jet(seq, eps, order)[:4]
+    assert float_bits(u) == float_bits(compile_sequence(seq, eps).ravel().tolist())
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(seq=_LONG_SEQ, eps=_FD_EPS)
+def test_jet_derivative_matches_central_differences(seq, eps):
+    # the central difference's truncation is h^2/6 |U'''|, and the Frobenius
+    # norm of U''' is at most sqrt(2) L^3 with L = sum(angle)/2 (each pulse's
+    # generator has norm angle/2); h^2 L^3 / 2 bounds it with margin, and
+    # 2e-10 per pulse covers the rounding of two compiles divided by 2h
+    h = FD_STEP
+    fd = (compile_sequence(seq, eps + h) - compile_sequence(seq, eps - h)) / (2 * h)
+    err = math.hypot(*(abs(a - b) for a, b in zip(fd.ravel().tolist(), _jet(seq, eps)[4:])))
+    half_angle = 0.5 * sum(p.angle for p in seq)
+    assert err <= h * h * half_angle ** 3 / 2 + 2e-10 * len(seq)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(seq=_LONG_SEQ, order=st.sampled_from([0, 1]),
+                  eps=st.floats(1.0, math.inf) | st.floats(-math.inf, -1.0) | st.just(math.nan))
+def test_jet_rejects_what_compile_sequence_rejects(seq, eps, order):
+    with pytest.raises(ValueError) as compiled:
+        compile_sequence(seq, eps)
+    with pytest.raises(ValueError) as jet:
+        _jet(seq, eps, order)
+    assert str(jet.value) == str(compiled.value) == "fractional error must satisfy |epsilon| < 1"
+
+
+def test_jet_rejects_an_overflowing_angle_like_compile_sequence():
+    seq = PulseSequence((Pulse(1e308, 0.3),))
+    for run in (lambda: compile_sequence(seq, 0.9), lambda: _jet(seq, 0.9, 0),
+                lambda: _jet(seq, 0.9)):
+        with pytest.raises(ValueError, match="rotation angles must be finite"):
+            run()
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
