@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._numpy import np
 from .pulses import (Pulse, PulseSequence, TargetRotation, _jet, compile_sequence,
@@ -72,33 +72,25 @@ def infidelity(v: np.ndarray, u: np.ndarray) -> float:
     return _overlap(v, u.conj().tolist())[1]
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(namedtuple("SweepTable", "epsilons fidelities infidelities label")):
     """Fidelity (and precision-preserving infidelity) per error value."""
 
-    epsilons: np.ndarray
-    fidelities: np.ndarray
-    infidelities: np.ndarray
-    label: str = "sequence"
+    __slots__ = ()
 
-    def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
+    def __new__(cls, epsilons, fidelities, infidelities, label="sequence"):
+        eps = np.asarray(epsilons, dtype=float)
         if eps.size == 0 or np.any(np.diff(eps) <= 0):
             raise ValueError("epsilon grid must be nonempty and strictly increasing")
-        fid = np.asarray(self.fidelities, dtype=float)
+        fid = np.asarray(fidelities, dtype=float)
         if np.any(fid < -1e-12) or np.any(fid > 1 + 1e-12):
             raise ValueError("fidelities must lie in [0, 1]")
+        return super().__new__(cls, epsilons, fidelities, infidelities, label)
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(namedtuple("FitReport", "order coefficient r_squared window n_points")):
     """Power-law fit of the infidelity: 1 - F = coefficient * eps^order."""
 
-    order: float
-    coefficient: float
-    r_squared: float
-    window: tuple
-    n_points: int
+    __slots__ = ()
 
 
 def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,

@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     except InfeasibleDesign as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except OSError as exc:

@@ -12,7 +12,7 @@ is re-validated against the matrix-level residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._numpy import np
 from .pulses import (PulseSequence, TargetRotation, _jet, embed_target, reduce_angle,
@@ -33,16 +33,12 @@ class InfeasibleDesign(Exception):
         self.best_residual = best_residual
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(namedtuple("DesignResult", "label sequence phases identity_residual "
+                                              "derivative_residual mirror_phases",
+                              defaults=(None,))):
     """A validated corrector: phases plus the two constraint residuals."""
 
-    label: str
-    sequence: PulseSequence
-    phases: tuple
-    identity_residual: float
-    derivative_residual: float
-    mirror_phases: tuple | None = None
+    __slots__ = ()
 
 
 def identity_residual(seq: PulseSequence) -> float:

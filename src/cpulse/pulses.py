@@ -9,7 +9,7 @@ embedded target pulse included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._numpy import np
 from .su2 import TWO_PI, rotation
@@ -21,34 +21,50 @@ def reduce_angle(phi: float) -> float:
     return r if r < TWO_PI else 0.0   # a tiny negative angle rounds up to 2*pi
 
 
-@dataclass(frozen=True)
-class Pulse:
+class Pulse(namedtuple("Pulse", "angle phase")):
     """One rotation: nominal angle (>= 0) about the XY axis at azimuth phase."""
 
-    angle: float
-    phase: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.angle) and math.isfinite(self.phase)):
+    def __new__(cls, angle, phase):
+        if not (math.isfinite(angle) and math.isfinite(phase)):
             raise ValueError("pulse angle and phase must be finite")
-        if self.angle < 0:
+        if angle < 0:
             raise ValueError("pulse angle must be >= 0 (fold sign into the phase)")
-        object.__setattr__(self, "phase", reduce_angle(self.phase))
+        return super().__new__(cls, angle, reduce_angle(phase))
 
 
-@dataclass(frozen=True)
 class PulseSequence:
     """Ordered, nonempty list of pulses, applied left to right in time."""
 
-    pulses: tuple
+    __slots__ = ("pulses",)
 
-    def __post_init__(self):
-        pulses = tuple(self.pulses)
+    def __init__(self, pulses):
+        pulses = tuple(pulses)
         if not pulses:
             raise ValueError("pulse sequence must be nonempty")
         if not all(isinstance(p, Pulse) for p in pulses):
             raise TypeError("sequence entries must be Pulse instances")
         object.__setattr__(self, "pulses", pulses)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__: __setattr__ blocks the default slot restore
+        return type(self), (self.pulses,)
+
+    def __eq__(self, other):
+        return self.pulses == other.pulses if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.pulses)
+
+    def __repr__(self):
+        return f"PulseSequence(pulses={self.pulses!r})"
 
     @classmethod
     def from_pairs(cls, pairs) -> PulseSequence:
@@ -60,28 +76,18 @@ class PulseSequence:
     def __iter__(self):
         return iter(self.pulses)
 
-    @property
-    def angles(self) -> np.ndarray:
-        return np.array([p.angle for p in self.pulses])
 
-    @property
-    def phases(self) -> np.ndarray:
-        return np.array([p.phase for p in self.pulses])
-
-
-@dataclass(frozen=True)
-class TargetRotation:
+class TargetRotation(namedtuple("TargetRotation", "theta alpha")):
     """The ideal gate: rotation by theta about the XY axis at azimuth alpha."""
 
-    theta: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.alpha)):
+    def __new__(cls, theta, alpha):
+        if not (math.isfinite(theta) and math.isfinite(alpha)):
             raise ValueError("target angles must be finite")
-        if not 0.0 < self.theta < 2.0 * TWO_PI:
+        if not 0.0 < theta < 2.0 * TWO_PI:
             raise ValueError("target theta must lie in (0, 4*pi)")
-        object.__setattr__(self, "alpha", reduce_angle(self.alpha))
+        return super().__new__(cls, theta, reduce_angle(alpha))
 
     def unitary(self) -> np.ndarray:
         return rotation(self.theta, self.alpha)

@@ -299,6 +299,14 @@ class TestSequenceFiles:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_undecodable_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert main(["sweep", "--seq", str(path), "--eps-count", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Expecting property name")
+        assert err.count("\n") == 1
+
 
 class TestEmbeddedTarget:
     @pytest.fixture

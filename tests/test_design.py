@@ -93,7 +93,7 @@ class TestWm:
         phi1 = PI + math.acos(-0.125)
         assert res.phases[0] == pytest.approx(phi1, abs=1e-12)
         assert res.phases[1] == pytest.approx(reduce_angle(2 * PI - phi1), abs=1e-12)
-        assert list(res.sequence.angles) == pytest.approx([2 * PI, 4 * PI, 2 * PI])
+        assert [p.angle for p in res.sequence] == pytest.approx([2 * PI, 4 * PI, 2 * PI])
 
     def test_w3_condition(self):
         res = design_wm(3, TargetRotation(PI, PI))
@@ -147,7 +147,7 @@ class TestFivePulse:
 
     def test_sequence_angles(self):
         res = design_five_pulse(1, 2, 1, TargetRotation(PI, PI))[0]
-        assert list(res.sequence.angles) == pytest.approx(
+        assert [p.angle for p in res.sequence] == pytest.approx(
             [PI, 2 * PI, 2 * PI, 2 * PI, PI])
 
     def test_infeasible_magnitude(self):

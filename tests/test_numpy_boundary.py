@@ -1,8 +1,9 @@
 """Where numpy gets loaded.  cpulse binds numpy lazily, so design, coeff,
 verify (without --scan) and table1 run on math and Python complexes alone;
-sweep, simulate and verify --scan build arrays and load it.  pytest has
-imported numpy already, so each check runs in a fresh interpreter with only
-src on the path."""
+sweep, simulate and verify --scan build arrays and load it.  The value
+records need no dataclasses either, so these jobs start without it and the
+inspect/ast machinery it pulls in.  pytest has imported numpy already, so
+each check runs in a fresh interpreter with only src on the path."""
 
 import contextlib
 import io
@@ -104,6 +105,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, "numpy._core" in sys.modules, type(sys.modules["numpy"]).__name__)
 """)
     assert out.split() == ["0", "False", "_LazyModule"]
+
+
+def test_short_jobs_never_load_dataclasses_or_inspect():
+    # what each step leaves in sys.modules; modules only accumulate, so a
+    # step that loads one shows up at that step
+    out = fresh("""
+import contextlib, io, json, sys
+import cpulse.cli
+cpulse.cli.build_parser()
+heavy = ("dataclasses", "inspect", "numpy._core")
+seen = {"parser": [m for m in heavy if m in sys.modules]}
+for argv in (["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"],
+             ["coeff", "--family", "wm", "--m", "1", "--format", "json"],
+             ["verify", "--family", "wn", "--n", "2"],
+             ["table1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cpulse.cli.main(argv)
+    seen[argv[0]] = [code] + [m for m in heavy if m in sys.modules]
+print(json.dumps(seen))
+""")
+    assert json.loads(out) == {"parser": [], "design": [0], "coeff": [0], "verify": [0],
+                               "table1": [0]}
 
 
 def test_sweep_through_the_lazy_binding_matches_in_process():
