@@ -8,7 +8,7 @@ from collections import namedtuple
 from ._numpy import np
 from .pulses import (Pulse, PulseSequence, TargetRotation, _jet, compile_sequence,
                      embed_target)
-from .su2 import _split
+from .su2 import _entries, _split
 
 # Log-spaced fit window for the scaling *order*: below 1e-3 the infidelity of
 # a 6th-order sequence sinks toward the numerical floor, above 10^-1.5 the
@@ -55,10 +55,9 @@ def _overlap(v: np.ndarray, uc) -> tuple:
 
 
 def _target_conj(target: TargetRotation) -> tuple:
-    """target.unitary().conj().tolist() as Python complexes, without an
-    array: the bare target pulse compiled at epsilon = 0."""
-    a, b, c, d = _jet(PulseSequence((Pulse(target.theta, target.alpha),)), 0.0, 0)
-    return (a.conjugate(), b.conjugate()), (c.conjugate(), d.conjugate())
+    """target.unitary().conj().tolist() as Python scalars, without an array."""
+    (a, b), (c, d) = _entries(target.theta, math.cos(target.alpha), math.sin(target.alpha))
+    return (a, b.conjugate()), (c.conjugate(), d)
 
 
 def fidelity(v: np.ndarray, u: np.ndarray) -> float:
@@ -94,16 +93,16 @@ class FitReport(namedtuple("FitReport", "order coefficient r_squared window n_po
 
 
 def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
-          split: float = 1.0, embed: bool = True,
-          label: str = "sequence") -> SweepTable:
+          embed: bool = True, label: str = "sequence") -> SweepTable:
     """Fidelity of the compiled sequence against the ideal target per epsilon.
 
     With embed=True the corrector is wrapped around the target pulse (both
     suffer the same fractional error); embed=False sweeps the sequence as
-    given, for bare-pulse baselines.
+    given, for bare-pulse baselines and for a corrector already placed with
+    embed_target at another split.
     """
     eps = np.fromiter(eps_grid, dtype=float)
-    full = embed_target(seq, target, split) if embed else seq
+    full = embed_target(seq, target) if embed else seq
     uc = target.unitary().conj().tolist()
     infids = np.fromiter((_overlap(compile_sequence(full, e), uc)[1] for e in map(float, eps)),
                          dtype=float, count=eps.size)
@@ -172,11 +171,11 @@ def fit_scaling(table: SweepTable, window=ORDER_WINDOW) -> FitReport:
 
 
 def fit_error_scaling(seq: PulseSequence, target: TargetRotation,
-                      window=ORDER_WINDOW, n: int = FIT_POINTS,
-                      embed: bool = True) -> FitReport:
-    """Power-law fit of the infidelity over n log-spaced errors in the window.
+                      window=ORDER_WINDOW, embed: bool = True) -> FitReport:
+    """Power-law fit of the infidelity over FIT_POINTS log-spaced errors in
+    the window.
 
-    The same numbers as fit_scaling(sweep(seq, target, fit_grid(window, n),
+    The same numbers as fit_scaling(sweep(seq, target, fit_grid(window),
     embed=embed), window), field for field, without building an array: each
     point is the scalar kernel's compiled sequence against the target's
     conjugate entries, taken once.  Raises FitWindowError as fit_scaling.
@@ -184,27 +183,25 @@ def fit_error_scaling(seq: PulseSequence, target: TargetRotation,
     lo, hi = window
     if not 0.0 < lo < hi:
         raise ValueError("fit window needs 0 < eps_min < eps_max")
-    full = embed_target(seq, target, 1.0) if embed else seq
+    full = embed_target(seq, target) if embed else seq
     uc = _target_conj(target)
-    eps = _log_grid(window, n)
+    eps = _log_grid(window, FIT_POINTS)
     infid = [_entry_overlap(*_jet(full, e, 0), uc)[1] for e in eps]
     return _fit_power_law(eps, infid, window)
 
 
-def crossover(seq: PulseSequence, target: TargetRotation,
-              eps_probe: float = 0.01, eps_max: float = 0.99,
-              step: float = 1e-3, tol: float = 1e-6) -> float:
+def crossover(seq: PulseSequence, target: TargetRotation) -> float:
     """Smallest error where the composite stops beating the bare pulse.
 
     Both the composite (target embedded) and the bare pulse suffer the same
-    fractional error.  Marches from eps_probe and bisects the first sign
-    change of the fidelity gap to within tol; returns +inf when the
-    composite stays superior over (0, eps_max].  Each fidelity comes from
+    fractional error.  Marches from 0.01 in steps of 1e-3 and bisects the
+    first sign change of the fidelity gap to within 1e-6; returns +inf when
+    the composite stays superior over (0, 0.99].  Each fidelity comes from
     the scalar kernel against the target's conjugate entries, taken once:
     the values of fidelity(compile_sequence(...), target.unitary()),
     without building an array.
     """
-    full = embed_target(seq, target, 1.0)
+    full = embed_target(seq, target)
     bare = PulseSequence((Pulse(target.theta, target.alpha),))
     uc = _target_conj(target)
 
@@ -212,21 +209,20 @@ def crossover(seq: PulseSequence, target: TargetRotation,
         return (_entry_overlap(*_jet(full, e, 0), uc)[0]
                 - _entry_overlap(*_jet(bare, e, 0), uc)[0])
 
-    if gap(eps_probe) <= 0:
-        raise NotSuperior(
-            f"sequence does not beat the bare pulse at epsilon = {eps_probe}")
-    lo = eps_probe
+    if gap(0.01) <= 0:
+        raise NotSuperior("sequence does not beat the bare pulse at epsilon = 0.01")
+    lo = 0.01
     hi = None
-    e = eps_probe + step
-    while e <= eps_max + 1e-15:
+    e = 0.01 + 1e-3
+    while e <= 0.99 + 1e-15:
         if gap(e) <= 0:
             hi = e
             break
         lo = e
-        e += step
+        e += 1e-3
     if hi is None:
         return math.inf
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if gap(mid) <= 0:
             hi = mid

@@ -20,8 +20,8 @@ from ._numpy import np
 from .analysis import (COEFF_WINDOW, ORDER_WINDOW, fidelity,
                        fit_error_scaling, infidelity, sweep)
 from .bch import analytic_c
-from .design import (InfeasibleDesign, derivative_residual, design_five_pulse,
-                     design_wm, design_wn, identity_residual,
+from .design import (DERIVATIVE_TOL, IDENTITY_TOL, InfeasibleDesign, derivative_residual,
+                     design_five_pulse, design_wm, design_wn, identity_residual,
                      three_pulse_scan)
 from .pulses import (Pulse, PulseSequence, TargetRotation, compile_sequence,
                      embed_target, format_sequence, parse_sequence,
@@ -32,14 +32,16 @@ EXIT_VERIFY = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 
-# published sixth-order coefficients for a pi-pulse about -X
+# published sixth-order coefficients for a pi-pulse about -X; a five-pulse
+# row names its branch in design_five_pulse's sorted order: the one whose
+# COEFF_WINDOW fit lies nearest the paper's value (lower-C branches exist)
 TABLE1_ROWS = [
-    ("W1", ("wm", (1,)), 4.7),
-    ("W2", ("wm", (2,)), 59.1),
-    ("W3", ("wm", (3,)), 283.4),
-    ("W121", ("fivepulse", (1, 2, 1)), 72.3),
-    ("W112", ("fivepulse", (1, 1, 2)), 190.6),
-    ("W222", ("fivepulse", (2, 2, 2)), 877.8),
+    ("W1", ("wm", (1,)), 0, 4.7),
+    ("W2", ("wm", (2,)), 0, 59.1),
+    ("W3", ("wm", (3,)), 0, 283.4),
+    ("W121", ("fivepulse", (1, 2, 1)), 1, 72.3),
+    ("W112", ("fivepulse", (1, 1, 2)), 4, 190.6),
+    ("W222", ("fivepulse", (2, 2, 2)), 0, 877.8),
 ]
 TABLE1_TOL = 0.01
 # sweep rows per write: a write per row is a syscall each on unbuffered
@@ -112,7 +114,10 @@ def _load_sequence(path: str, branch: int):
     with open(path) as fh:
         if not path.endswith(".json"):
             return parse_sequence(fh.read()), None
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("sequence JSON is nested too deeply to parse") from None
     if isinstance(obj, dict) and "branches" in obj:
         if not isinstance(obj["branches"], list):
             raise ValueError("'branches' must be a list")
@@ -265,13 +270,11 @@ def cmd_table1(args) -> int:
     target = TargetRotation(math.pi, math.pi)
     lines = ["label,fitted_C,fitted_order,paper_C,rel_err"]
     failures = []
-    for label, (family, ps), paper_c in TABLE1_ROWS:
-        # a five-pulse row has one design per phase branch; the closest fit counts
+    for label, (family, ps), branch, paper_c in TABLE1_ROWS:
         results = [design_wm(ps[0], target)] if family == "wm" else design_five_pulse(*ps, target)
-        best = min((fit_error_scaling(r.sequence, target, COEFF_WINDOW) for r in results),
-                   key=lambda f: abs(f.coefficient - paper_c))
-        rel = (best.coefficient - paper_c) / paper_c
-        lines.append(",".join((label, _fmt(best.coefficient), _fmt(best.order),
+        fit = fit_error_scaling(results[branch].sequence, target, COEFF_WINDOW)
+        rel = (fit.coefficient - paper_c) / paper_c
+        lines.append(",".join((label, _fmt(fit.coefficient), _fmt(fit.order),
                                _fmt(paper_c), _fmt(rel))))
         if abs(rel) > TABLE1_TOL:
             failures.append((label, rel))
@@ -288,7 +291,7 @@ def cmd_verify(args) -> int:
     """PASS/FAIL lines for the 3-pulse scan, or for one corrector sequence."""
     if args.scan:
         rows = three_pulse_scan(TargetRotation(math.pi, 0.0))
-        ok = all((res < 1e-9) == (min(abs(g - math.pi), abs(g - 2 * math.pi)) <= 0.02)
+        ok = all((res < DERIVATIVE_TOL) == (min(abs(g - math.pi), abs(g - 2 * math.pi)) <= 0.02)
                  for g, res in rows)
         checks = [("three_pulse_scan", ok, "flat residual only at pi multiples")]
     else:
@@ -296,8 +299,8 @@ def cmd_verify(args) -> int:
         ident = identity_residual(seq)
         deriv = derivative_residual(seq, target)
         report = fit_error_scaling(seq, target, ORDER_WINDOW)
-        checks = [("identity_residual", ident < 1e-12, "%.3g" % ident),
-                  ("derivative_residual", deriv < 1e-9, "%.3g" % deriv),
+        checks = [("identity_residual", ident < IDENTITY_TOL, "%.3g" % ident),
+                  ("derivative_residual", deriv < DERIVATIVE_TOL, "%.3g" % deriv),
                   ("order", abs(report.order - 6.0) <= 0.05, "%.4f" % report.order),
                   ("r_squared", report.r_squared > 0.9999, "%.8f" % report.r_squared)]
         # np.allclose's test (rtol 1e-5, atol 1e-8) on the (pi, 2 pi, pi) angles

@@ -85,15 +85,9 @@ def _symmetric_three_pulse(scale: int, target: TargetRotation, even: bool):
             f"target angle {target.theta:.6g} exceeds the reachable "
             f"magnitude 4*pi*{scale}")
     spread = math.acos(c)
-    phi1 = target.alpha + spread
-    phi1_mirror = target.alpha - spread
-    if even:
-        phi2 = 2.0 * target.alpha - phi1
-        phi2_mirror = 2.0 * target.alpha - phi1_mirror
-    else:
-        phi2 = 3.0 * phi1 - 2.0 * target.alpha
-        phi2_mirror = 3.0 * phi1_mirror - 2.0 * target.alpha
-    return (phi1, phi2), (phi1_mirror, phi2_mirror)
+    # the branch at +spread, then its mirror at -spread
+    return tuple((phi1, 2.0 * target.alpha - phi1 if even else 3.0 * phi1 - 2.0 * target.alpha)
+                 for phi1 in (target.alpha + spread, target.alpha - spread))
 
 
 def design_wn(n: int, target: TargetRotation) -> DesignResult:

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .su2 import TWO_PI, rotation
+from .su2 import TWO_PI, _entries, rotation
 
 
 def reduce_angle(phi: float) -> float:
@@ -114,7 +114,7 @@ def _jet(seq: PulseSequence, epsilon: float = 0.0, order: int = 1) -> tuple:
     (U = [[a, b], [c, d]], equal to it bit for bit), followed with order 1
     by dU/d(epsilon) likewise.
 
-    Each pulse's rotation R is formed exactly as su2.rotation forms it, at
+    Each pulse's rotation R comes from su2.rotation's own entries, at
     angle * (1 + epsilon).  R = exp((1 + epsilon) G), with G = -i angle/2
     (X cos phase + Y sin phase), so dR/d(epsilon) = G R: U maps to R U and
     D to R D + G R U.  Input checks and messages are compile_sequence's.
@@ -125,12 +125,7 @@ def _jet(seq: PulseSequence, epsilon: float = 0.0, order: int = 1) -> tuple:
     da = db = dc = dd = 0.0
     for p in seq:
         cp, sp = math.cos(p.phase), math.sin(p.phase)
-        half = 0.5 * (p.angle * (1.0 + epsilon))
-        try:
-            r, s = math.cos(half), math.sin(half)
-        except ValueError:   # the scaled angle overflowed to inf
-            raise ValueError("rotation angles must be finite") from None
-        r01, r10 = complex(-s * sp, -s * cp), complex(s * sp, -s * cp)
+        (r, r01), (r10, _) = _entries(p.angle * (1.0 + epsilon), cp, sp)
         a, b, c, d = r * a + r01 * c, r * b + r01 * d, r10 * a + r * c, r10 * b + r * d
         if order:
             hc, hs = 0.5 * p.angle * cp, 0.5 * p.angle * sp
@@ -179,10 +174,9 @@ def parse_sequence(text: str) -> PulseSequence:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected '<angle_rad> <phase_rad>'")
         try:
-            angle, phase = float(fields[0]), float(fields[1])
+            pulses.append(Pulse(float(fields[0]), float(fields[1])))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        pulses.append(Pulse(angle, phase))
     if not pulses:
         raise ValueError("no pulses found")
     return PulseSequence(tuple(pulses))

@@ -23,14 +23,23 @@ def rotation(theta: float, alpha: float) -> np.ndarray:
 
     Returns cos(theta/2) I - i sin(theta/2) (X cos(alpha) + Y sin(alpha)),
     an exact SU(2) element, as a 2x2 complex array whose entries come from
-    scalar trig on Python floats.  theta may be negative (opposite sense).
+    scalar trig on Python floats (_entries, which the scalar kernels share).
+    theta may be negative (opposite sense).
     """
-    if not (math.isfinite(theta) and math.isfinite(alpha)):
+    if not math.isfinite(alpha):
+        raise ValueError("rotation angles must be finite")
+    return np.array(_entries(theta, math.cos(alpha), math.sin(alpha)))
+
+
+def _entries(theta: float, ca: float, sa: float) -> tuple:
+    """((c, r01), (r10, c)), the entries of the rotation by theta about the
+    axis (ca, sa, 0) as Python scalars: scalar trig on Python floats."""
+    if not math.isfinite(theta):
         raise ValueError("rotation angles must be finite")
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
-    sc, ss = s * math.cos(alpha), s * math.sin(alpha)
-    return np.array([[c, complex(-ss, -sc)], [complex(ss, -sc), c]])
+    sc, ss = s * ca, s * sa
+    return (c, complex(-ss, -sc)), (complex(ss, -sc), c)
 
 
 def _split(a: complex, b: complex, c: complex, d: complex) -> tuple:

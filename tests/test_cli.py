@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cpulse import cli
-from cpulse.analysis import SweepTable
+from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling
 from cpulse.cli import main, parse_angle
-from cpulse.design import design_wn
+from cpulse.design import design_five_pulse, design_wm, design_wn
 from cpulse.pulses import (TargetRotation, format_sequence, parse_sequence,
                            sequence_to_json)
 
@@ -307,6 +307,15 @@ class TestSequenceFiles:
         assert err.startswith("error: Expecting property name")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200000 + "]" * 200000,
+        '{"branches": ' + "[" * 200000 + "]" * 200000 + "}"])
+    def test_deeply_nested_json_exits_2_with_one_line(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(["simulate", "--seq", str(path)]) == 2
+        assert capsys.readouterr().err == "error: sequence JSON is nested too deeply to parse\n"
+
 
 class TestEmbeddedTarget:
     @pytest.fixture
@@ -487,3 +496,21 @@ class TestTable1:
         assert set(rows) == {"W1", "W2", "W3", "W121", "W112", "W222"}
         for label, row in rows.items():
             assert abs(float(row[4])) <= 0.01
+
+    def test_named_branches_are_the_nearest_fits(self):
+        # each row's branch is the one whose fit lies nearest the paper's
+        # value (the first, on a tie), so reordering the branches fails here
+        target = TargetRotation(PI, PI)
+        for label, (family, ps), branch, paper_c in cli.TABLE1_ROWS:
+            results = ([design_wm(ps[0], target)] if family == "wm"
+                       else design_five_pulse(*ps, target))
+            dist = [abs(fit_error_scaling(r.sequence, target, COEFF_WINDOW).coefficient
+                        - paper_c) for r in results]
+            assert branch == dist.index(min(dist)), label
+
+    def test_one_fit_per_row(self, capsys, monkeypatch):
+        calls = []
+        fit = cli.fit_error_scaling
+        monkeypatch.setattr(cli, "fit_error_scaling", lambda *a: calls.append(a) or fit(*a))
+        assert main(["table1"]) == 0
+        assert len(calls) == len(cli.TABLE1_ROWS) == 6

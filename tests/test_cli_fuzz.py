@@ -99,6 +99,25 @@ def run(argv):
     return code, out.getvalue()
 
 
+# Text-form lines: fields of numbers, pi forms and junk, '#' comments after
+# a pulse or alone, and arbitrary text, so that valid pulses mix with bad lines
+_TEXT_LINE = st.one_of(
+    st.lists(_REAL, max_size=3).map(" ".join),
+    st.builds("{} {} # {}".format, _NUMBER, _NUMBER, st.text(max_size=4)),
+    st.text(max_size=4).map("#{}".format),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(lines=st.lists(_TEXT_LINE, max_size=6))
+def test_any_text_sequence_file_exits_cleanly(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz_seq.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    code, _ = run(["sweep", "--seq", str(path), "--eps-count", "3"])
+    hypothesis.event(f"exit {code}")
+    assert code in (0, 2), (lines, code)
+
+
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(data=st.data())
 def test_any_argv_exits_cleanly(seq_dir, data):

@@ -174,6 +174,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_sequence("1.0 bad\n")
 
+    @pytest.mark.parametrize("line,message", [
+        ("-1.0 0.0", "line 2: pulse angle must be >= 0 (fold sign into the phase)"),
+        ("nan 0.0", "line 2: pulse angle and phase must be finite")])
+    def test_parse_names_the_line_of_a_rejected_pulse(self, line, message):
+        with pytest.raises(ValueError) as exc:
+            parse_sequence("1.0 0.0\n" + line + "\n")
+        assert str(exc.value) == message
+
     def test_json_roundtrip(self):
         w = bb1_corrector()
         target = TargetRotation(PI, PI)
