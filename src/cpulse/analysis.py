@@ -109,17 +109,25 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
     return SweepTable(eps, 1.0 - infids, infids, label)
 
 
+def _lin_grid(lo: float, hi: float, n: int):
+    """n evenly spaced Python floats from lo to hi, one at a time: np.linspace's
+    values bit for bit.  That is k * step + lo with the last point hi itself,
+    and (k / (n - 1)) * (hi - lo) + lo when the step underflows to 0."""
+    div = max(n - 1, 1)
+    delta = hi - lo
+    step = delta / div
+    for k in range(div if n > 1 else n):
+        yield (k * step if step else k / div * delta) + lo
+    if n > 1:
+        yield hi
+
+
 def _log_grid(window, n: int) -> list:
     """n log-spaced errors over the window as Python floats: np.logspace's
-    exponents exactly (k * step + start, the last one stop itself), each
-    raised to a power of 10 by libm's pow."""
+    exponents exactly (_lin_grid of the window's log10 bounds), each raised
+    to a power of 10 by libm's pow."""
     lo, hi = window
-    start, stop = math.log10(lo), math.log10(hi)
-    step = (stop - start) / max(n - 1, 1)
-    exponents = [k * step + start for k in range(n)]
-    if n > 1:
-        exponents[-1] = stop
-    return [10.0 ** x for x in exponents]
+    return [10.0 ** x for x in _lin_grid(math.log10(lo), math.log10(hi), n)]
 
 
 def fit_grid(window=ORDER_WINDOW, n: int = FIT_POINTS) -> np.ndarray:

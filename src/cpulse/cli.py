@@ -5,6 +5,11 @@ sweep and coeff resolve it once to the error-bearing pulse list: the bare
 target pulse for plain, else the corrector placed inside the target.
 design, simulate and coeff print text or, with --format json, one object.
 
+simulate and sweep evaluate through the scalar kernel (pulses._jet against
+the target's conjugate entries), which gives compile_sequence's matrix and
+the library sweep's rows bit for bit; sweep streams its rows over a grid
+generated point by point.  So no command but verify --scan loads numpy.
+
 Exit codes: 0 success, 1 verification failure, 2 infeasible design or bad
 input, 3 I/O error.  CSV output is byte-stable for a fixed invocation
 (17 significant digits, '\\n' line endings).
@@ -15,17 +20,17 @@ import json
 import math
 import re
 import sys
+from itertools import islice, pairwise
 
-from ._numpy import np
-from .analysis import (COEFF_WINDOW, ORDER_WINDOW, fidelity,
-                       fit_error_scaling, infidelity, sweep)
+from .analysis import (COEFF_WINDOW, ORDER_WINDOW, _entry_overlap, _lin_grid, _target_conj,
+                       fit_error_scaling)
 from .bch import analytic_c
 from .design import (DERIVATIVE_TOL, IDENTITY_TOL, InfeasibleDesign, derivative_residual,
                      design_five_pulse, design_wm, design_wn, identity_residual,
                      three_pulse_scan)
-from .pulses import (Pulse, PulseSequence, TargetRotation, compile_sequence,
-                     embed_target, format_sequence, parse_sequence,
-                     sequence_from_json, sequence_to_json)
+from .pulses import (Pulse, PulseSequence, TargetRotation, _jet, embed_target,
+                     format_sequence, parse_sequence, sequence_from_json,
+                     sequence_to_json)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -198,55 +203,70 @@ def cmd_design(args) -> int:
 
 def cmd_simulate(args) -> int:
     full, label, target = _full_sequence(args)
-    u = compile_sequence(full, args.eps)
-    ideal = target.unitary()
-    fid = fidelity(u, ideal)
-    infid = infidelity(u, ideal)
+    # compile_sequence's matrix and fidelity/infidelity's values bit for bit
+    u = _jet(full, args.eps, 0)
+    fid, infid = _entry_overlap(*u, _target_conj(target))
+    rows = (u[:2], u[2:])
     obj = {
         "label": label,
         "epsilon": args.eps,
-        "matrix": [[[u[i, j].real, u[i, j].imag] for j in range(2)]
-                   for i in range(2)],
+        "matrix": [[[z.real, z.imag] for z in row] for row in rows],
         "fidelity": fid,
         "infidelity": infid,
     }
     lines = [f"# {label} compiled at epsilon = {_fmt(args.eps)}"]
-    for i in range(2):
+    for row in rows:
         lines.append("  ".join(
-            "%s%s%sj" % (_fmt(u[i, j].real),
-                         "+" if u[i, j].imag >= 0 else "-",
-                         _fmt(abs(u[i, j].imag)))
-            for j in range(2)))
+            "%s%s%sj" % (_fmt(z.real), "+" if z.imag >= 0 else "-", _fmt(abs(z.imag)))
+            for z in row))
     lines.append("fidelity   = " + _fmt(fid))
     lines.append("infidelity = " + _fmt(infid))
     return _emit(args, obj, lines)
 
 
 def cmd_sweep(args) -> int:
-    # the error model's own domain: compile_sequence rejects |eps| >= 1, and
-    # a finite grid wider than that overflows np.linspace
+    """Rows of sweep(full, target, np.linspace(...), embed=False) bit for
+    bit, streamed from the scalar kernel without building an array."""
+    # the error model's own domain: the kernel rejects |eps| >= 1, and a
+    # finite grid wider than that overflows the grid's step
     if args.eps_count < 2 or not -1.0 < args.eps_min < args.eps_max < 1.0:
         raise ValueError("grid needs finite -1 < eps-min < eps-max < 1 and at least 2 points")
     full, label, target = _full_sequence(args)
-    table = sweep(full, target, np.linspace(args.eps_min, args.eps_max, args.eps_count),
-                  embed=False, label=label)
-    _write(args, _sweep_blocks(table, args.format == "json"))
+    grid = (args.eps_min, args.eps_max, args.eps_count)
+    # nothing may fail once output starts, so two checks come first: every
+    # pulse angle is largest at eps-max, where an overflow would show, and a
+    # grid that rounds to repeated points gets SweepTable's message
+    _jet(full, args.eps_max, 0)
+    if any(b <= a for a, b in pairwise(_lin_grid(*grid))):
+        raise ValueError("epsilon grid must be nonempty and strictly increasing")
+    _write(args, _sweep_blocks(label, _sweep_rows(full, target, _lin_grid(*grid)),
+                               args.format == "json"))
     return EXIT_OK
 
 
-def _sweep_blocks(table, as_json: bool):
-    """Sweep output in blocks of SWEEP_BLOCK rows rendered from Python floats;
-    for the finite floats of a sweep, %r is json's float repr."""
-    cols = (table.epsilons, table.fidelities, table.infidelities)
+def _sweep_rows(full, target, grid):
+    """(epsilon, fidelity, infidelity) per error of the grid, as Python
+    floats: sweep(full, target, grid, embed=False)'s columns bit for bit."""
+    uc = _target_conj(target)
+    for e in grid:
+        infid = _entry_overlap(*_jet(full, e, 0), uc)[1]
+        yield e, 1.0 - infid, infid
+
+
+def _sweep_blocks(label, rows, as_json: bool):
+    """Sweep output from (epsilon, fidelity, infidelity) float rows, rendered
+    lazily in blocks of SWEEP_BLOCK rows; for the finite floats of a sweep,
+    %r is json's float repr."""
     head, row, sep, tail = (
-        ('{\n  "label": %s,\n  "rows": [\n' % json.dumps(table.label),
+        ('{\n  "label": %s,\n  "rows": [\n' % json.dumps(label),
          '    {\n      "epsilon": %r,\n      "fidelity": %r,\n      "infidelity": %r\n    }',
          ",\n", "\n  ]\n}\n") if as_json else
         ("epsilon,fidelity,infidelity\n", "%.17g,%.17g,%.17g", "\n", "\n"))
     yield head
-    for k in range(0, cols[0].size, SWEEP_BLOCK):
-        rows = zip(*(c[k:k + SWEEP_BLOCK].tolist() for c in cols))
-        yield (sep if k else "") + sep.join(row % r for r in rows)
+    rows, lead = iter(rows), ""
+    while block := list(islice(rows, SWEEP_BLOCK)):
+        yield lead + sep.join(row % r for r in block)
+        lead = sep
     yield tail
 
 

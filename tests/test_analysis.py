@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cpulse.analysis import (COEFF_WINDOW, INFIDELITY_FLOOR, ORDER_WINDOW,
-                             FitWindowError, NotSuperior, SweepTable,
+                             FitWindowError, NotSuperior, SweepTable, _lin_grid,
                              crossover, fidelity,
                              fit_error_scaling, fit_grid, fit_scaling,
                              infidelity, sweep)
@@ -130,6 +130,35 @@ class TestSweep:
         for seq in seqs:
             fid = sweep(seq, target, grid).fidelities
             assert np.all(np.diff(fid) <= 1e-12)
+
+
+class TestLinGrid:
+    """_lin_grid, the sweep grid and the fit exponents, against np.linspace."""
+
+    @staticmethod
+    def bits(values):
+        return [repr(float(x)) for x in values]   # signed zeros told apart
+
+    def test_matches_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        cases = [(0.1, 0.10000000000000002, 10), (0.0, 5e-324, 10_000), (-5e-324, 5e-324, 7),
+                 (-0.0, 0.3, 3), (-1e-300, 1e-300, 9_999), (0.2, 0.2, 1), (0.0, 1.0, 0)]
+        for _ in range(300):
+            n = int(rng.choice([1, 2, 3, rng.integers(2, 10_001)]))
+            kind = rng.integers(4)
+            if kind == 0:     # the CLI's grids
+                lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2))
+            elif kind == 1:   # negative
+                lo, hi = -np.sort(rng.uniform(0.0, 1e3, 2))[::-1]
+            elif kind == 2:   # tiny: the step rounds or underflows to 0
+                lo = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320, 0)
+                hi = lo + 10.0 ** rng.uniform(-323, -300)
+            else:             # log10 bounds of a fit window
+                lo, hi = np.sort(rng.uniform(-12.0, 0.0, 2))
+            cases.append((float(lo), float(hi), n))
+        for lo, hi, n in cases:
+            assert self.bits(_lin_grid(lo, hi, n)) == self.bits(np.linspace(lo, hi, n)), \
+                (lo, hi, n)
 
 
 class TestFit:

@@ -1,17 +1,17 @@
+import itertools
 import json
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
 from cpulse import cli
-from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling
+from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling, sweep
 from cpulse.cli import main, parse_angle
 from cpulse.design import design_five_pulse, design_wm, design_wn
-from cpulse.pulses import (TargetRotation, format_sequence, parse_sequence,
-                           sequence_to_json)
+from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, embed_target,
+                           format_sequence, parse_sequence, sequence_to_json)
 
 PI = math.pi
 
@@ -148,9 +148,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_sweep_memory_is_arrays(self, tmp_path, fmt):
-        # no whole-grid Python list either: a 20k-point sweep holds three
-        # float arrays (epsilons, fidelities, infidelities, 160 kB each)
-        # plus one block of rows as floats and text (~1 MB in all)
+        # no grid-sized list or array: a 20k-point sweep holds one block of
+        # rows as floats and text (~0.5 MB in all)
         tracemalloc.start()
         try:
             assert main(["sweep", "--family", "plain", "--eps-count", "20000",
@@ -158,7 +157,7 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5e6, peak
+        assert peak < 0.75e6, peak
 
     @pytest.mark.parametrize("bound", [["--eps-max", "inf"], ["--eps-min", "-inf"],
                                        ["--eps-max", "nan"], ["--eps-min=nan"]])
@@ -170,36 +169,52 @@ class TestSweep:
     @pytest.mark.parametrize("bounds", [["--eps-min=-1e308", "--eps-max", "1e308"],
                                         ["--eps-max", "1.5"], ["--eps-min", "-1"]])
     def test_grid_outside_error_domain_exits_2_with_one_line(self, capsys, bounds):
-        # a finite grid wider than -1 < eps < 1 is rejected before np.linspace,
-        # whose range would overflow, and before any point is computed
+        # a finite grid wider than -1 < eps < 1 is rejected before its step
+        # is formed, whose range would overflow, and before any point is computed
         assert main(["sweep", "--family", "plain"] + bounds) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: grid needs finite -1 < eps-min"), err
 
-    def test_grid_released_before_write(self, tmp_path, monkeypatch):
-        # the np.linspace grid goes straight into sweep, which copies it into
-        # the table, so the write holds three grid-sized arrays, not four
-        grids = []
-        real_linspace, real_write = np.linspace, cli._write
+    @pytest.mark.parametrize("argv,message", [
+        # 0.1 and the next double apart: the grid rounds to repeated points
+        (["--family", "plain", "--eps-min", "0.1", "--eps-max", "0.10000000000000002",
+          "--eps-count", "10"], "error: epsilon grid must be nonempty and strictly increasing"),
+        # 1.5e308 * (1 + eps) overflows only past eps = 0.198, inside the grid
+        (["--seq", "overflow.txt", "--eps-min", "-0.5", "--eps-max", "0.3"],
+         "error: rotation angles must be finite")], ids=["repeated-points", "angle-overflow"])
+    def test_grid_failing_inside_exits_2_before_any_output(self, capsys, tmp_path, monkeypatch,
+                                                           argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "overflow.txt").write_text("1.5e308 0.3\n3.14 1\n")
+        assert main(["sweep"] + argv) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"kept\n")
+        assert main(["sweep", "--format", "json", "--out", str(out)] + argv) == 2
+        assert out.read_bytes() == b"kept\n"
+        assert capsys.readouterr() == ("", message + "\n")
 
-        def linspace(*args, **kwargs):
-            grid = real_linspace(*args, **kwargs)
-            grids.append(weakref.ref(grid))
-            return grid
+    def test_grid_released_before_write(self, tmp_path):
+        # the grid is a generator, never a list or an array: the peak of a
+        # 20k-point sweep stays within half a grid-sized float array (80 kB)
+        # of a two-block sweep's, after a warm-up
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--family", "plain", "--eps-count", str(n),
+                             "--out", str(tmp_path / "s.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        def write(args, text):
-            assert grids and all(ref() is None for ref in grids)
-            return real_write(args, text)
-
-        monkeypatch.setattr(cli.np, "linspace", linspace)
-        monkeypatch.setattr(cli, "_write", write)
-        assert main(["sweep", "--family", "plain", "--eps-count", "50",
-                     "--out", str(tmp_path / "s.csv")]) == 0
+        small = 2 * cli.SWEEP_BLOCK
+        peak(small)
+        assert peak(20000) - peak(small) < 4 * 20000
 
 
 class TestSweepRenderer:
     """Streamed sweep output against json.dumps and a CSV line loop on the
-    same table, across block boundaries."""
+    same rows, across block boundaries."""
 
     B = cli.SWEEP_BLOCK
 
@@ -210,6 +225,10 @@ class TestSweepRenderer:
         infid = 10.0 ** rng.uniform(-40, 0, n)
         infid[0] = 0.0
         return SweepTable(eps, 1.0 - infid, infid, 'plain "W1"')
+
+    @staticmethod
+    def rows(t):
+        return zip(t.epsilons.tolist(), t.fidelities.tolist(), t.infidelities.tolist())
 
     @staticmethod
     def reference(t, fmt):
@@ -226,13 +245,75 @@ class TestSweepRenderer:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bytes_match_reference(self, capsys, tmp_path, monkeypatch, n, fmt):
         t = self.table(n)
-        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: t)
+        blocks = list(cli._sweep_blocks(t.label, self.rows(t), fmt == "json"))
+        assert len(blocks) == 2 + -(-n // self.B)
+        assert "".join(blocks) == self.reference(t, fmt)
+        # main writes the same blocks to stdout and to --out
+        monkeypatch.setattr(cli, "_sweep_rows", lambda *args: self.rows(t))
         argv = ["sweep", "--family", "plain", "--format", fmt]
         assert main(argv) == 0
         printed = capsys.readouterr().out.encode()
         out = tmp_path / "s.out"
         assert main(argv + ["--out", str(out)]) == 0
-        assert printed == out.read_bytes() == self.reference(t, fmt).encode()
+        assert printed == out.read_bytes() == self.reference(t._replace(label="plain"),
+                                                             fmt).encode()
+
+    def test_renders_one_block_at_a_time(self):
+        taken = []
+
+        def rows():
+            for k in itertools.count():
+                taken.append(k)
+                yield float(k), 1.0, 0.0
+
+        blocks = cli._sweep_blocks("x", rows(), False)
+        next(blocks), next(blocks)
+        assert len(taken) == self.B
+
+
+class TestSweepMatchesLibrary:
+    """cpulse sweep's bytes against the rendering of the library sweep on
+    np.linspace's grid, which runs the matrix route."""
+
+    B = cli.SWEEP_BLOCK
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        """name -> (source flags, corrector or None for plain, label, target)"""
+        t1, t2, t3 = TargetRotation(PI, 0.0), TargetRotation(1.3, 5.9), TargetRotation(1.9, 0.7)
+        w121 = design_five_pulse(1, 2, 1, t3)[1].sequence
+        d = tmp_path_factory.mktemp("seq")
+        (d / "w121.json").write_text(json.dumps(sequence_to_json(w121, t3)))
+        (d / "w121.txt").write_text(format_sequence(w121))
+        t2_flags = ["--theta", "1.3", "--alpha", "5.9"]
+        return {
+            "wm": (["--family", "wm", "--m", "2"], design_wm(2, t1).sequence, "W2", t1),
+            "wn": (["--family", "wn", "--n", "3"] + t2_flags,
+                   design_wn(3, t2).sequence, "W1x3", t2),
+            "fivepulse": (["--family", "fivepulse", "--p", "2", "--q", "2", "--r", "2",
+                           "--branch", "1"] + t2_flags,
+                          design_five_pulse(2, 2, 2, t2)[1].sequence, "W222", t2),
+            "plain": (["--family", "plain"] + t2_flags, None, "plain", t2),
+            "seq-json": (["--seq", str(d / "w121.json")], w121, "file", t3),
+            "seq-text": (["--seq", str(d / "w121.txt"), "--theta", "1.9", "--alpha", "0.7"],
+                         w121, "file", t3),
+        }
+
+    @pytest.mark.parametrize("split", ["0", "0.37", "1"])
+    @pytest.mark.parametrize("source,n", [("wm", B - 1), ("wn", B), ("fivepulse", B + 1),
+                                          ("plain", B - 1), ("seq-json", B),
+                                          ("seq-text", B + 1)])
+    def test_bytes_match_library_sweep(self, capsys, sources, source, n, split):
+        flags, seq, label, target = sources[source]
+        full = (PulseSequence((Pulse(target.theta, target.alpha),)) if seq is None
+                else embed_target(seq, target, float(split)))
+        lo, hi = -0.0731, 0.45
+        table = sweep(full, target, np.linspace(lo, hi, n), embed=False, label=label)
+        for fmt in ("csv", "json"):
+            assert main(["sweep"] + flags + ["--split", split, "--format", fmt,
+                                             "--eps-min", repr(lo), "--eps-max", repr(hi),
+                                             "--eps-count", str(n)]) == 0
+            assert capsys.readouterr().out == TestSweepRenderer.reference(table, fmt)
 
 
 class TestCoeff:

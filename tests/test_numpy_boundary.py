@@ -1,9 +1,10 @@
-"""Where numpy gets loaded.  cpulse binds numpy lazily, so design, coeff,
-verify (without --scan) and table1 run on math and Python complexes alone;
-sweep, simulate and verify --scan build arrays and load it.  The value
-records need no dataclasses either, so these jobs start without it and the
-inspect/ast machinery it pulls in.  pytest has imported numpy already, so
-each check runs in a fresh interpreter with only src on the path."""
+"""Where numpy gets loaded.  cpulse binds numpy lazily, so design,
+simulate, sweep, coeff, verify (without --scan) and table1 run on math and
+Python complexes alone; only verify --scan, whose scan finds polynomial
+roots with numpy, loads it.  The value records need no dataclasses either,
+so these jobs start without it and the inspect/ast machinery it pulls in.
+pytest has imported numpy already, so each check runs in a fresh
+interpreter with only src on the path."""
 
 import contextlib
 import io
@@ -82,14 +83,29 @@ def test_table1_never_loads_numpy():
     assert len(out.splitlines()) == 7
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--eps-count", "5"], ["simulate", "--eps", "0.1"], ["verify", "--scan"]],
-    ids=["sweep", "simulate", "verify-scan"])
+@pytest.mark.parametrize("argv", [["verify", "--scan"]], ids=["verify-scan"])
 def test_array_commands_load_numpy(argv):
-    # documented: a sweep table, a compiled matrix and the scan's polynomial
-    # roots are numpy arrays
+    # documented: the scan's polynomial roots are numpy arrays
     code, loaded, _ = fresh_main(argv)
     assert (code, loaded) == (0, True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eps-count", "5"],
+    ["sweep", "--family", "fivepulse", "--split", "0.4", "--eps-min", "-0.1",
+     "--eps-count", "2000", "--format", "json"],
+    ["sweep", "--seq", None, "--eps-count", "7"],
+    ["simulate", "--eps", "0.1"],
+    ["simulate", "--family", "plain", "--theta", "pi/2", "--eps", "-0.3", "--format", "json"],
+    ["simulate", "--seq", None, "--split", "0.2", "--eps", "0.05"]],
+    ids=["sweep", "sweep-fivepulse-json", "sweep-seq", "simulate", "simulate-plain-json",
+         "simulate-seq"])
+def test_sweep_and_simulate_never_load_numpy(five_pulse_file, argv):
+    # rows and the compiled matrix come from the scalar kernel on Python floats
+    argv = [five_pulse_file if a is None else a for a in argv]
+    code, loaded, out = fresh_main(argv)
+    assert (code, loaded) == (0, False), out
+    assert out.startswith(("epsilon,", "{", "# "))
 
 
 @pytest.mark.parametrize("family", [["wm", "--m", "2"], ["wn", "--n", "3"],
@@ -119,6 +135,8 @@ seen = {"parser": [m for m in heavy if m in sys.modules]}
 for argv in (["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"],
              ["coeff", "--family", "wm", "--m", "1", "--format", "json"],
              ["verify", "--family", "wn", "--n", "2"],
+             ["sweep", "--family", "wm", "--m", "2", "--eps-count", "30"],
+             ["simulate", "--family", "plain", "--format", "json"],
              ["table1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cpulse.cli.main(argv)
@@ -126,12 +144,11 @@ for argv in (["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", 
 print(json.dumps(seen))
 """)
     assert json.loads(out) == {"parser": [], "design": [0], "coeff": [0], "verify": [0],
-                               "table1": [0]}
+                               "sweep": [0], "simulate": [0], "table1": [0]}
 
 
-def test_sweep_through_the_lazy_binding_matches_in_process():
-    argv = ["sweep", "--family", "wm", "--m", "1", "--theta", "pi/2", "--eps-count", "50",
-            "--format", "json"]
+def test_scan_through_the_lazy_binding_matches_in_process():
+    argv = ["verify", "--scan"]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(argv) == 0
@@ -141,8 +158,7 @@ from cpulse.cli import main
 assert type(sys.modules["numpy"]).__name__ == "_LazyModule"
 sys.exit(main({argv!r}))
 """)
-    assert out == buf.getvalue()
-    assert json.loads(out)["rows"][0]["epsilon"] == 0.0
+    assert out == buf.getvalue() == "PASS three_pulse_scan: flat residual only at pi multiples\n"
 
 
 def test_numpy_imports_after_cpulse():

@@ -1,8 +1,8 @@
 """Property tests: concatenation order, agreement with the benchmark
 checker's quaternion product, the scalar kernel against compile_sequence,
-the scalar overlap against the matrix formula, phase covariance, split
-invariance through the CLI, and the text and JSON round trips of a
-sequence."""
+the CLI's streamed sweep rows against the library sweep, the scalar
+overlap against the matrix formula, phase covariance, split invariance
+through the CLI, and the text and JSON round trips of a sequence."""
 
 import contextlib
 import io
@@ -21,8 +21,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import check  # noqa: E402
 
-from cpulse.analysis import fidelity, infidelity  # noqa: E402
-from cpulse.cli import main  # noqa: E402
+from cpulse.analysis import fidelity, infidelity, sweep  # noqa: E402
+from cpulse.cli import _sweep_rows, main  # noqa: E402
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _jet,  # noqa: E402
                            compile_sequence, embed_target, format_sequence, parse_sequence,
                            sequence_from_json, sequence_to_json)
@@ -108,6 +108,17 @@ def test_jet_rejects_an_overflowing_angle_like_compile_sequence():
                 lambda: _jet(seq, 0.9)):
         with pytest.raises(ValueError, match="rotation angles must be finite"):
             run()
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(seq=_LONG_SEQ, target=_TARGET,
+                  grid=st.lists(_OPEN_EPS, min_size=1, max_size=20, unique=True).map(sorted))
+def test_streamed_sweep_rows_are_sweep_bit_for_bit(seq, target, grid):
+    table = sweep(seq, target, grid, embed=False)
+    columns = zip(table.epsilons.tolist(), table.fidelities.tolist(),
+                  table.infidelities.tolist())
+    assert ([float_bits(row) for row in _sweep_rows(seq, target, iter(grid))]
+            == [float_bits(row) for row in columns])
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
