@@ -6,8 +6,7 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .pulses import (Pulse, PulseSequence, TargetRotation, _jet, compile_sequence,
-                     embed_target)
+from .pulses import Pulse, PulseSequence, TargetRotation, compile_sequence, embed_target
 from .su2 import _entries, _split
 
 # Log-spaced fit window for the scaling *order*: below 1e-3 the infidelity of
@@ -58,6 +57,40 @@ def _target_conj(target: TargetRotation) -> tuple:
     """target.unitary().conj().tolist() as Python scalars, without an array."""
     (a, b), (c, d) = _entries(target.theta, math.cos(target.alpha), math.sin(target.alpha))
     return (a, b.conjugate()), (c.conjugate(), d)
+
+
+def _overlap_at(full: PulseSequence, target: TargetRotation):
+    """e -> (fidelity, infidelity) of the sequence at error e against the
+    target: _entry_overlap(*_jet(full, e, 0), _target_conj(target)) float
+    bit for bit, with _jet's checks and messages.  A product of rotations is
+    U = [[a, b], [-conj(b), conj(a)]], so only the pair (a, b) is carried,
+    and each pulse's phase trig is taken once per sequence.  _jet's c and d
+    differ from (-conj(b), conj(a)) only in the sign of a zero, which the
+    moduli and squares below drop; its matrix is what simulate prints.
+    """
+    pulses = [(p.angle, math.cos(p.phase), math.sin(p.phase)) for p in full]
+    longest = max(p.angle for p in full)
+    (u00, u01), (u10, u11) = _target_conj(target)
+
+    def at(e: float) -> tuple:
+        if not math.isfinite(e) or abs(e) >= 1.0:
+            raise ValueError("fractional error must satisfy |epsilon| < 1")
+        scale = 1.0 + e
+        # angle * scale grows with angle, so the longest pulse overflows first
+        if not math.isfinite(longest * scale):
+            raise ValueError("rotation angles must be finite")
+        a, b = 1.0, 0.0
+        for angle, cp, sp in pulses:
+            half = 0.5 * (angle * scale)
+            c, s = math.cos(half), math.sin(half)
+            r01 = complex(-s * sp, -s * cp)
+            a, b = c * a - r01 * b.conjugate(), c * b + r01 * a.conjugate()
+        g0 = a * u00 + b * u01
+        g1 = a * u10 + b * u11
+        w = abs(g0.real)
+        return w, (g1.imag * g1.imag + g1.real * g1.real + g0.imag * g0.imag) / (1.0 + w)
+
+    return at
 
 
 def fidelity(v: np.ndarray, u: np.ndarray) -> float:
@@ -185,17 +218,14 @@ def fit_error_scaling(seq: PulseSequence, target: TargetRotation,
 
     The same numbers as fit_scaling(sweep(seq, target, fit_grid(window),
     embed=embed), window), field for field, without building an array: each
-    point is the scalar kernel's compiled sequence against the target's
-    conjugate entries, taken once.  Raises FitWindowError as fit_scaling.
+    point comes from _overlap_at.  Raises FitWindowError as fit_scaling.
     """
     lo, hi = window
     if not 0.0 < lo < hi:
         raise ValueError("fit window needs 0 < eps_min < eps_max")
-    full = embed_target(seq, target) if embed else seq
-    uc = _target_conj(target)
+    at = _overlap_at(embed_target(seq, target) if embed else seq, target)
     eps = _log_grid(window, FIT_POINTS)
-    infid = [_entry_overlap(*_jet(full, e, 0), uc)[1] for e in eps]
-    return _fit_power_law(eps, infid, window)
+    return _fit_power_law(eps, [at(e)[1] for e in eps], window)
 
 
 def crossover(seq: PulseSequence, target: TargetRotation) -> float:
@@ -205,17 +235,14 @@ def crossover(seq: PulseSequence, target: TargetRotation) -> float:
     fractional error.  Marches from 0.01 in steps of 1e-3 and bisects the
     first sign change of the fidelity gap to within 1e-6; returns +inf when
     the composite stays superior over (0, 0.99].  Each fidelity comes from
-    the scalar kernel against the target's conjugate entries, taken once:
-    the values of fidelity(compile_sequence(...), target.unitary()),
-    without building an array.
+    _overlap_at: the values of fidelity(compile_sequence(...),
+    target.unitary()), without building an array.
     """
-    full = embed_target(seq, target)
-    bare = PulseSequence((Pulse(target.theta, target.alpha),))
-    uc = _target_conj(target)
+    full = _overlap_at(embed_target(seq, target), target)
+    bare = _overlap_at(PulseSequence((Pulse(target.theta, target.alpha),)), target)
 
     def gap(e: float) -> float:
-        return (_entry_overlap(*_jet(full, e, 0), uc)[0]
-                - _entry_overlap(*_jet(bare, e, 0), uc)[0])
+        return full(e)[0] - bare(e)[0]
 
     if gap(0.01) <= 0:
         raise NotSuperior("sequence does not beat the bare pulse at epsilon = 0.01")

@@ -5,10 +5,11 @@ sweep and coeff resolve it once to the error-bearing pulse list: the bare
 target pulse for plain, else the corrector placed inside the target.
 design, simulate and coeff print text or, with --format json, one object.
 
-simulate and sweep evaluate through the scalar kernel (pulses._jet against
-the target's conjugate entries), which gives compile_sequence's matrix and
-the library sweep's rows bit for bit; sweep streams its rows over a grid
-generated point by point.  So no command but verify --scan loads numpy.
+simulate prints the scalar kernel's matrix (pulses._jet, compile_sequence's
+bit for bit).  sweep streams its rows from analysis._overlap_at, which
+carries only the pair (a, b) of U = [[a, b], [-conj(b), conj(a)]] and gives
+the library sweep's rows bit for bit, over a grid generated point by point.
+So no command but verify --scan loads numpy.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible design or bad
 input, 3 I/O error.  CSV output is byte-stable for a fixed invocation
@@ -22,8 +23,8 @@ import re
 import sys
 from itertools import islice, pairwise
 
-from .analysis import (COEFF_WINDOW, ORDER_WINDOW, _entry_overlap, _lin_grid, _target_conj,
-                       fit_error_scaling)
+from .analysis import (COEFF_WINDOW, ORDER_WINDOW, _entry_overlap, _lin_grid, _overlap_at,
+                       _target_conj, fit_error_scaling)
 from .bch import analytic_c
 from .design import (DERIVATIVE_TOL, IDENTITY_TOL, InfeasibleDesign, derivative_residual,
                      design_five_pulse, design_wm, design_wn, identity_residual,
@@ -236,7 +237,7 @@ def cmd_sweep(args) -> int:
     # nothing may fail once output starts, so two checks come first: every
     # pulse angle is largest at eps-max, where an overflow would show, and a
     # grid that rounds to repeated points gets SweepTable's message
-    _jet(full, args.eps_max, 0)
+    _overlap_at(full, target)(args.eps_max)
     if any(b <= a for a, b in pairwise(_lin_grid(*grid))):
         raise ValueError("epsilon grid must be nonempty and strictly increasing")
     _write(args, _sweep_blocks(label, _sweep_rows(full, target, _lin_grid(*grid)),
@@ -247,9 +248,9 @@ def cmd_sweep(args) -> int:
 def _sweep_rows(full, target, grid):
     """(epsilon, fidelity, infidelity) per error of the grid, as Python
     floats: sweep(full, target, grid, embed=False)'s columns bit for bit."""
-    uc = _target_conj(target)
+    at = _overlap_at(full, target)
     for e in grid:
-        infid = _entry_overlap(*_jet(full, e, 0), uc)[1]
+        infid = at(e)[1]
         yield e, 1.0 - infid, infid
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,6 +567,15 @@ class TestSimulate:
         assert obj["fidelity"] == pytest.approx(math.cos(0.1 * PI), abs=1e-12)
         m = np.array([[complex(*c) for c in row] for row in obj["matrix"]])
         assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
+
+    # simulate prints the four-entry product: a matrix rebuilt from the pair
+    # (a, b) as [[a, b], [-conj(b), conj(a)]] flips the sign of printed zeros
+    GOLDEN = json.loads(Path(__file__).with_name("simulate_golden.json").read_text())
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_output_bytes_are_pinned(self, capsys, command):
+        assert main(command.split()) == 0
+        assert capsys.readouterr().out == self.GOLDEN[command]
 
 
 class TestTable1:

@@ -1,8 +1,9 @@
 """Property tests: concatenation order, agreement with the benchmark
 checker's quaternion product, the scalar kernel against compile_sequence,
-the CLI's streamed sweep rows against the library sweep, the scalar
-overlap against the matrix formula, phase covariance, split invariance
-through the CLI, and the text and JSON round trips of a sequence."""
+the pair evaluator against the scalar kernel's overlap, the CLI's streamed
+sweep rows against the library sweep, the scalar overlap against the
+matrix formula, phase covariance, split invariance through the CLI, and
+the text and JSON round trips of a sequence."""
 
 import contextlib
 import io
@@ -21,7 +22,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import check  # noqa: E402
 
-from cpulse.analysis import fidelity, infidelity, sweep  # noqa: E402
+from cpulse.analysis import (_entry_overlap, _overlap_at, _target_conj, fidelity,  # noqa: E402
+                             infidelity, sweep)
 from cpulse.cli import _sweep_rows, main  # noqa: E402
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _jet,  # noqa: E402
                            compile_sequence, embed_target, format_sequence, parse_sequence,
@@ -107,6 +109,45 @@ def test_jet_rejects_an_overflowing_angle_like_compile_sequence():
     for run in (lambda: compile_sequence(seq, 0.9), lambda: _jet(seq, 0.9, 0),
                 lambda: _jet(seq, 0.9)):
         with pytest.raises(ValueError, match="rotation angles must be finite"):
+            run()
+
+
+# quarter turns make exact zeros in the rotation entries, and +-0.0 keeps
+# them: there the kernel's c and d and (-conj(b), conj(a)) differ in the
+# sign of a zero
+_ZERO_PHASE = (st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+               | st.floats(-10.0, 10.0))
+_ZERO_ANGLE = st.sampled_from([0.0, math.pi, 2 * math.pi]) | st.floats(0.0, 4 * math.pi)
+_ZERO_SEQ = (st.lists(st.builds(Pulse, _ZERO_ANGLE, _ZERO_PHASE), min_size=1, max_size=15)
+             .map(lambda ps: PulseSequence(tuple(ps))))
+_ZERO_THETA = st.sampled_from([math.pi, math.pi / 2]) | st.floats(1e-3, 4 * math.pi - 1e-3)
+_ZERO_TARGET = st.builds(TargetRotation, _ZERO_THETA, _ZERO_PHASE)
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.given(seq=_ZERO_SEQ, target=_ZERO_TARGET,
+                  eps=st.sampled_from([0.0, -0.0]) | _OPEN_EPS)
+def test_overlap_at_is_jet_overlap_bit_for_bit(seq, target, eps):
+    assert (float_bits(_overlap_at(seq, target)(eps))
+            == float_bits(_entry_overlap(*_jet(seq, eps, 0), _target_conj(target))))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(seq=_LONG_SEQ, target=_TARGET,
+                  eps=st.floats(1.0, math.inf) | st.floats(-math.inf, -1.0) | st.just(math.nan))
+def test_overlap_at_rejects_what_jet_rejects(seq, target, eps):
+    with pytest.raises(ValueError) as jet:
+        _jet(seq, eps, 0)
+    with pytest.raises(ValueError) as pair:
+        _overlap_at(seq, target)(eps)
+    assert str(pair.value) == str(jet.value) == "fractional error must satisfy |epsilon| < 1"
+
+
+def test_overlap_at_rejects_an_overflowing_angle_like_jet():
+    seq = PulseSequence((Pulse(1.0, 0.0), Pulse(1e308, 0.3), Pulse(2.0, 1.0)))
+    at = _overlap_at(seq, TargetRotation(1.0, 0.0))
+    for run in (lambda: _jet(seq, 0.9, 0), lambda: at(0.9)):
+        with pytest.raises(ValueError, match="^rotation angles must be finite$"):
             run()
 
 
