@@ -61,16 +61,15 @@ def _target_conj(target: TargetRotation) -> tuple:
 
 def _overlap_at(full: PulseSequence, target: TargetRotation):
     """e -> (fidelity, infidelity) of the sequence at error e against the
-    target: _entry_overlap(*_jet(full, e, 0), _target_conj(target)) float
-    bit for bit, with _jet's checks and messages.  A product of rotations is
-    U = [[a, b], [-conj(b), conj(a)]], so only the pair (a, b) is carried,
-    and each pulse's phase trig is taken once per sequence.  _jet's c and d
-    differ from (-conj(b), conj(a)) only in the sign of a zero, which the
-    moduli and squares below drop; its matrix is what simulate prints.
-    """
-    pulses = [(p.angle, math.cos(p.phase), math.sin(p.phase)) for p in full]
+    target: _entry_overlap(*_jet(full, e, 0), _target_conj(target)) float bit
+    for bit, with _jet's checks and messages.  It carries the pair (a, b) of
+    U = [[a, b], [-conj(b), conj(a)]] as four floats, and each phase's trig
+    once.  Complex products are spelled out in CPython's order, negations
+    folded in: only a zero's sign can differ, which moduli and squares drop."""
+    (angle0, cp0, sp0), *rest = [(p.angle, math.cos(p.phase), math.sin(p.phase)) for p in full]
     longest = max(p.angle for p in full)
-    (u00, u01), (u10, u11) = _target_conj(target)
+    (u00, u01), (u10, u11) = _target_conj(target)   # u00 and u11 are real
+    u01r, u01i, u10r, u10i = u01.real, u01.imag, u10.real, u10.imag
 
     def at(e: float) -> tuple:
         if not math.isfinite(e) or abs(e) >= 1.0:
@@ -79,16 +78,18 @@ def _overlap_at(full: PulseSequence, target: TargetRotation):
         # angle * scale grows with angle, so the longest pulse overflows first
         if not math.isfinite(longest * scale):
             raise ValueError("rotation angles must be finite")
-        a, b = 1.0, 0.0
-        for angle, cp, sp in pulses:
+        s = math.sin(half := 0.5 * (angle0 * scale))   # the first pulse alone
+        ar, ai, br, bi = math.cos(half), 0.0, -s * sp0, -s * cp0
+        for angle, cp, sp in rest:   # (a, b) -> (c a + r conj(b), c b - r conj(a)), r = x + i y
             half = 0.5 * (angle * scale)
             c, s = math.cos(half), math.sin(half)
-            r01 = complex(-s * sp, -s * cp)
-            a, b = c * a - r01 * b.conjugate(), c * b + r01 * a.conjugate()
-        g0 = a * u00 + b * u01
-        g1 = a * u10 + b * u11
-        w = abs(g0.real)
-        return w, (g1.imag * g1.imag + g1.real * g1.real + g0.imag * g0.imag) / (1.0 + w)
+            x, y = s * sp, s * cp
+            ar, ai, br, bi = (c * ar + (x * br + y * bi), c * ai - (x * bi - y * br),
+                              c * br - (x * ar + y * ai), c * bi + (x * ai - y * ar))
+        g0r, g0i = ar * u00 + (br * u01r - bi * u01i), ai * u00 + (br * u01i + bi * u01r)
+        g1r, g1i = (ar * u10r - ai * u10i) + br * u11, (ar * u10i + ai * u10r) + bi * u11
+        w = abs(g0r)
+        return w, (g1i * g1i + g1r * g1r + g0i * g0i) / (1.0 + w)
 
     return at
 

@@ -6,10 +6,10 @@ target pulse for plain, else the corrector placed inside the target.
 design, simulate and coeff print text or, with --format json, one object.
 
 simulate prints the scalar kernel's matrix (pulses._jet, compile_sequence's
-bit for bit).  sweep streams its rows from analysis._overlap_at, which
-carries only the pair (a, b) of U = [[a, b], [-conj(b), conj(a)]] and gives
-the library sweep's rows bit for bit, over a grid generated point by point.
-So no command but verify --scan loads numpy.
+bit for bit).  sweep streams the library sweep's rows bit for bit from
+analysis._overlap_at, which carries U's Cayley-Klein pair (a, b) as four
+floats, over a grid generated point by point and walked once.  No command
+but verify --scan loads numpy, and only JSON input or output loads json.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible design or bad
 input, 3 I/O error.  CSV output is byte-stable for a fixed invocation
@@ -17,7 +17,6 @@ input, 3 I/O error.  CSV output is byte-stable for a fixed invocation
 """
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -58,6 +57,10 @@ SWEEP_BLOCK = 1024
 # job that runs for days or exhausts memory.
 MAX_MULTIPLE = 1000
 MAX_EPS_COUNT = 10 ** 6
+# A sweep grid with a coarser step is not walked for repeats: with -1 < lo <
+# hi < 1 every point, hi too, lies within 3.3e-16 of lo + k * step (roundings
+# of values below 2), so neighbours differ by at least step - 6.7e-16 > 0.
+DISTINCT_STEP = 1e-15
 _INT_CAPS = dict.fromkeys("nmpqr", MAX_MULTIPLE) | {"eps_count": MAX_EPS_COUNT}
 
 _PI_FORM = re.compile(
@@ -120,6 +123,7 @@ def _load_sequence(path: str, branch: int):
     with open(path) as fh:
         if not path.endswith(".json"):
             return parse_sequence(fh.read()), None
+        import json
         try:
             obj = json.load(fh)
         except RecursionError:
@@ -167,8 +171,10 @@ def _full_sequence(args):
 
 def _emit(args, obj, lines) -> int:
     """Write obj as indented JSON under --format json, else the text lines."""
-    _write(args, json.dumps(obj, indent=2) + "\n" if args.format == "json"
-           else "\n".join(lines) + "\n")
+    if args.format == "json":
+        import json
+        lines = [json.dumps(obj, indent=2)]
+    _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -238,7 +244,8 @@ def cmd_sweep(args) -> int:
     # pulse angle is largest at eps-max, where an overflow would show, and a
     # grid that rounds to repeated points gets SweepTable's message
     _overlap_at(full, target)(args.eps_max)
-    if any(b <= a for a, b in pairwise(_lin_grid(*grid))):
+    if ((args.eps_max - args.eps_min) / (args.eps_count - 1) <= DISTINCT_STEP
+            and any(b <= a for a, b in pairwise(_lin_grid(*grid)))):
         raise ValueError("epsilon grid must be nonempty and strictly increasing")
     _write(args, _sweep_blocks(label, _sweep_rows(full, target, _lin_grid(*grid)),
                                args.format == "json"))
@@ -258,6 +265,8 @@ def _sweep_blocks(label, rows, as_json: bool):
     """Sweep output from (epsilon, fidelity, infidelity) float rows, rendered
     lazily in blocks of SWEEP_BLOCK rows; for the finite floats of a sweep,
     %r is json's float repr."""
+    if as_json:
+        import json
     head, row, sep, tail = (
         ('{\n  "label": %s,\n  "rows": [\n' % json.dumps(label),
          '    {\n      "epsilon": %r,\n      "fidelity": %r,\n      "infidelity": %r\n    }',

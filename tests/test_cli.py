@@ -212,6 +212,43 @@ class TestSweep:
         peak(small)
         assert peak(20000) - peak(small) < 4 * 20000
 
+    @pytest.mark.parametrize("edge", [-1.0, 0.0, 1.0])
+    def test_grid_step_guard_skips_only_grids_without_repeats(self, edge):
+        # grids with lo (or, at 1, hi) a few ulps inside the edge and steps
+        # from 10^-16.5 to 10^-14: where cmd_sweep's guard skips the walk for
+        # repeated points, the walk finds none; near +-1, where a point's ulp
+        # is 1.1e-16, finer grids do repeat points
+        rng = np.random.default_rng(17)
+        skipped = repeats = 0
+        for _ in range(1000):
+            n = int(rng.integers(2, 200))
+            step = 10.0 ** rng.uniform(-16.5, -14.0)
+            ulps = int(rng.integers(1, 1000)) * 2.0 ** -53
+            if edge == 1.0:
+                hi = 1.0 - ulps
+                lo = hi - (n - 1) * step
+            else:
+                lo = -1.0 + ulps if edge == -1.0 else rng.uniform(-1e-13, 1e-13)
+                hi = lo + (n - 1) * step
+            if not -1.0 < lo < hi < 1.0:
+                continue
+            walk_finds = any(b <= a for a, b in itertools.pairwise(cli._lin_grid(lo, hi, n)))
+            if (hi - lo) / (n - 1) > cli.DISTINCT_STEP:
+                skipped += 1
+                assert not walk_finds, (lo, hi, n)
+            repeats += walk_finds
+        assert skipped > 300 and (repeats > 50) == (edge != 0.0), (skipped, repeats)
+
+    @pytest.mark.parametrize("argv,walks", [
+        ([], 0), (["--eps-min", "0.5", "--eps-max", "0.5000000000001", "--eps-count", "99"], 0),
+        (["--eps-min", "0", "--eps-max", "1e-14", "--eps-count", "99"], 1)])
+    def test_grid_is_walked_before_output_only_below_the_step_guard(self, monkeypatch,
+                                                                    tmp_path, argv, walks):
+        calls = []
+        monkeypatch.setattr(cli, "pairwise", lambda it: calls.append(1) or itertools.pairwise(it))
+        assert main(["sweep", "--family", "plain", "--out", str(tmp_path / "s.csv")] + argv) == 0
+        assert len(calls) == walks
+
 
 class TestSweepRenderer:
     """Streamed sweep output against json.dumps and a CSV line loop on the

@@ -2,7 +2,8 @@
 simulate, sweep, coeff, verify (without --scan) and table1 run on math and
 Python complexes alone; only verify --scan, whose scan finds polynomial
 roots with numpy, loads it.  The value records need no dataclasses either,
-so these jobs start without it and the inspect/ast machinery it pulls in.
+so these jobs start without it and the inspect/ast machinery it pulls in,
+and json is imported only for JSON input or output.
 pytest has imported numpy already, so each check runs in a fresh
 interpreter with only src on the path."""
 
@@ -145,6 +146,42 @@ print(json.dumps(seen))
 """)
     assert json.loads(out) == {"parser": [], "design": [0], "coeff": [0], "verify": [0],
                                "sweep": [0], "simulate": [0], "table1": [0]}
+
+
+def test_json_loads_only_for_json_input_or_output():
+    # start-up, CSV sweeps and text designs never import json; a JSON sweep
+    # does, for its head.  The check prints its findings without json.
+    out = fresh("""
+import contextlib, io, sys
+import cpulse.cli
+cpulse.cli.build_parser()
+seen = [("parser", "json" in sys.modules)]
+for argv in (["sweep", "--family", "wm", "--m", "2", "--eps-count", "30"],
+             ["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"],
+             ["sweep", "--family", "wn", "--n", "2", "--eps-count", "30", "--format", "json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cpulse.cli.main(argv)
+    seen.append((argv[-1], code, "json" in sys.modules))
+print(seen)
+""")
+    assert out.strip() == str([("parser", False), ("30", 0, False), ("1", 0, False),
+                               ("json", 0, True)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--family", "wm", "--format", "json"],
+    ["coeff", "--family", "wm", "--format", "json"],
+    ["sweep", "--seq", None, "--eps-count", "7"]], ids=["design-json", "coeff-json", "seq-json"])
+def test_json_input_or_output_loads_json(five_pulse_file, argv):
+    argv = [five_pulse_file if a is None else a for a in argv]
+    out = fresh(f"""
+import contextlib, io, sys
+from cpulse.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(code, "json" in sys.modules)
+""")
+    assert out.split() == ["0", "True"]
 
 
 def test_scan_through_the_lazy_binding_matches_in_process():
