@@ -7,8 +7,7 @@ fidelity scaling.
 
 from .analysis import (COEFF_WINDOW, ORDER_WINDOW, FitReport, FitWindowError,
                        NotSuperior, SweepTable, crossover, fidelity,
-                       fit_error_scaling, fit_grid, fit_scaling, infidelity,
-                       sweep)
+                       fit_error_scaling, fit_scaling, infidelity, sweep)
 from .bch import analytic_c, p_epsilon, sixth_order_coefficient
 from .design import (DesignResult, InfeasibleDesign, derivative_residual,
                      design_five_pulse, design_wm, design_wn,
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "COEFF_WINDOW", "ORDER_WINDOW", "FitReport", "FitWindowError",
     "NotSuperior", "SweepTable", "crossover", "fidelity", "fit_error_scaling",
-    "fit_grid", "fit_scaling", "infidelity", "sweep",
+    "fit_scaling", "infidelity", "sweep",
     "analytic_c", "p_epsilon", "sixth_order_coefficient",
     "DesignResult", "InfeasibleDesign", "derivative_residual",
     "design_five_pulse", "design_wm", "design_wn", "error_derivative",

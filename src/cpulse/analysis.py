@@ -6,8 +6,8 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .pulses import Pulse, PulseSequence, TargetRotation, compile_sequence, embed_target
-from .su2 import _entries, _split
+from .pulses import (Pulse, PulseSequence, TargetRotation, _entry_overlap, _overlap_at,
+                     compile_sequence, embed_target)
 
 # Log-spaced fit window for the scaling *order*: below 1e-3 the infidelity of
 # a 6th-order sequence sinks toward the numerical floor, above 10^-1.5 the
@@ -33,65 +33,10 @@ class NotSuperior(ValueError):
     """Raised when a sequence does not beat the bare pulse at small error."""
 
 
-def _entry_overlap(v00, v01, v10, v11, uc) -> tuple:
-    """(fidelity, infidelity) of v = [[v00, v01], [v10, v11]] against u,
-    uc = u.conj().tolist(), from the Python-scalar entries of
-    g = v u-dagger = w I - i s.sigma.  1 - |w| is |s|^2 / (1 + |w|), with w
-    and s from the split: both are accurate to ~1e-16 absolute, near a
-    global phase and near fidelity 0 alike.
-    """
-    (u00, u01), (u10, u11) = uc
-    g = (v00 * u00 + v01 * u01, v00 * u10 + v01 * u11,
-         v10 * u00 + v11 * u01, v10 * u10 + v11 * u11)
-    w, x, y, z = _split(*g)
-    return 0.5 * abs(g[0] + g[3]), (x * x + y * y + z * z) / (1.0 + abs(w))
-
-
 def _overlap(v: np.ndarray, uc) -> tuple:
     """_entry_overlap of the 2x2 array v."""
     (v00, v01), (v10, v11) = v.tolist()
     return _entry_overlap(v00, v01, v10, v11, uc)
-
-
-def _target_conj(target: TargetRotation) -> tuple:
-    """target.unitary().conj().tolist() as Python scalars, without an array."""
-    (a, b), (c, d) = _entries(target.theta, math.cos(target.alpha), math.sin(target.alpha))
-    return (a, b.conjugate()), (c.conjugate(), d)
-
-
-def _overlap_at(full: PulseSequence, target: TargetRotation):
-    """e -> (fidelity, infidelity) of the sequence at error e against the
-    target: _entry_overlap(*_jet(full, e, 0), _target_conj(target)) float bit
-    for bit, with _jet's checks and messages.  It carries the pair (a, b) of
-    U = [[a, b], [-conj(b), conj(a)]] as four floats, and each phase's trig
-    once.  Complex products are spelled out in CPython's order, negations
-    folded in: only a zero's sign can differ, which moduli and squares drop."""
-    (angle0, cp0, sp0), *rest = [(p.angle, math.cos(p.phase), math.sin(p.phase)) for p in full]
-    longest = max(p.angle for p in full)
-    (u00, u01), (u10, u11) = _target_conj(target)   # u00 and u11 are real
-    u01r, u01i, u10r, u10i = u01.real, u01.imag, u10.real, u10.imag
-
-    def at(e: float) -> tuple:
-        if not math.isfinite(e) or abs(e) >= 1.0:
-            raise ValueError("fractional error must satisfy |epsilon| < 1")
-        scale = 1.0 + e
-        # angle * scale grows with angle, so the longest pulse overflows first
-        if not math.isfinite(longest * scale):
-            raise ValueError("rotation angles must be finite")
-        s = math.sin(half := 0.5 * (angle0 * scale))   # the first pulse alone
-        ar, ai, br, bi = math.cos(half), 0.0, -s * sp0, -s * cp0
-        for angle, cp, sp in rest:   # (a, b) -> (c a + r conj(b), c b - r conj(a)), r = x + i y
-            half = 0.5 * (angle * scale)
-            c, s = math.cos(half), math.sin(half)
-            x, y = s * sp, s * cp
-            ar, ai, br, bi = (c * ar + (x * br + y * bi), c * ai - (x * bi - y * br),
-                              c * br - (x * ar + y * ai), c * bi + (x * ai - y * ar))
-        g0r, g0i = ar * u00 + (br * u01r - bi * u01i), ai * u00 + (br * u01i + bi * u01r)
-        g1r, g1i = (ar * u10r - ai * u10i) + br * u11, (ar * u10i + ai * u10r) + bi * u11
-        w = abs(g0r)
-        return w, (g1i * g1i + g1r * g1r + g0i * g0i) / (1.0 + w)
-
-    return at
 
 
 def fidelity(v: np.ndarray, u: np.ndarray) -> float:
@@ -164,12 +109,6 @@ def _log_grid(window, n: int) -> list:
     return [10.0 ** x for x in _lin_grid(math.log10(lo), math.log10(hi), n)]
 
 
-def fit_grid(window=ORDER_WINDOW, n: int = FIT_POINTS) -> np.ndarray:
-    """Log-spaced epsilon grid covering a fit window: the grid
-    fit_error_scaling evaluates, as an array."""
-    return np.array(_log_grid(window, n))
-
-
 def _fit_power_law(eps: list, infid: list, window) -> FitReport:
     """Least-squares line on (log eps, log(1-F)) from Python floats, in
     closed form from the centred data: slope = sum(xc yc) / sum(xc^2), with
@@ -217,9 +156,10 @@ def fit_error_scaling(seq: PulseSequence, target: TargetRotation,
     """Power-law fit of the infidelity over FIT_POINTS log-spaced errors in
     the window.
 
-    The same numbers as fit_scaling(sweep(seq, target, fit_grid(window),
-    embed=embed), window), field for field, without building an array: each
-    point comes from _overlap_at.  Raises FitWindowError as fit_scaling.
+    The same numbers as fit_scaling(sweep(seq, target, _log_grid(window,
+    FIT_POINTS), embed=embed), window), field for field, without building an
+    array: each point comes from pulses._overlap_at.  Raises FitWindowError
+    as fit_scaling.
     """
     lo, hi = window
     if not 0.0 < lo < hi:

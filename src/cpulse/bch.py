@@ -28,11 +28,6 @@ def _cubic(r, s) -> np.ndarray:
     return (-1.0 / 24.0) * commutator(r + 2.0 * s, commutator(r, s))
 
 
-def sbch(r, s, t: float) -> np.ndarray:
-    """log of e^{tR/2} e^{tS} e^{tR/2} through t^3; the next term is t^5."""
-    return t * (r + s) + t ** 3 * _cubic(r, s)
-
-
 def corrector_generators(corrector: PulseSequence, target: TargetRotation):
     """Stored vectors (q, r, s) for a (pi, 2*pi, pi) corrector and target.
 

@@ -6,10 +6,11 @@ target pulse for plain, else the corrector placed inside the target.
 design, simulate and coeff print text or, with --format json, one object.
 
 simulate prints the scalar kernel's matrix (pulses._jet, compile_sequence's
-bit for bit).  sweep streams the library sweep's rows bit for bit from
-analysis._overlap_at, which carries U's Cayley-Klein pair (a, b) as four
-floats, over a grid generated point by point and walked once.  No command
-but verify --scan loads numpy, and only JSON input or output loads json.
+bit for bit) and takes its fidelity and infidelity from pulses._overlap_at,
+which carries U's Cayley-Klein pair (a, b) as four floats.  sweep streams the
+library sweep's rows bit for bit from the same evaluator, over a grid
+generated point by point and walked once.  No command but verify --scan
+loads numpy, and only JSON input or output loads json.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible design or bad
 input, 3 I/O error.  CSV output is byte-stable for a fixed invocation
@@ -22,13 +23,12 @@ import re
 import sys
 from itertools import islice, pairwise
 
-from .analysis import (COEFF_WINDOW, ORDER_WINDOW, _entry_overlap, _lin_grid, _overlap_at,
-                       _target_conj, fit_error_scaling)
+from .analysis import COEFF_WINDOW, ORDER_WINDOW, _lin_grid, fit_error_scaling
 from .bch import analytic_c
 from .design import (DERIVATIVE_TOL, IDENTITY_TOL, InfeasibleDesign, derivative_residual,
                      design_five_pulse, design_wm, design_wn, identity_residual,
                      three_pulse_scan)
-from .pulses import (Pulse, PulseSequence, TargetRotation, _jet, embed_target,
+from .pulses import (Pulse, PulseSequence, TargetRotation, _jet, _overlap_at, embed_target,
                      format_sequence, parse_sequence, sequence_from_json,
                      sequence_to_json)
 
@@ -210,9 +210,10 @@ def cmd_design(args) -> int:
 
 def cmd_simulate(args) -> int:
     full, label, target = _full_sequence(args)
-    # compile_sequence's matrix and fidelity/infidelity's values bit for bit
+    # the two numbers from sweep's pair evaluator; the printed matrix from _jet
+    # (compile_sequence's bit for bit), whose zero signs the pair does not carry
+    fid, infid = _overlap_at(full, target)(args.eps)
     u = _jet(full, args.eps, 0)
-    fid, infid = _entry_overlap(*u, _target_conj(target))
     rows = (u[:2], u[2:])
     obj = {
         "label": label,

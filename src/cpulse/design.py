@@ -15,9 +15,9 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .pulses import (PulseSequence, TargetRotation, _jet, embed_target, reduce_angle,
-                     repeated)
-from .su2 import TWO_PI, _split
+from .pulses import (PulseSequence, TargetRotation, _entry_overlap, _jet, embed_target,
+                     reduce_angle, repeated)
+from .su2 import TWO_PI
 
 IDENTITY_TOL = 1e-12
 DERIVATIVE_TOL = 1e-9
@@ -43,9 +43,8 @@ class DesignResult(namedtuple("DesignResult", "label sequence phases identity_re
 
 def identity_residual(seq: PulseSequence) -> float:
     """1 - trace fidelity of the compiled sequence against the identity,
-    |s|^2 / (1 + |w|) from its split as in analysis.infidelity."""
-    w, x, y, z = _split(*_jet(seq, 0.0, 0))
-    return (x * x + y * y + z * z) / (1.0 + abs(w))
+    by the shared scalar overlap (pulses._entry_overlap)."""
+    return _entry_overlap(*_jet(seq, 0.0, 0), ((1.0, 0.0), (0.0, 1.0)))[1]
 
 
 def error_derivative(seq: PulseSequence) -> np.ndarray:
@@ -79,12 +78,8 @@ def _validated(label, seq, phases, target, mirror=None) -> DesignResult:
 
 def _symmetric_three_pulse(scale: int, target: TargetRotation, even: bool):
     """Shared closed form: cos(phi1 - alpha) = -theta / (4 scale pi)."""
-    c = -target.theta / (4.0 * scale * math.pi)
-    if abs(c) > 1.0:
-        raise InfeasibleDesign(
-            f"target angle {target.theta:.6g} exceeds the reachable "
-            f"magnitude 4*pi*{scale}")
-    spread = math.acos(c)
+    # acos is defined: TargetRotation keeps theta below 4 pi, and scale >= 1
+    spread = math.acos(-target.theta / (4.0 * scale * math.pi))
     # the branch at +spread, then its mirror at -spread
     return tuple((phi1, 2.0 * target.alpha - phi1 if even else 3.0 * phi1 - 2.0 * target.alpha)
                  for phi1 in (target.alpha + spread, target.alpha - spread))

@@ -1,5 +1,6 @@
 """Test-side SU(2) references: Pauli matrices, the general closed-form
-exponential and the bare-pulse sweep baseline.
+exponential, the symmetric BCH series, fit grids as arrays and the
+bare-pulse sweep baseline.
 
 The package needs none of these; the tests use them as independent
 matrix-level references for the scalar routines in cpulse.
@@ -7,7 +8,8 @@ matrix-level references for the scalar routines in cpulse.
 
 import numpy as np
 
-from cpulse.analysis import SweepTable, sweep
+from cpulse.analysis import FIT_POINTS, ORDER_WINDOW, SweepTable, _log_grid, sweep
+from cpulse.bch import _cubic
 from cpulse.pulses import Pulse, PulseSequence, TargetRotation
 from cpulse.su2 import axis_vector
 
@@ -51,6 +53,17 @@ def exp_pauli(vec, scale: float = 1.0) -> np.ndarray:
 def dagger(u: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return u.conj().T
+
+
+def sbch(r, s, t: float) -> np.ndarray:
+    """log of e^{tR/2} e^{tS} e^{tR/2} through t^3; the next term is t^5."""
+    return t * (r + s) + t ** 3 * _cubic(r, s)
+
+
+def fit_grid(window=ORDER_WINDOW, n: int = FIT_POINTS) -> np.ndarray:
+    """Log-spaced epsilon grid covering a fit window: the grid
+    fit_error_scaling evaluates, as an array."""
+    return np.array(_log_grid(window, n))
 
 
 def plain_sweep(target: TargetRotation, eps_grid) -> SweepTable:

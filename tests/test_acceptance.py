@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from cpulse.analysis import (COEFF_WINDOW, ORDER_WINDOW, crossover, fidelity,
-                             fit_error_scaling, fit_grid, fit_scaling)
-from cpulse.bch import analytic_c, p_epsilon, sbch
+                             fit_error_scaling, fit_scaling)
+from cpulse.bch import analytic_c, p_epsilon
 from cpulse.design import (derivative_residual, design_five_pulse, design_wm,
                            design_wn, error_derivative, identity_residual,
                            three_pulse_scan)
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
 from cpulse.su2 import axis_vector
-from su2_oracle import exp_pauli, plain_sweep
+from su2_oracle import exp_pauli, fit_grid, plain_sweep, sbch
 
 PI = math.pi
 BB1_C_EXACT = 5 * PI ** 6 / 1024

@@ -8,13 +8,13 @@ import pytest
 from cpulse.analysis import (COEFF_WINDOW, INFIDELITY_FLOOR, ORDER_WINDOW,
                              FitWindowError, NotSuperior, SweepTable, _lin_grid,
                              crossover, fidelity,
-                             fit_error_scaling, fit_grid, fit_scaling,
+                             fit_error_scaling, fit_scaling,
                              infidelity, sweep)
 from cpulse.design import design_five_pulse, design_wm, design_wn
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
 from cpulse.su2 import rotation
-from su2_oracle import EZ, exp_pauli, plain_sweep
+from su2_oracle import EZ, exp_pauli, fit_grid, plain_sweep
 
 PI = np.pi
 BB1_C = 5 * PI ** 6 / 1024  # exact sixth-order coefficient of the m=1 family

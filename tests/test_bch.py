@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from cpulse.bch import (analytic_c, commutator, corrector_generators,
-                        p_epsilon, sbch, sixth_order_coefficient)
+                        p_epsilon, sixth_order_coefficient)
 from cpulse.design import design_wm, design_wn
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
 from cpulse.su2 import axis_vector, rotation, su2_parts
-from su2_oracle import dagger, exp_pauli, pauli_sum
+from su2_oracle import dagger, exp_pauli, pauli_sum, sbch
 
 PI = np.pi
 EX = np.array([1.0, 0.0, 0.0])
@@ -144,6 +144,11 @@ class TestPEpsilon:
             p_epsilon(PulseSequence.from_pairs(
                 [(2 * PI, 0.0), (4 * PI, 1.0), (2 * PI, 0.0)]), target)
 
+    def test_rejects_unequal_outer_phases(self):
+        target = TargetRotation(PI, 0.0)
+        corrector = PulseSequence.from_pairs([(PI, 0.5), (2 * PI, 1.0), (PI, 0.6)])
+        with pytest.raises(ValueError, match="outer corrector pulses must share one phase"):
+            corrector_generators(corrector, target)
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     @pytest.mark.parametrize("offset", [1e-9, -1e-9, 2e-5])

@@ -72,6 +72,13 @@ class TestDesign:
         assert main(["design", "--family", "wn", "--n", "1",
                      "--theta", "5pi"]) == 2
 
+    def test_infeasible_design_exits_2_with_one_line(self, capsys):
+        assert main(["design", "--family", "fivepulse", "--p", "1", "--q", "1",
+                     "--r", "4", "--theta", "pi"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "infeasible: no phases satisfy the W114 derivative condition for "
+            "theta = 3.14159 (best residual 6.66)"]
+
     def test_json_shape(self, capsys):
         assert main(["design", "--family", "wm", "--m", "2", "--theta", "pi",
                      "--alpha", "pi", "--format", "json"]) == 0
@@ -435,6 +442,17 @@ class TestSequenceFiles:
         assert main(["simulate", "--seq", str(path)]) == 2
         assert capsys.readouterr().err == "error: sequence JSON is nested too deeply to parse\n"
 
+    @pytest.mark.parametrize("pulses,message", [
+        ('{"angle": 1.0, "phase": 0.0}, {"angle": -1.0, "phase": 0.0}',
+         "pulses[1]: pulse angle must be >= 0 (fold sign into the phase)"),
+        ('{"angle": 1%s, "phase": 0.0}' % ("0" * 400), "pulses[0].angle is out of range"),
+    ])
+    def test_rejected_pulse_exits_2_with_one_line(self, capsys, tmp_path, pulses, message):
+        path = tmp_path / "bad.json"
+        path.write_text('{"pulses": [%s]}' % pulses)
+        assert main(["simulate", "--seq", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: " + message]
+
 
 class TestEmbeddedTarget:
     @pytest.fixture
@@ -547,6 +565,14 @@ class TestSignedAngleArgs:
         assert main(["sweep", "--family", "plain", "--theta", "-pi"]) == 2
         assert capsys.readouterr().err.startswith("error: target theta")
 
+    def test_non_numeric_token_is_left_to_argparse(self, capsys):
+        assert cli._join_signed_values(["sweep", "--alpha", "-x"]) == ["sweep", "--alpha", "-x"]
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--alpha", "-x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "cpulse sweep: error: argument --alpha: expected one argument")
+
 
 class TestPlainSplit:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -635,6 +661,18 @@ class TestTable1:
             dist = [abs(fit_error_scaling(r.sequence, target, COEFF_WINDOW).coefficient
                         - paper_c) for r in results]
             assert branch == dist.index(min(dist)), label
+
+    def test_row_off_the_paper_exits_1_after_every_row(self, capsys, monkeypatch):
+        rows = list(cli.TABLE1_ROWS)
+        label, source, branch, paper_c = rows[2]
+        rows[2] = (label, source, branch, 2.0 * paper_c)
+        monkeypatch.setattr(cli, "TABLE1_ROWS", rows)
+        assert main(["table1"]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 7
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"FAIL {label}: relative error ")
+        assert line.endswith(" exceeds 1%")
 
     def test_one_fit_per_row(self, capsys, monkeypatch):
         calls = []

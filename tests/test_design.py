@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpulse.analysis import fit_error_scaling, infidelity
-from cpulse.design import (InfeasibleDesign, derivative_residual,
+from cpulse.design import (InfeasibleDesign, _validated, derivative_residual,
                            design_five_pulse, design_wm, design_wn,
                            error_derivative, identity_residual,
                            three_pulse_scan)
@@ -84,6 +84,10 @@ class TestWn:
 
 
 class TestWm:
+    def test_invalid_m(self):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            design_wm(1.5, TargetRotation(PI, 0.0))
+
     def test_m1_equals_n1(self):
         target = TargetRotation(1.7, 0.6)
         assert design_wm(1, target).phases == design_wn(1, target).phases
@@ -118,6 +122,10 @@ class TestWm:
 
 
 class TestFivePulse:
+    def test_positive_multiples_required(self):
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            design_five_pulse(0, 2, 2, TargetRotation(PI, PI))
+
     def test_parity_required(self):
         with pytest.raises(ValueError):
             design_five_pulse(1, 1, 1, TargetRotation(PI, PI))
@@ -192,6 +200,14 @@ class TestFivePulse:
 
 
 class TestResiduals:
+    def test_result_off_the_constraints_is_refused(self):
+        # every designer returns through _validated; a sequence that is not
+        # the identity at zero error never becomes a DesignResult
+        seq = PulseSequence.from_pairs([(PI, 0.0)])
+        with pytest.raises(InfeasibleDesign, match="W: constraint residuals out of bounds "
+                                                   r"\(identity 1, derivative "):
+            _validated("W", seq, (0.0,), TargetRotation(PI, 0.0))
+
     def test_identity_residual_of_bare_pi_pulse(self):
         seq = PulseSequence.from_pairs([(PI, 0.0)])
         assert identity_residual(seq) == pytest.approx(1.0, abs=1e-12)

@@ -1,4 +1,4 @@
-"""analysis._overlap_at, the four-float pair kernel behind sweep rows, fits
+"""pulses._overlap_at, the four-float pair kernel behind sweep rows, fits
 and crossover, against the scalar kernel's overlap
 _entry_overlap(*_jet(...), _target_conj(...)), bit for bit, on the sequences
 the sweep and fit jobs evaluate: W1, W1x4 and every W222 branch, placed at
@@ -11,9 +11,10 @@ Python: PYTHONPATH=src python tests/test_pair_kernel.py"""
 import math
 import struct
 
-from cpulse.analysis import _entry_overlap, _lin_grid, _overlap_at, _target_conj
+from cpulse.analysis import _lin_grid
 from cpulse.design import design_five_pulse, design_wn
-from cpulse.pulses import TargetRotation, _jet, embed_target
+from cpulse.pulses import (TargetRotation, _entry_overlap, _jet, _overlap_at, _target_conj,
+                           embed_target)
 
 TARGETS = (TargetRotation(math.pi, math.pi), TargetRotation(math.pi / 2, 0.3))
 EDGE_ERRORS = (0.0, -0.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53))

@@ -22,12 +22,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import check  # noqa: E402
 
-from cpulse.analysis import (_entry_overlap, _overlap_at, _target_conj, fidelity,  # noqa: E402
-                             infidelity, sweep)
+from cpulse.analysis import fidelity, infidelity, sweep  # noqa: E402
 from cpulse.cli import _sweep_rows, main  # noqa: E402
-from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _jet,  # noqa: E402
-                           compile_sequence, embed_target, format_sequence, parse_sequence,
-                           sequence_from_json, sequence_to_json)
+from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _entry_overlap,  # noqa: E402
+                           _jet, _overlap_at, _target_conj, compile_sequence, embed_target,
+                           format_sequence, parse_sequence, sequence_from_json,
+                           sequence_to_json)
 from cpulse.su2 import su2_parts  # noqa: E402
 from su2_oracle import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger  # noqa: E402
 
