@@ -11,11 +11,11 @@ from .analysis import (COEFF_WINDOW, ORDER_WINDOW, FitReport, FitWindowError,
 from .bch import analytic_c, p_epsilon, sixth_order_coefficient
 from .design import (DesignResult, InfeasibleDesign, derivative_residual,
                      design_five_pulse, design_wm, design_wn,
-                     error_derivative, identity_residual, three_pulse_scan)
+                     identity_residual, three_pulse_scan)
 from .pulses import (Pulse, PulseSequence, TargetRotation, compile_sequence,
                      embed_target, format_sequence, parse_sequence,
                      repeated, sequence_from_json, sequence_to_json)
-from .su2 import rotation, su2_parts
+from .su2 import rotation
 
 __version__ = "0.1.0"
 
@@ -25,11 +25,11 @@ __all__ = [
     "fit_scaling", "infidelity", "sweep",
     "analytic_c", "p_epsilon", "sixth_order_coefficient",
     "DesignResult", "InfeasibleDesign", "derivative_residual",
-    "design_five_pulse", "design_wm", "design_wn", "error_derivative",
+    "design_five_pulse", "design_wm", "design_wn",
     "identity_residual", "three_pulse_scan",
     "Pulse", "PulseSequence", "TargetRotation", "compile_sequence",
     "embed_target", "format_sequence", "parse_sequence", "repeated",
     "sequence_from_json", "sequence_to_json",
-    "rotation", "su2_parts",
+    "rotation",
     "__version__",
 ]

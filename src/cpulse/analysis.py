@@ -6,7 +6,7 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .pulses import (Pulse, PulseSequence, TargetRotation, _entry_overlap, _overlap_at,
+from .pulses import (PulseSequence, TargetRotation, _entry_overlap, _overlap_at,
                      compile_sequence, embed_target)
 
 # Log-spaced fit window for the scaling *order*: below 1e-3 the infidelity of
@@ -109,6 +109,13 @@ def _log_grid(window, n: int) -> list:
     return [10.0 ** x for x in _lin_grid(math.log10(lo), math.log10(hi), n)]
 
 
+def _fit_window(window) -> tuple:
+    lo, hi = window
+    if not 0.0 < lo < hi:
+        raise ValueError("fit window needs 0 < eps_min < eps_max")
+    return lo, hi
+
+
 def _fit_power_law(eps: list, infid: list, window) -> FitReport:
     """Least-squares line on (log eps, log(1-F)) from Python floats, in
     closed form from the centred data: slope = sum(xc yc) / sum(xc^2), with
@@ -143,9 +150,9 @@ def fit_scaling(table: SweepTable, window=ORDER_WINDOW) -> FitReport:
     own grid: a least-squares line on (log eps, log(1-F)) in closed form.
     Raises FitWindowError when any infidelity in the window sits at the
     numerical floor; shrink the window from below (larger eps_min) in that
-    case.
+    case.  The window must satisfy 0 < eps_min < eps_max.
     """
-    lo, hi = window
+    lo, hi = _fit_window(window)
     mask = (table.epsilons >= lo * (1 - 1e-12)) & (table.epsilons <= hi * (1 + 1e-12))
     return _fit_power_law(table.epsilons[mask].tolist(), table.infidelities[mask].tolist(),
                           window)
@@ -161,11 +168,8 @@ def fit_error_scaling(seq: PulseSequence, target: TargetRotation,
     array: each point comes from pulses._overlap_at.  Raises FitWindowError
     as fit_scaling.
     """
-    lo, hi = window
-    if not 0.0 < lo < hi:
-        raise ValueError("fit window needs 0 < eps_min < eps_max")
+    eps = _log_grid(_fit_window(window), FIT_POINTS)
     at = _overlap_at(embed_target(seq, target) if embed else seq, target)
-    eps = _log_grid(window, FIT_POINTS)
     return _fit_power_law(eps, [at(e)[1] for e in eps], window)
 
 
@@ -175,15 +179,16 @@ def crossover(seq: PulseSequence, target: TargetRotation) -> float:
     Both the composite (target embedded) and the bare pulse suffer the same
     fractional error.  Marches from 0.01 in steps of 1e-3 and bisects the
     first sign change of the fidelity gap to within 1e-6; returns +inf when
-    the composite stays superior over (0, 0.99].  Each fidelity comes from
-    _overlap_at: the values of fidelity(compile_sequence(...),
-    target.unitary()), without building an array.
+    the composite stays superior over (0, 0.99].  The composite's fidelity
+    comes from _overlap_at without building an array; the bare pulse leaves
+    g = R(theta e, alpha), so its fidelity is |cos(theta e / 2)|.  Where the
+    corrector composes to the identity (W2's at e = 1/2: 3 pi, 6 pi, 3 pi) the
+    gap vanishes identically, and a root there may land a step either side.
     """
     full = _overlap_at(embed_target(seq, target), target)
-    bare = _overlap_at(PulseSequence((Pulse(target.theta, target.alpha),)), target)
 
     def gap(e: float) -> float:
-        return full(e)[0] - bare(e)[0]
+        return full(e)[0] - abs(math.cos(0.5 * target.theta * e))
 
     if gap(0.01) <= 0:
         raise NotSuperior("sequence does not beat the bare pulse at epsilon = 0.01")

@@ -146,27 +146,23 @@ def _design_results(args, target):
     return design_five_pulse(args.p, args.q, args.r, target)
 
 
-def _resolve_sequence(args):
-    """Corrector sequence, label and target from --seq or a designed family."""
+def _source(args, embed: bool = True):
+    """Pulse list, label and target from --seq, else --family plain (the bare
+    target pulse, --split checked), else the designed branch; with embed, a
+    corrector is placed inside the target at --split (1.0 if there is none)."""
+    split = getattr(args, "split", 1.0)
     if args.seq:
         seq, embedded = _load_sequence(args.seq, args.branch)
-        return seq, "file", _target(args, embedded)
-    target = _target(args)
-    res = _pick_branch(_design_results(args, target), args.branch)
-    return res.sequence, res.label, target
-
-
-def _full_sequence(args):
-    """Error-bearing pulse list, label and target: the bare target pulse for
-    --family plain, else the corrector placed inside the target at --split
-    (1.0 for a command without --split)."""
-    if args.family == "plain" and not args.seq:
+        label, target = "file", _target(args, embedded)
+    else:
         target = _target(args)
-        if not 0.0 <= getattr(args, "split", 1.0) <= 1.0:
-            raise ValueError("split must lie in [0, 1]")
-        return PulseSequence((Pulse(target.theta, target.alpha),)), "plain", target
-    seq, label, target = _resolve_sequence(args)
-    return embed_target(seq, target, getattr(args, "split", 1.0)), label, target
+        if args.family == "plain":
+            if not 0.0 <= split <= 1.0:
+                raise ValueError("split must lie in [0, 1]")
+            return PulseSequence((Pulse(target.theta, target.alpha),)), "plain", target
+        res = _pick_branch(_design_results(args, target), args.branch)
+        seq, label = res.sequence, res.label
+    return (embed_target(seq, target, split) if embed else seq), label, target
 
 
 def _emit(args, obj, lines) -> int:
@@ -209,7 +205,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    full, label, target = _full_sequence(args)
+    full, label, target = _source(args)
     # the two numbers from sweep's pair evaluator; the printed matrix from _jet
     # (compile_sequence's bit for bit), whose zero signs the pair does not carry
     fid, infid = _overlap_at(full, target)(args.eps)
@@ -239,7 +235,7 @@ def cmd_sweep(args) -> int:
     # finite grid wider than that overflows the grid's step
     if args.eps_count < 2 or not -1.0 < args.eps_min < args.eps_max < 1.0:
         raise ValueError("grid needs finite -1 < eps-min < eps-max < 1 and at least 2 points")
-    full, label, target = _full_sequence(args)
+    full, label, target = _source(args)
     grid = (args.eps_min, args.eps_max, args.eps_count)
     # nothing may fail once output starts, so two checks come first: every
     # pulse angle is largest at eps-max, where an overflow would show, and a
@@ -282,7 +278,7 @@ def _sweep_blocks(label, rows, as_json: bool):
 
 
 def cmd_coeff(args) -> int:
-    full, label, target = _full_sequence(args)
+    full, label, target = _source(args)
     window = COEFF_WINDOW if args.window == "coeff" else ORDER_WINDOW
     report = fit_error_scaling(full, target, window, embed=False)
     obj = {"label": label, "order": report.order,
@@ -321,12 +317,12 @@ def cmd_table1(args) -> int:
 def cmd_verify(args) -> int:
     """PASS/FAIL lines for the 3-pulse scan, or for one corrector sequence."""
     if args.scan:
-        rows = three_pulse_scan(TargetRotation(math.pi, 0.0))
+        rows = three_pulse_scan(_target(args))
         ok = all((res < DERIVATIVE_TOL) == (min(abs(g - math.pi), abs(g - 2 * math.pi)) <= 0.02)
                  for g, res in rows)
         checks = [("three_pulse_scan", ok, "flat residual only at pi multiples")]
     else:
-        seq, _, target = _resolve_sequence(args)
+        seq, _, target = _source(args, embed=False)
         ident = identity_residual(seq)
         deriv = derivative_residual(seq, target)
         report = fit_error_scaling(seq, target, ORDER_WINDOW)

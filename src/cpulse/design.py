@@ -76,13 +76,19 @@ def _validated(label, seq, phases, target, mirror=None) -> DesignResult:
                         None if mirror is None else tuple(reduce_angle(p) for p in mirror))
 
 
-def _symmetric_three_pulse(scale: int, target: TargetRotation, even: bool):
-    """Shared closed form: cos(phi1 - alpha) = -theta / (4 scale pi)."""
-    # acos is defined: TargetRotation keeps theta below 4 pi, and scale >= 1
-    spread = math.acos(-target.theta / (4.0 * scale * math.pi))
+def _three_pulse(m: int, repeats: int, target: TargetRotation) -> DesignResult:
+    """The (m pi, 2 m pi, m pi) block repeated, phased by the closed form
+    cos(phi1 - alpha) = -theta / (4 m repeats pi) (Cummins et al., PRA 67, 042308)."""
+    a = target.alpha
+    # acos is defined: TargetRotation keeps theta below 4 pi, and m * repeats >= 1
+    spread = math.acos(-target.theta / (4.0 * (m * repeats) * math.pi))
     # the branch at +spread, then its mirror at -spread
-    return tuple((phi1, 2.0 * target.alpha - phi1 if even else 3.0 * phi1 - 2.0 * target.alpha)
-                 for phi1 in (target.alpha + spread, target.alpha - spread))
+    (phi1, phi2), mirror = ((phi, 3.0 * phi - 2.0 * a if m % 2 else 2.0 * a - phi)
+                            for phi in (a + spread, a - spread))
+    seq = repeated(PulseSequence.from_pairs(
+        [(m * math.pi, phi1), (2 * m * math.pi, phi2), (m * math.pi, phi1)]), repeats)
+    label = f"W{m}x{repeats}" if repeats > 1 else f"W{m}"
+    return _validated(label, seq, (phi1, phi2), target, mirror)
 
 
 def design_wn(n: int, target: TargetRotation) -> DesignResult:
@@ -95,10 +101,7 @@ def design_wn(n: int, target: TargetRotation) -> DesignResult:
     """
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
-    (phi1, phi2), mirror = _symmetric_three_pulse(int(n), target, even=False)
-    block = PulseSequence.from_pairs([(math.pi, phi1), (2 * math.pi, phi2), (math.pi, phi1)])
-    seq = repeated(block, int(n))
-    return _validated(f"W1x{n}" if n > 1 else "W1", seq, (phi1, phi2), target, mirror)
+    return _three_pulse(1, int(n), target)
 
 
 def design_wm(m: int, target: TargetRotation) -> DesignResult:
@@ -110,11 +113,7 @@ def design_wm(m: int, target: TargetRotation) -> DesignResult:
     """
     if int(m) != m or m < 1:
         raise ValueError("m must be a positive integer")
-    m = int(m)
-    (phi1, phi2), mirror = _symmetric_three_pulse(m, target, even=(m % 2 == 0))
-    seq = PulseSequence.from_pairs(
-        [(m * math.pi, phi1), (2 * m * math.pi, phi2), (m * math.pi, phi1)])
-    return _validated(f"W{m}", seq, (phi1, phi2), target, mirror)
+    return _three_pulse(int(m), 1, target)
 
 
 # ---------------------------------------------------------------------------

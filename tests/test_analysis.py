@@ -194,6 +194,20 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_scaling(table, window=(0.005, 0.03))
 
+    def test_window_below_zero_is_rejected(self):
+        # a table may hold negative errors; a window reaching them has no log
+        table = plain_sweep(TargetRotation(PI, 0.0), [-0.08, -0.04, 0.02, 0.04, 0.08])
+        for window in ((-0.1, 0.1), (0.0, 0.1)):
+            with pytest.raises(ValueError, match="^fit window needs 0 < eps_min < eps_max$"):
+                fit_scaling(table, window)
+
+    def test_reversed_window_is_rejected(self):
+        table = plain_sweep(TargetRotation(PI, 0.0), fit_grid())
+        for fit in (lambda w: fit_scaling(table, w),
+                    lambda w: fit_error_scaling(bb1_corrector(), TargetRotation(PI, 0.0), w)):
+            with pytest.raises(ValueError, match="^fit window needs 0 < eps_min < eps_max$"):
+                fit((0.05, 0.01))
+
     def test_fit_calls_no_least_squares_solver(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the fit must not call a numpy least-squares solver")

@@ -10,7 +10,7 @@ import pytest
 from cpulse import cli
 from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling, sweep
 from cpulse.cli import main, parse_angle
-from cpulse.design import design_five_pulse, design_wm, design_wn
+from cpulse.design import design_five_pulse, design_wm, design_wn, three_pulse_scan
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, embed_target,
                            format_sequence, parse_sequence, sequence_to_json)
 
@@ -392,6 +392,20 @@ class TestVerify:
     def test_scan_passes(self, capsys):
         assert main(["verify", "--scan"]) == 0
         assert "PASS three_pulse_scan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("theta, alpha", [("0.3", "0"), ("pi/2", "1.2"), ("3pi", "-pi/2")])
+    def test_scan_uses_the_target_flags(self, capsys, monkeypatch, theta, alpha):
+        seen = []
+
+        def recording_scan(target):
+            seen.append(target)
+            return three_pulse_scan(target)
+
+        monkeypatch.setattr(cli, "three_pulse_scan", recording_scan)
+        assert main(["verify", "--scan", "--theta", theta, "--alpha", alpha]) == 0
+        assert capsys.readouterr().out == (
+            "PASS three_pulse_scan: flat residual only at pi multiples\n")
+        assert seen == [TargetRotation(parse_angle(theta), parse_angle(alpha))]
 
     def test_broken_sequence_file_fails(self, capsys, tmp_path):
         # hand-edited corrector: BB1 angles, wrong phases

@@ -82,6 +82,11 @@ class TestWn:
         with pytest.raises(ValueError):
             design_wn(0, TargetRotation(PI, 0.0))
 
+    def test_label_from_integral_float(self):
+        target = TargetRotation(PI, 0.0)
+        assert design_wn(3.0, target).label == "W1x3"
+        assert design_wn(3.0, target) == design_wn(3, target)
+
 
 class TestWm:
     def test_invalid_m(self):

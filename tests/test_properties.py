@@ -24,6 +24,7 @@ import check  # noqa: E402
 
 from cpulse.analysis import fidelity, infidelity, sweep  # noqa: E402
 from cpulse.cli import _sweep_rows, main  # noqa: E402
+from cpulse.design import design_wm  # noqa: E402
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _entry_overlap,  # noqa: E402
                            _jet, _overlap_at, _target_conj, compile_sequence, embed_target,
                            format_sequence, parse_sequence, sequence_from_json,
@@ -149,6 +150,23 @@ def test_overlap_at_rejects_an_overflowing_angle_like_jet():
     for run in (lambda: _jet(seq, 0.9, 0), lambda: at(0.9)):
         with pytest.raises(ValueError, match="^rotation angles must be finite$"):
             run()
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.given(target=_TARGET, eps=_OPEN_EPS)
+def test_bare_pulse_fidelity_is_closed_form(target, eps):
+    # R(theta (1 + e), alpha) against R(theta, alpha) leaves g = R(theta e, alpha)
+    bare = _overlap_at(PulseSequence((Pulse(target.theta, target.alpha),)), target)
+    assert abs(bare(eps)[0] - abs(math.cos(0.5 * target.theta * eps))) <= 2e-15
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(target=_TARGET)
+def test_w2_ties_the_bare_pulse_at_half(target):
+    # at e = 1/2 W2's corrector is (3 pi, 6 pi, 3 pi), which composes to the
+    # identity: crossover's gap vanishes there identically
+    full = _overlap_at(embed_target(design_wm(2, target).sequence, target), target)
+    assert abs(full(0.5)[0] - abs(math.cos(0.25 * target.theta))) <= 2e-15
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
