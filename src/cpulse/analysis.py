@@ -33,21 +33,15 @@ class NotSuperior(ValueError):
     """Raised when a sequence does not beat the bare pulse at small error."""
 
 
-def _overlap(v: np.ndarray, uc) -> tuple:
-    """_entry_overlap of the 2x2 array v."""
-    (v00, v01), (v10, v11) = v.tolist()
-    return _entry_overlap(v00, v01, v10, v11, uc)
-
-
 def fidelity(v: np.ndarray, u: np.ndarray) -> float:
     """Trace overlap |Tr(v u-dagger)| / 2 from scalar entries; blind to global phase."""
-    return _overlap(v, u.conj().tolist())[0]
+    return _entry_overlap(*v.ravel().tolist(), u.conj().tolist())[0]
 
 
 def infidelity(v: np.ndarray, u: np.ndarray) -> float:
     """1 - fidelity(v, u), computed without cancellation even far below
     double rounding.  Valid for the SU(2) matrices produced by this library."""
-    return _overlap(v, u.conj().tolist())[1]
+    return _entry_overlap(*v.ravel().tolist(), u.conj().tolist())[1]
 
 
 class SweepTable(namedtuple("SweepTable", "epsilons fidelities infidelities label")):
@@ -83,8 +77,8 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
     eps = np.fromiter(eps_grid, dtype=float)
     full = embed_target(seq, target) if embed else seq
     uc = target.unitary().conj().tolist()
-    infids = np.fromiter((_overlap(compile_sequence(full, e), uc)[1] for e in map(float, eps)),
-                         dtype=float, count=eps.size)
+    infids = np.fromiter((_entry_overlap(*compile_sequence(full, e).ravel().tolist(), uc)[1]
+                          for e in map(float, eps)), dtype=float, count=eps.size)
     return SweepTable(eps, 1.0 - infids, infids, label)
 
 
@@ -120,7 +114,8 @@ def _fit_power_law(eps: list, infid: list, window) -> FitReport:
     """Least-squares line on (log eps, log(1-F)) from Python floats, in
     closed form from the centred data: slope = sum(xc yc) / sum(xc^2), with
     xc and yc the deviations of x = log eps and y = log(1-F) from their
-    means, every sum correctly rounded (math.fsum)."""
+    means, every sum correctly rounded (math.fsum).  It owns the data checks:
+    at least 3 points, none at the floor, not all at one log eps."""
     lo, hi = window
     n = len(eps)
     if n < 3:
@@ -131,6 +126,8 @@ def _fit_power_law(eps: list, infid: list, window) -> FitReport:
             "infidelity reaches the numerical floor (%.0e) inside the window; "
             "raise eps_min above %.3g" % (INFIDELITY_FLOOR, max(floored)))
     x = [math.log(e) for e in eps]
+    if not any(v != x[0] for v in x):
+        raise ValueError("sweep points inside the fit window share one log epsilon")
     y = [math.log(f) for f in infid]
     x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
     xc = [v - x_mean for v in x]
@@ -146,16 +143,17 @@ def _fit_power_law(eps: list, infid: list, window) -> FitReport:
 def fit_scaling(table: SweepTable, window=ORDER_WINDOW) -> FitReport:
     """Power-law fit of a sweep table's infidelity over the window.
 
-    The points inside the window are fitted as fit_error_scaling fits its
-    own grid: a least-squares line on (log eps, log(1-F)) in closed form.
+    The points inside the window, picked in one pass as Python floats from
+    list or array columns, are fitted as fit_error_scaling fits its own grid.
     Raises FitWindowError when any infidelity in the window sits at the
     numerical floor; shrink the window from below (larger eps_min) in that
     case.  The window must satisfy 0 < eps_min < eps_max.
     """
     lo, hi = _fit_window(window)
-    mask = (table.epsilons >= lo * (1 - 1e-12)) & (table.epsilons <= hi * (1 + 1e-12))
-    return _fit_power_law(table.epsilons[mask].tolist(), table.infidelities[mask].tolist(),
-                          window)
+    pts = [(float(e), float(f)) for e, f in
+           zip(table.epsilons, table.infidelities, strict=True)
+           if lo * (1 - 1e-12) <= e <= hi * (1 + 1e-12)]
+    return _fit_power_law([e for e, _ in pts], [f for _, f in pts], window)
 
 
 def fit_error_scaling(seq: PulseSequence, target: TargetRotation,

@@ -317,6 +317,8 @@ def cmd_table1(args) -> int:
 def cmd_verify(args) -> int:
     """PASS/FAIL lines for the 3-pulse scan, or for one corrector sequence."""
     if args.scan:
+        if args.seq is not None or args.branch:
+            raise ValueError("--scan reads only --theta, --alpha and --out, not --seq/--branch")
         rows = three_pulse_scan(_target(args))
         ok = all((res < DERIVATIVE_TOL) == (min(abs(g - math.pi), abs(g - 2 * math.pi)) <= 0.02)
                  for g, res in rows)
@@ -366,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
              (("--window", {"choices": ["order", "coeff"], "default": "order"}),),
              ["text", "json"]),
             ("verify", "run the invariant checks", cmd_verify, [], {},
-             (("--scan", {"action": "store_true",
-                          "help": "run the 3-pulse exhaustiveness scan instead"}),), None)):
+             (("--scan", {"action": "store_true", "help": "run the 3-pulse exhaustiveness "
+                          "scan instead; it reads only --theta, --alpha and --out"}),), None)):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--family", choices=["wn", "wm", "fivepulse"] + plain, default="wm")
         p.add_argument("--n", type=int, default=1,

@@ -15,8 +15,8 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .pulses import (PulseSequence, TargetRotation, _entry_overlap, _jet, embed_target,
-                     reduce_angle, repeated)
+from .pulses import (PulseSequence, TargetRotation, _count, _entry_overlap, _jet,
+                     embed_target, reduce_angle, repeated)
 from .su2 import TWO_PI
 
 IDENTITY_TOL = 1e-12
@@ -99,9 +99,7 @@ def design_wn(n: int, target: TargetRotation) -> DesignResult:
     corrector is the single 3-pulse block repeated n times.  n = 1 is the
     broadband Wimperis sequence.
     """
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    return _three_pulse(1, int(n), target)
+    return _three_pulse(1, _count(n, "n"), target)
 
 
 def design_wm(m: int, target: TargetRotation) -> DesignResult:
@@ -111,9 +109,7 @@ def design_wm(m: int, target: TargetRotation) -> DesignResult:
     3 phi1 - 2 alpha for odd m and 2 alpha - phi1 for even m.  m = 1 is the
     broadband and m = 2 the passband Wimperis sequence.
     """
-    if int(m) != m or m < 1:
-        raise ValueError("m must be a positive integer")
-    return _three_pulse(int(m), 1, target)
+    return _three_pulse(_count(m, "m"), 1, target)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +176,7 @@ def design_five_pulse(p: int, q: int, r: int,
     arccos((theta - 4 pi)/(4 pi)), phi2 = 2 phi1, phi3 = 3 phi1 for a target
     about -X, are among them.
     """
-    for name, v in (("p", p), ("q", q), ("r", r)):
-        if int(v) != v or v < 1:
-            raise ValueError(f"{name} must be a positive integer")
-    p, q, r = int(p), int(q), int(r)
+    p, q, r = _count(p, "p"), _count(q, "q"), _count(r, "r")
     if (p + q + r) % 2:
         raise ValueError("p + q + r must be even")
     weights = (float(p), float(q), float(r))

@@ -204,11 +204,16 @@ def embed_target(seq: PulseSequence, target: TargetRotation,
     return PulseSequence(tuple(head) + seq.pulses + tuple(tail))
 
 
+def _count(value, name: str) -> int:
+    """value as an int; ValueError "<name> must be a positive integer" else."""
+    if int(value) != value or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
+
+
 def repeated(seq: PulseSequence, n: int) -> PulseSequence:
     """Concatenate n copies of the sequence."""
-    if int(n) != n or n < 1:
-        raise ValueError("repeat count must be a positive integer")
-    return PulseSequence(seq.pulses * int(n))
+    return PulseSequence(seq.pulses * _count(n, "repeat count"))
 
 
 def format_sequence(seq: PulseSequence) -> str:

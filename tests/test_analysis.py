@@ -208,6 +208,39 @@ class TestFit:
             with pytest.raises(ValueError, match="^fit window needs 0 < eps_min < eps_max$"):
                 fit((0.05, 0.01))
 
+    @pytest.mark.parametrize("window", [ORDER_WINDOW, COEFF_WINDOW])
+    def test_list_built_table_fits_like_the_array_built_one(self, window):
+        target = TargetRotation(PI, 0.0)
+        table = sweep(bb1_corrector(), target, fit_grid(window))
+        listed = SweepTable(table.epsilons.tolist(), table.fidelities.tolist(),
+                            table.infidelities.tolist())
+        assert repr(fit_scaling(listed, window)) == repr(fit_scaling(table, window))
+
+    @pytest.mark.parametrize("columns", [np.array, list])
+    def test_one_log_epsilon_raises_value_error(self, columns):
+        # three adjacent doubles: their logs coincide, so the slope is 0 / 0
+        eps = [1e-3]
+        for _ in range(2):
+            eps.append(math.nextafter(eps[-1], 1.0))
+        table = SweepTable(columns(eps), columns([1.0 - 1e-17] * 3),
+                           columns([1e-17, 2e-17, 3e-17]))
+        with pytest.raises(ValueError, match="^sweep points inside the fit window share one "
+                                             "log epsilon$"):
+            fit_scaling(table, (eps[0], eps[-1]))
+
+    @pytest.mark.parametrize("columns", [np.array, list])
+    def test_columns_of_unequal_length_raise_value_error(self, columns):
+        table = SweepTable(columns([0.01, 0.02, 0.03, 0.04]), columns([0.9] * 3),
+                           columns([0.1] * 3))
+        with pytest.raises(ValueError):
+            fit_scaling(table, (0.005, 0.05))
+
+    def test_one_log_epsilon_raises_value_error_on_the_scalar_path(self):
+        window = (1e-3, math.nextafter(1e-3, 1.0))
+        with pytest.raises(ValueError, match="^sweep points inside the fit window share one "
+                                             "log epsilon$"):
+            fit_error_scaling(bb1_corrector(), TargetRotation(PI, 0.0), window)
+
     def test_fit_calls_no_least_squares_solver(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the fit must not call a numpy least-squares solver")

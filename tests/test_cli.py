@@ -407,6 +407,25 @@ class TestVerify:
             "PASS three_pulse_scan: flat residual only at pi multiples\n")
         assert seen == [TargetRotation(parse_angle(theta), parse_angle(alpha))]
 
+    @pytest.mark.parametrize("extra", [["--seq", "missing.json"], ["--branch", "7"],
+                                       ["--seq", "missing.json", "--branch", "7", "--m", "5"]])
+    def test_scan_rejects_a_source_before_scanning(self, capsys, monkeypatch, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan must not run")
+
+        monkeypatch.setattr(cli, "three_pulse_scan", refuse)
+        assert main(["verify", "--scan"] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --scan reads only --theta, --alpha and --out, not --seq/--branch\n"
+
+    @pytest.mark.parametrize("gap, code, verdict", [(3e-9, 0, "PASS"), (1e-9, 1, "FAIL")])
+    def test_scan_fails_within_sqrt2_tol_of_4pi(self, capsys, gap, code, verdict):
+        # every split's least residual is at most (4 pi - theta) / sqrt(2), so
+        # every split reads flat within sqrt(2) DERIVATIVE_TOL ~ 1.41e-9 of 4 pi
+        assert main(["verify", "--scan", "--theta", repr(4 * PI - gap)]) == code
+        assert capsys.readouterr().out.startswith(verdict + " three_pulse_scan")
+
     def test_broken_sequence_file_fails(self, capsys, tmp_path):
         # hand-edited corrector: BB1 angles, wrong phases
         seq = parse_sequence("3.141592653589793 0.1\n"

@@ -82,6 +82,10 @@ class TestWn:
         with pytest.raises(ValueError):
             design_wn(0, TargetRotation(PI, 0.0))
 
+    def test_zero_n_message(self):
+        with pytest.raises(ValueError, match="^n must be a positive integer$"):
+            design_wn(0, TargetRotation(PI, 0.0))
+
     def test_label_from_integral_float(self):
         target = TargetRotation(PI, 0.0)
         assert design_wn(3.0, target).label == "W1x3"
@@ -130,6 +134,10 @@ class TestFivePulse:
     def test_positive_multiples_required(self):
         with pytest.raises(ValueError, match="p must be a positive integer"):
             design_five_pulse(0, 2, 2, TargetRotation(PI, PI))
+
+    def test_zero_r_message(self):
+        with pytest.raises(ValueError, match="^r must be a positive integer$"):
+            design_five_pulse(1, 1, 0, TargetRotation(PI, PI))
 
     def test_parity_required(self):
         with pytest.raises(ValueError):
@@ -316,6 +324,14 @@ class TestScan:
         for gamma, res in rows:
             near_pi = min(abs(gamma - PI), abs(gamma - 2 * PI)) <= 0.02
             assert (res < 1e-9) == near_pi
+
+    @pytest.mark.parametrize("gap", [3e-9, 1e-9])
+    def test_every_split_flattens_near_4pi(self, gap):
+        # at psi = 0, |B| = 2 gamma + eta = 4 pi for every split, so no split's
+        # least residual exceeds (4 pi - theta) / sqrt(2), and the worst meets it
+        theta = 4 * PI - gap
+        worst = three_pulse_scan(TargetRotation(theta, 0.0))[:, 1].max()
+        assert worst == pytest.approx((4 * PI - theta) / math.sqrt(2), abs=1e-14)
 
     def test_root_found_at_pi(self):
         rows = three_pulse_scan(TargetRotation(PI, 0.0), gammas=[PI])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpulse.analysis import fidelity
-from cpulse.pulses import (Pulse, PulseSequence, TargetRotation,
+from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _count,
                            compile_sequence, embed_target, format_sequence,
                            parse_sequence, repeated, sequence_from_json,
                            sequence_to_json)
@@ -151,6 +151,17 @@ class TestRepeat:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             repeated(bb1_corrector(), 0)
+
+    def test_zero_count_message(self):
+        with pytest.raises(ValueError, match="^repeat count must be a positive integer$"):
+            repeated(bb1_corrector(), 0)
+
+    def test_count_helper(self):
+        assert _count(3, "n") == 3
+        assert type(_count(3.0, "n")) is int
+        for bad in (0, -2, 1.5):
+            with pytest.raises(ValueError, match="^x must be a positive integer$"):
+                _count(bad, "x")
 
 
 class TestSerialization:
