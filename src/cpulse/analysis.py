@@ -6,8 +6,8 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .pulses import (PulseSequence, TargetRotation, _entry_overlap, _overlap_at,
-                     compile_sequence, embed_target)
+from .pulses import (PulseSequence, TargetRotation, _checked_make, _entry_overlap,
+                     _overlap_at, compile_sequence, embed_target)
 
 # Log-spaced fit window for the scaling *order*: below 1e-3 the infidelity of
 # a 6th-order sequence sinks toward the numerical floor, above 10^-1.5 the
@@ -48,14 +48,18 @@ class SweepTable(namedtuple("SweepTable", "epsilons fidelities infidelities labe
     """Fidelity (and precision-preserving infidelity) per error value."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, epsilons, fidelities, infidelities, label="sequence"):
         eps = np.asarray(epsilons, dtype=float)
-        if eps.size == 0 or np.any(np.diff(eps) <= 0):
+        if eps.size == 0 or np.isnan(eps).any() or np.any(np.diff(eps) <= 0):
             raise ValueError("epsilon grid must be nonempty and strictly increasing")
-        fid = np.asarray(fidelities, dtype=float)
-        if np.any(fid < -1e-12) or np.any(fid > 1 + 1e-12):
-            raise ValueError("fidelities must lie in [0, 1]")
+        for name, column in (("fidelities", fidelities), ("infidelities", infidelities)):
+            col = np.asarray(column, dtype=float)
+            if col.shape != eps.shape:
+                raise ValueError("sweep table columns must have equal length")
+            if not (np.all(col >= -1e-12) and np.all(col <= 1 + 1e-12)):   # NaN fails
+                raise ValueError(f"{name} must lie in [0, 1]")
         return super().__new__(cls, epsilons, fidelities, infidelities, label)
 
 

@@ -118,23 +118,24 @@ def _pick_branch(branches, branch: int):
 
 
 def _load_sequence(path: str, branch: int):
-    """(sequence, embedded target or None) from a pulse file.  A `design
-    --format json` file holds a 'branches' list; --branch picks the entry."""
+    """(sequence, embedded target or None) from a pulse file.  --branch picks
+    from a `design --format json` file's 'branches' list, else a one-entry one."""
     with open(path) as fh:
         if not path.endswith(".json"):
-            return parse_sequence(fh.read()), None
+            return _pick_branch([parse_sequence(fh.read())], branch), None
         import json
         try:
             obj = json.load(fh)
         except RecursionError:
             raise ValueError("sequence JSON is nested too deeply to parse") from None
-    if isinstance(obj, dict) and "branches" in obj:
-        if not isinstance(obj["branches"], list):
-            raise ValueError("'branches' must be a list")
-        entry = _pick_branch(obj["branches"], branch)
-        if not isinstance(entry, dict):
-            raise ValueError(f"branches[{branch}] must be an object")
-        obj["pulses"] = entry.get("pulses")
+    if not (isinstance(obj, dict) and "branches" in obj):
+        return sequence_from_json(_pick_branch([obj], branch))
+    if not isinstance(obj["branches"], list):
+        raise ValueError("'branches' must be a list")
+    entry = _pick_branch(obj["branches"], branch)
+    if not isinstance(entry, dict):
+        raise ValueError(f"branches[{branch}] must be an object")
+    obj["pulses"] = entry.get("pulses")
     return sequence_from_json(obj)
 
 
@@ -147,9 +148,9 @@ def _design_results(args, target):
 
 
 def _source(args, embed: bool = True):
-    """Pulse list, label and target from --seq, else --family plain (the bare
-    target pulse, --split checked), else the designed branch; with embed, a
-    corrector is placed inside the target at --split (1.0 if there is none)."""
+    """Pulse list, label and target: entry --branch of --seq, else of --family
+    plain (the bare target pulse, --split checked), else of the design; with
+    embed, a corrector goes inside the target at --split (1.0 without one)."""
     split = getattr(args, "split", 1.0)
     if args.seq:
         seq, embedded = _load_sequence(args.seq, args.branch)
@@ -159,7 +160,8 @@ def _source(args, embed: bool = True):
         if args.family == "plain":
             if not 0.0 <= split <= 1.0:
                 raise ValueError("split must lie in [0, 1]")
-            return PulseSequence((Pulse(target.theta, target.alpha),)), "plain", target
+            bare = PulseSequence((Pulse(target.theta, target.alpha),))
+            return _pick_branch([bare], args.branch), "plain", target
         res = _pick_branch(_design_results(args, target), args.branch)
         seq, label = res.sequence, res.label
     return (embed_target(seq, target, split) if embed else seq), label, target

@@ -230,6 +230,8 @@ def _split_residual(theta, gamma, m):
     root of the sextic S'^2 (S - Q) - theta^2 (S' - Q')^2; other roots,
     clipped, only add candidates.
     """
+    if not math.isfinite(gamma):
+        raise ValueError("scan angle gamma must be finite")
     eta = 2.0 * (2.0 * m * math.pi - gamma)
     k = 1.0 - math.cos(eta)
     cg, sg, se = math.cos(gamma), math.sin(gamma), math.sin(eta)
@@ -262,6 +264,7 @@ def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1) -> np.ndar
     only at integer multiples of pi: no other symmetric 3-pulse split admits
     a first-order-flat sequence.
     """
+    m = _count(m, "m")
     if gammas is None:
         gammas = np.linspace(0.12, TWO_PI - 0.12, 61)
     return np.array([(g, _split_residual(target.theta, g, m))

@@ -21,10 +21,15 @@ def reduce_angle(phi: float) -> float:
     return r if r < TWO_PI else 0.0   # a tiny negative angle rounds up to 2*pi
 
 
+# namedtuple's _make, which _replace calls, through the constructor's checks
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class Pulse(namedtuple("Pulse", "angle phase")):
     """One rotation: nominal angle (>= 0) about the XY axis at azimuth phase."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, angle, phase):
         if not (math.isfinite(angle) and math.isfinite(phase)):
@@ -81,6 +86,7 @@ class TargetRotation(namedtuple("TargetRotation", "theta alpha")):
     """The ideal gate: rotation by theta about the XY axis at azimuth alpha."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, theta, alpha):
         if not (math.isfinite(theta) and math.isfinite(alpha)):
@@ -206,9 +212,12 @@ def embed_target(seq: PulseSequence, target: TargetRotation,
 
 def _count(value, name: str) -> int:
     """value as an int; ValueError "<name> must be a positive integer" else."""
-    if int(value) != value or value < 1:
-        raise ValueError(f"{name} must be a positive integer")
-    return int(value)
+    try:
+        if int(value) == value and value >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):   # None, NaN, +-inf, "x"
+        pass
+    raise ValueError(f"{name} must be a positive integer")
 
 
 def repeated(seq: PulseSequence, n: int) -> PulseSequence:

@@ -230,10 +230,9 @@ class TestFit:
 
     @pytest.mark.parametrize("columns", [np.array, list])
     def test_columns_of_unequal_length_raise_value_error(self, columns):
-        table = SweepTable(columns([0.01, 0.02, 0.03, 0.04]), columns([0.9] * 3),
-                           columns([0.1] * 3))
-        with pytest.raises(ValueError):
-            fit_scaling(table, (0.005, 0.05))
+        with pytest.raises(ValueError, match="^sweep table columns must have equal length$"):
+            fit_scaling(SweepTable(columns([0.01, 0.02, 0.03, 0.04]), columns([0.9] * 3),
+                                   columns([0.1] * 3)), (0.005, 0.05))
 
     def test_one_log_epsilon_raises_value_error_on_the_scalar_path(self):
         window = (1e-3, math.nextafter(1e-3, 1.0))

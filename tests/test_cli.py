@@ -552,6 +552,33 @@ class TestDesignFiles:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestBranchForEverySource:
+    """A source that holds one sequence is a one-entry branch list."""
+
+    @pytest.fixture(params=["plain", "text", "json"])
+    def source(self, request, tmp_path):
+        if request.param == "plain":
+            return ["--family", "plain"]
+        seq = design_wn(1, TargetRotation(PI, 0.0)).sequence
+        path = tmp_path / ("w.txt" if request.param == "text" else "w.json")
+        path.write_text(format_sequence(seq) if request.param == "text"
+                        else json.dumps(sequence_to_json(seq)))
+        return ["--seq", str(path)]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "coeff"])
+    @pytest.mark.parametrize("branch", ["1", "3", "-1"])
+    def test_other_branch_exits_2(self, capsys, source, command, branch):
+        assert main([command] + source + ["--branch", branch]) == 2
+        assert capsys.readouterr() == ("", f"error: branch {branch} out of range (found 1)\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "coeff"])
+    def test_branch_0_is_the_default(self, capsys, source, command):
+        assert main([command] + source) == 0
+        default = capsys.readouterr()
+        assert main([command] + source + ["--branch", "0"]) == 0
+        assert capsys.readouterr() == default
+
+
 class TestSignedAngleArgs:
     @pytest.mark.parametrize("value", ["-pi/2", "-3pi/4"])
     def test_separate_token_matches_joined(self, capsys, tmp_path, value):

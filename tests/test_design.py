@@ -367,6 +367,22 @@ class TestScan:
         assert res == pytest.approx(best, rel=1e-12)
 
 
+    @pytest.mark.parametrize("m", [0, -1, 1.5, math.nan, math.inf, "x"])
+    def test_m_follows_the_count_rule(self, m):
+        with pytest.raises(ValueError, match="^m must be a positive integer$"):
+            three_pulse_scan(TargetRotation(PI, 0.0), [PI], m)
+
+    def test_integral_float_m_accepted(self):
+        target = TargetRotation(1.0, 0.3)
+        assert np.array_equal(three_pulse_scan(target, [3.480977, 2 * PI], 2.0),
+                              three_pulse_scan(target, [3.480977, 2 * PI], 2))
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_named(self, gamma):
+        with pytest.raises(ValueError, match="^scan angle gamma must be finite$"):
+            three_pulse_scan(TargetRotation(PI, 0.0), [1.0, gamma])
+
+
 def brute_force_minimum(theta, alpha, m, gamma, n=512):
     """Smallest derivative residual over an n x n (phi1, phi2) grid, with its
     phases: central difference of the quaternion product of (theta, alpha),

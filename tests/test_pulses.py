@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cpulse.analysis import fidelity
+from cpulse.design import design_five_pulse, design_wm, design_wn
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _count,
                            compile_sequence, embed_target, format_sequence,
                            parse_sequence, repeated, sequence_from_json,
@@ -12,6 +14,17 @@ from cpulse.su2 import rotation
 from su2_oracle import EZ, IDENTITY, exp_pauli
 
 PI = np.pi
+
+
+# each public count argument, as a call of that argument alone, with its name
+COUNTED = [
+    (lambda n: repeated(bb1_corrector(), n), "repeat count"),
+    (lambda n: design_wn(n, TargetRotation(PI, 0.0)), "n"),
+    (lambda m: design_wm(m, TargetRotation(PI, 0.0)), "m"),
+    (lambda p: design_five_pulse(p, 1, 1, TargetRotation(PI, PI)), "p"),
+    (lambda q: design_five_pulse(1, q, 1, TargetRotation(PI, PI)), "q"),
+    (lambda r: design_five_pulse(2, 2, r, TargetRotation(PI, PI)), "r"),
+]
 
 
 def phase_shifted(seq, delta):
@@ -162,6 +175,21 @@ class TestRepeat:
         for bad in (0, -2, 1.5):
             with pytest.raises(ValueError, match="^x must be a positive integer$"):
                 _count(bad, "x")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", "2", None])
+    @pytest.mark.parametrize("call,name", COUNTED)
+    def test_every_count_rejects_non_numbers_with_its_message(self, call, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+            call(bad)
+
+    def test_integral_float_and_true_accepted(self):
+        t, t5 = TargetRotation(PI, 0.0), TargetRotation(PI, PI)
+        assert repeated(bb1_corrector(), 2.0) == repeated(bb1_corrector(), 2)
+        assert repeated(bb1_corrector(), True) == bb1_corrector()
+        for design in (design_wn, design_wm):
+            assert design(2.0, t) == design(2, t) and design(True, t) == design(1, t)
+        assert design_five_pulse(True, 2.0, True, t5) == design_five_pulse(1, 2, 1, t5)
+        assert design_five_pulse(2.0, True, True, t5) == design_five_pulse(2, 1, 1, t5)
 
 
 class TestSerialization:

@@ -6,6 +6,7 @@ FitReport and DesignResult."""
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -120,17 +121,34 @@ class TestValidation:
         with pytest.raises(TypeError, match=r"^sequence entries must be Pulse instances$"):
             PulseSequence((Pulse(1.0, 0.0), entry))
 
-    @pytest.mark.parametrize("eps", [[], [0.1, 0.0], [0.0, 0.0], np.array([0.0, 0.2, 0.1])])
+    @pytest.mark.parametrize("eps", [[], [0.1, 0.0], [0.0, 0.0], np.array([0.0, 0.2, 0.1]),
+                                     [0.1, math.nan, 0.3], [math.nan, 0.1], [math.nan]])
     def test_sweep_table_grid(self, eps):
         n = len(eps)
         with pytest.raises(ValueError,
                            match=r"^epsilon grid must be nonempty and strictly increasing$"):
             SweepTable(eps, [1.0] * n, [0.0] * n)
 
-    @pytest.mark.parametrize("fid", [[1.0, 1.1], [-0.1, 1.0]])
+    @pytest.mark.parametrize("fid", [[1.0, 1.1], [-0.1, 1.0], [1.0, math.nan]])
     def test_sweep_table_fidelities(self, fid):
         with pytest.raises(ValueError, match=r"^fidelities must lie in \[0, 1\]$"):
             SweepTable([0.0, 0.1], fid, [0.0, 0.0])
+
+    @pytest.mark.parametrize("infid", [[0.0, 1.1], [-0.1, 0.0], [math.nan, 0.0],
+                                       np.array([0.0, math.inf])])
+    def test_sweep_table_infidelities(self, infid):
+        with pytest.raises(ValueError, match=r"^infidelities must lie in \[0, 1\]$"):
+            SweepTable([0.0, 0.1], [1.0, 1.0], infid)
+
+    def test_sweep_table_infidelity_slack_matches_fidelity(self):
+        t = SweepTable([0.0, 0.1], [1.0 + 1e-13, -1e-13], [-1e-13, 1.0 + 1e-13])
+        assert t.infidelities == [-1e-13, 1.0 + 1e-13]
+
+    @pytest.mark.parametrize("fid,infid", [([1.0], [0.0, 0.0, 0.0]), ([1.0, 1.0], [0.0]),
+                                           ([1.0, 1.0, 1.0], [0.0, 0.0]), (1.0, [0.0, 0.0])])
+    def test_sweep_table_columns_of_unequal_length(self, fid, infid):
+        with pytest.raises(ValueError, match=r"^sweep table columns must have equal length$"):
+            SweepTable([0.0, 0.1], fid, infid)
 
 
 RECORDS = {
@@ -152,6 +170,40 @@ FIELDS = {
                "mirror_phases"),
 }
 
+
+class TestMakeAndReplace:
+    """namedtuple's _make, and _replace through it, build only via __new__."""
+
+    @pytest.mark.parametrize("name,fields", [
+        ("pulse", (-1.0, 0.0)), ("pulse", (math.nan, 0.0)), ("target", (0.0, 1.0)),
+        ("target", (1.0, math.inf)),
+        ("sweep", ([0.1, 0.0], [1.0, 1.0], [0.0, 0.0], "s")),
+        ("sweep", ([0.0, 0.1], [1.0, 1.5], [0.0, 0.0], "s")),
+        ("sweep", ([0.0, 0.1], [1.0, 1.0], [0.0, math.nan], "s")),
+    ])
+    def test_reject_what_the_constructor_rejects(self, name, fields):
+        valid = RECORDS[name]()
+        cls = type(valid)
+        with pytest.raises(ValueError) as ctor:
+            cls(*fields)
+        same = "^%s$" % re.escape(str(ctor.value))
+        with pytest.raises(ValueError, match=same):
+            cls._make(fields)
+        with pytest.raises(ValueError, match=same):
+            valid._replace(**dict(zip(cls._fields, fields)))
+
+    def test_phase_reduced_as_by_the_constructor(self):
+        made = Pulse._make([1.0, -0.5])
+        assert made == Pulse(1.0, -0.5) and hash(made) == hash(Pulse(1.0, -0.5))
+        assert Pulse(1.0, 0.0)._replace(phase=-0.5) == Pulse(1.0, -0.5)
+        assert TargetRotation._make([PI, 2 * PI]) == TargetRotation(PI, 0.0)
+
+    @pytest.mark.parametrize("name", ["pulse", "target", "sweep"])
+    def test_valid_fields_round_trip(self, name):
+        obj = RECORDS[name]()
+        made = type(obj)._make(obj)
+        assert type(made) is type(obj) and made == obj
+        assert obj._replace() == obj
 
 class TestImmutability:
     @pytest.mark.parametrize("name", sorted(RECORDS))
