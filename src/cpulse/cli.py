@@ -5,12 +5,12 @@ sweep and coeff resolve it once to the error-bearing pulse list: the bare
 target pulse for plain, else the corrector placed inside the target.
 design, simulate and coeff print text or, with --format json, one object.
 
-simulate prints the scalar kernel's matrix (pulses._jet, compile_sequence's
-bit for bit) and takes its fidelity and infidelity from pulses._overlap_at,
-which carries U's Cayley-Klein pair (a, b) as four floats.  sweep streams the
-library sweep's rows bit for bit from the same evaluator, over a grid
-generated point by point and walked once.  No command but verify --scan
-loads numpy, and only JSON input or output loads json.
+simulate makes one pass of the one-point kernel, pulses._jet: it prints the
+matrix (compile_sequence's bit for bit) and its pulses._entry_overlap.  sweep
+builds the many-point kernel, pulses._overlap_at, once and streams the library
+sweep's rows from it bit for bit, over a grid generated point by point and
+walked once.  No command but verify --scan loads numpy, and only JSON input
+or output loads json.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible design or bad
 input, 3 I/O error.  CSV output is byte-stable for a fixed invocation
@@ -28,9 +28,9 @@ from .bch import analytic_c
 from .design import (DERIVATIVE_TOL, IDENTITY_TOL, InfeasibleDesign, derivative_residual,
                      design_five_pulse, design_wm, design_wn, identity_residual,
                      three_pulse_scan)
-from .pulses import (Pulse, PulseSequence, TargetRotation, _jet, _overlap_at, embed_target,
-                     format_sequence, parse_sequence, sequence_from_json,
-                     sequence_to_json)
+from .pulses import (MAX_MULTIPLE, Pulse, PulseSequence, TargetRotation, _entry_overlap, _jet,
+                     _overlap_at, _target_conj, embed_target, format_sequence, parse_sequence,
+                     sequence_from_json, sequence_to_json)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -52,10 +52,9 @@ TABLE1_TOL = 0.01
 # sweep rows per write: a write per row is a syscall each on unbuffered
 # stdout, one string for the whole sweep costs its size in memory
 SWEEP_BLOCK = 1024
-# Upper bounds on the integer flags: a job's time and memory grow linearly
-# with --n and --eps-count, so without a bound one argument can ask for a
-# job that runs for days or exhausts memory.
-MAX_MULTIPLE = 1000
+# Upper bounds on the integer flags, checked before any work and on flags the
+# family ignores: a job's time and memory grow linearly with --n and
+# --eps-count, so one unbounded argument can ask for days or all memory.
 MAX_EPS_COUNT = 10 ** 6
 # A sweep grid with a coarser step is not walked for repeats: with -1 < lo <
 # hi < 1 every point, hi too, lies within 3.3e-16 of lo + k * step (roundings
@@ -208,10 +207,10 @@ def cmd_design(args) -> int:
 
 def cmd_simulate(args) -> int:
     full, label, target = _source(args)
-    # the two numbers from sweep's pair evaluator; the printed matrix from _jet
-    # (compile_sequence's bit for bit), whose zero signs the pair does not carry
-    fid, infid = _overlap_at(full, target)(args.eps)
-    u = _jet(full, args.eps, 0)
+    # one pass of the scalar kernel: the printed matrix is compile_sequence's
+    # bit for bit, and its overlap the pair evaluator's (tests/test_pair_kernel.py)
+    u = _jet(full, args.eps)[:4]
+    fid, infid = _entry_overlap(*u, _target_conj(target))
     rows = (u[:2], u[2:])
     obj = {
         "label": label,
@@ -242,19 +241,19 @@ def cmd_sweep(args) -> int:
     # nothing may fail once output starts, so two checks come first: every
     # pulse angle is largest at eps-max, where an overflow would show, and a
     # grid that rounds to repeated points gets SweepTable's message
-    _overlap_at(full, target)(args.eps_max)
+    at = _overlap_at(full, target)
+    at(args.eps_max)
     if ((args.eps_max - args.eps_min) / (args.eps_count - 1) <= DISTINCT_STEP
             and any(b <= a for a, b in pairwise(_lin_grid(*grid)))):
         raise ValueError("epsilon grid must be nonempty and strictly increasing")
-    _write(args, _sweep_blocks(label, _sweep_rows(full, target, _lin_grid(*grid)),
-                               args.format == "json"))
+    _write(args, _sweep_blocks(label, _sweep_rows(at, _lin_grid(*grid)), args.format == "json"))
     return EXIT_OK
 
 
-def _sweep_rows(full, target, grid):
+def _sweep_rows(at, grid):
     """(epsilon, fidelity, infidelity) per error of the grid, as Python
-    floats: sweep(full, target, grid, embed=False)'s columns bit for bit."""
-    at = _overlap_at(full, target)
+    floats, from at = _overlap_at(full, target): sweep(full, target, grid,
+    embed=False)'s columns bit for bit."""
     for e in grid:
         infid = at(e)[1]
         yield e, 1.0 - infid, infid

@@ -44,7 +44,7 @@ class DesignResult(namedtuple("DesignResult", "label sequence phases identity_re
 def identity_residual(seq: PulseSequence) -> float:
     """1 - trace fidelity of the compiled sequence against the identity,
     by the shared scalar overlap (pulses._entry_overlap)."""
-    return _entry_overlap(*_jet(seq, 0.0, 0), ((1.0, 0.0), (0.0, 1.0)))[1]
+    return _entry_overlap(*_jet(seq)[:4], ((1.0, 0.0), (0.0, 1.0)))[1]
 
 
 def error_derivative(seq: PulseSequence) -> np.ndarray:
@@ -268,4 +268,4 @@ def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1) -> np.ndar
     if gammas is None:
         gammas = np.linspace(0.12, TWO_PI - 0.12, 61)
     return np.array([(g, _split_residual(target.theta, g, m))
-                     for g in np.asarray(gammas, dtype=float).tolist()])
+                     for g in np.asarray(gammas, dtype=float).tolist()]).reshape(-1, 2)

@@ -115,10 +115,10 @@ def compile_sequence(seq: PulseSequence, epsilon: float = 0.0) -> np.ndarray:
     return np.array([[a, b], [c, d]], dtype=complex)
 
 
-def _jet(seq: PulseSequence, epsilon: float = 0.0, order: int = 1) -> tuple:
+def _jet(seq: PulseSequence, epsilon: float = 0.0) -> tuple:
     """compile_sequence(seq, epsilon) as four Python complexes a, b, c, d
-    (U = [[a, b], [c, d]], equal to it bit for bit), followed with order 1
-    by dU/d(epsilon) likewise.
+    (U = [[a, b], [c, d]], equal to it bit for bit), followed by
+    dU/d(epsilon) likewise: the kernel for results at one error.
 
     Each pulse's rotation R comes from su2.rotation's own entries, at
     angle * (1 + epsilon).  R = exp((1 + epsilon) G), with G = -i angle/2
@@ -133,12 +133,11 @@ def _jet(seq: PulseSequence, epsilon: float = 0.0, order: int = 1) -> tuple:
         cp, sp = math.cos(p.phase), math.sin(p.phase)
         (r, r01), (r10, _) = _entries(p.angle * (1.0 + epsilon), cp, sp)
         a, b, c, d = r * a + r01 * c, r * b + r01 * d, r10 * a + r * c, r10 * b + r * d
-        if order:
-            hc, hs = 0.5 * p.angle * cp, 0.5 * p.angle * sp
-            g01, g10 = complex(-hs, -hc), complex(hs, -hc)
-            da, db, dc, dd = (r * da + r01 * dc + g01 * c, r * db + r01 * dd + g01 * d,
-                              r10 * da + r * dc + g10 * a, r10 * db + r * dd + g10 * b)
-    return (a, b, c, d, da, db, dc, dd) if order else (a, b, c, d)
+        hc, hs = 0.5 * p.angle * cp, 0.5 * p.angle * sp
+        g01, g10 = complex(-hs, -hc), complex(hs, -hc)
+        da, db, dc, dd = (r * da + r01 * dc + g01 * c, r * db + r01 * dd + g01 * d,
+                          r10 * da + r * dc + g10 * a, r10 * db + r * dd + g10 * b)
+    return a, b, c, d, da, db, dc, dd
 
 
 def _entry_overlap(v00, v01, v10, v11, uc) -> tuple:
@@ -163,8 +162,9 @@ def _target_conj(target: TargetRotation) -> tuple:
 
 def _overlap_at(full: PulseSequence, target: TargetRotation):
     """e -> (fidelity, infidelity) of the sequence at error e against the
-    target: _entry_overlap(*_jet(full, e, 0), _target_conj(target)) float bit
-    for bit, with _jet's checks and messages.  It carries the pair (a, b) of
+    target, the kernel for many errors (sweep rows, fits, crossover):
+    _entry_overlap(*_jet(full, e)[:4], _target_conj(target)) float bit for
+    bit, with _jet's checks and messages.  It carries the pair (a, b) of
     U = [[a, b], [-conj(b), conj(a)]] as four floats, and each phase's trig
     once.  Complex products are spelled out in CPython's order, negations
     folded in: only a zero's sign can differ, which moduli and squares drop."""
@@ -210,14 +210,20 @@ def embed_target(seq: PulseSequence, target: TargetRotation,
     return PulseSequence(tuple(head) + seq.pulses + tuple(tail))
 
 
+# the largest count: a job's time and memory grow linearly with it
+MAX_MULTIPLE = 1000
+
+
 def _count(value, name: str) -> int:
-    """value as an int; ValueError "<name> must be a positive integer" else."""
+    """value as an int in [1, MAX_MULTIPLE]; else ValueError "<name> must be
+    a positive integer", or "<name> must be at most 1000" for a larger one."""
     try:
-        if int(value) == value and value >= 1:
-            return int(value)
+        ok = int(value) == value and value >= 1
     except (TypeError, ValueError, OverflowError):   # None, NaN, +-inf, "x"
-        pass
-    raise ValueError(f"{name} must be a positive integer")
+        ok = False
+    if ok and value <= MAX_MULTIPLE:
+        return int(value)
+    raise ValueError(f"{name} must be {f'at most {MAX_MULTIPLE}' if ok else 'a positive integer'}")
 
 
 def repeated(seq: PulseSequence, n: int) -> PulseSequence:

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import itertools
 import json
 import math
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -11,8 +14,8 @@ from cpulse import cli
 from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling, sweep
 from cpulse.cli import main, parse_angle
 from cpulse.design import design_five_pulse, design_wm, design_wn, three_pulse_scan
-from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, embed_target,
-                           format_sequence, parse_sequence, sequence_to_json)
+from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _overlap_at, compile_sequence,
+                           embed_target, format_sequence, parse_sequence, sequence_to_json)
 
 PI = math.pi
 
@@ -255,6 +258,21 @@ class TestSweep:
         monkeypatch.setattr(cli, "pairwise", lambda it: calls.append(1) or itertools.pairwise(it))
         assert main(["sweep", "--family", "plain", "--out", str(tmp_path / "s.csv")] + argv) == 0
         assert len(calls) == walks
+
+
+class TestOneKernelPerJob:
+    """simulate evaluates one product and sweep builds one pair evaluator."""
+
+    def test_simulate_does_not_build_the_pair_evaluator(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_overlap_at", lambda *args: pytest.fail("_overlap_at built"))
+        assert main(["simulate", "--family", "wn", "--n", "2", "--eps", "0.1"]) == 0
+
+    def test_sweep_builds_the_pair_evaluator_once(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "_overlap_at", lambda *args: built.append(args) or
+                            _overlap_at(*args))
+        assert main(["sweep", "--family", "wm", "--eps-count", "5"]) == 0
+        assert len(built) == 1
 
 
 class TestSweepRenderer:
@@ -699,6 +717,59 @@ class TestSimulate:
     def test_output_bytes_are_pinned(self, capsys, command):
         assert main(command.split()) == 0
         assert capsys.readouterr().out == self.GOLDEN[command]
+
+    # (argv fragment, corrector for a target) of each designed source
+    DESIGNED = [
+        (["--family", "wm", "--m", "1"], lambda t: design_wm(1, t).sequence),
+        (["--family", "wm", "--m", "3"], lambda t: design_wm(3, t).sequence),
+        (["--family", "wn", "--n", "2"], lambda t: design_wn(2, t).sequence),
+        (["--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1", "--branch", "1"],
+         lambda t: design_five_pulse(1, 2, 1, t)[1].sequence),
+    ]
+
+    def test_json_numbers_are_both_kernels_bit_for_bit(self, tmp_path_factory):
+        # simulate's fidelity and infidelity are the pair evaluator's, and its
+        # matrix compile_sequence's, bit for bit, signed zeros included
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = tmp_path_factory.mktemp("simulate") / "seq.txt"
+        edge = 1.0 - 2.0 ** -53
+        pulses = st.lists(st.builds(Pulse, st.floats(0.0, 4 * PI), st.floats(-10.0, 10.0)),
+                          min_size=1, max_size=6)
+
+        def bits(values):
+            return struct.pack(f"<{len(values)}d", *values)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(theta=st.floats(1e-3, 4 * PI - 1e-3), alpha=st.floats(-10.0, 10.0),
+                          source=st.sampled_from(self.DESIGNED + ["plain"]) | pulses,
+                          split=st.sampled_from([0.0, 0.3, 1.0]),
+                          eps=st.sampled_from([0.0, -0.0, edge, -edge]) | st.floats(-edge, edge))
+        def check(theta, alpha, source, split, eps):
+            target = TargetRotation(theta, alpha)
+            argv = ["simulate", f"--theta={theta!r}", f"--alpha={alpha!r}",
+                    f"--split={split!r}", f"--eps={eps!r}", "--format", "json"]
+            if source == "plain":
+                argv += ["--family", "plain"]
+                full = PulseSequence((Pulse(target.theta, target.alpha),))
+            elif isinstance(source, tuple):
+                argv += source[0]
+                full = embed_target(source[1](target), target, split)
+            else:
+                path.write_text(format_sequence(PulseSequence(tuple(source))))
+                argv += ["--seq", str(path)]
+                full = embed_target(parse_sequence(path.read_text()), target, split)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            obj = json.loads(out.getvalue())
+            assert (bits([obj["fidelity"], obj["infidelity"]])
+                    == bits(_overlap_at(full, target)(eps)))
+            assert (bits([x for row in obj["matrix"] for z in row for x in z])
+                    == bits([x for z in compile_sequence(full, eps).ravel().tolist()
+                             for x in (z.real, z.imag)]))
+
+        check()
 
 
 class TestTable1:

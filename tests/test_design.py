@@ -377,6 +377,10 @@ class TestScan:
         assert np.array_equal(three_pulse_scan(target, [3.480977, 2 * PI], 2.0),
                               three_pulse_scan(target, [3.480977, 2 * PI], 2))
 
+    def test_empty_grid_keeps_the_row_shape(self):
+        rows = three_pulse_scan(TargetRotation(PI, 0.0), [])
+        assert rows.shape == (0, 2) and rows[:, 1].tolist() == []
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_non_finite_gamma_named(self, gamma):
         with pytest.raises(ValueError, match="^scan angle gamma must be finite$"):

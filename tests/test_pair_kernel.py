@@ -1,6 +1,6 @@
 """pulses._overlap_at, the four-float pair kernel behind sweep rows, fits
 and crossover, against the scalar kernel's overlap
-_entry_overlap(*_jet(...), _target_conj(...)), bit for bit, on the sequences
+_entry_overlap(*_jet(...)[:4], _target_conj(...)), bit for bit, on the sequences
 the sweep and fit jobs evaluate: W1, W1x4 and every W222 branch, placed at
 split 1 and 0.3, over a dense grid and the edge errors.  These sequences
 repeat (angle, phase) pulses, which the property tests rarely draw.
@@ -38,7 +38,7 @@ def test_pair_kernel_is_jet_overlap_bit_for_bit():
                 at = _overlap_at(full, target)
                 for e in errors:
                     pair = struct.pack("<2d", *at(e))
-                    jet = struct.pack("<2d", *_entry_overlap(*_jet(full, e, 0), uc))
+                    jet = struct.pack("<2d", *_entry_overlap(*_jet(full, e)[:4], uc))
                     assert pair == jet, (target, label, split, e)
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cpulse.analysis import fidelity
-from cpulse.design import design_five_pulse, design_wm, design_wn
-from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _count,
+from cpulse.design import design_five_pulse, design_wm, design_wn, three_pulse_scan
+from cpulse.pulses import (MAX_MULTIPLE, Pulse, PulseSequence, TargetRotation, _count,
                            compile_sequence, embed_target, format_sequence,
                            parse_sequence, repeated, sequence_from_json,
                            sequence_to_json)
@@ -190,6 +190,22 @@ class TestRepeat:
             assert design(2.0, t) == design(2, t) and design(True, t) == design(1, t)
         assert design_five_pulse(True, 2.0, True, t5) == design_five_pulse(1, 2, 1, t5)
         assert design_five_pulse(2.0, True, True, t5) == design_five_pulse(2, 1, 1, t5)
+
+    @pytest.mark.parametrize("call,name,count", [
+        pytest.param(lambda n: design_wn(n, TargetRotation(PI, 0.0)), "n", 1e300,
+                     id="design_wn-1e300"),
+        pytest.param(lambda n: repeated(bb1_corrector(), n), "repeat count", 10 ** 300,
+                     id="repeated-10**300"),
+        pytest.param(lambda m: three_pulse_scan(TargetRotation(PI, 0.0), [PI], m), "m", 1001,
+                     id="three_pulse_scan-1001"),
+    ] + [pytest.param(call, name, MAX_MULTIPLE + 1, id=f"{name}-1001") for call, name in COUNTED])
+    def test_count_above_the_bound_is_rejected(self, call, name, count):
+        with pytest.raises(ValueError, match=f"^{name} must be at most 1000$"):
+            call(count)
+
+    def test_count_at_the_bound_is_accepted(self):
+        assert MAX_MULTIPLE == 1000
+        assert repeated(bb1_corrector(), 1000) == PulseSequence(bb1_corrector().pulses * 1000)
 
 
 class TestSerialization:
