@@ -87,16 +87,13 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
 
 
 def _lin_grid(lo: float, hi: float, n: int):
-    """n evenly spaced Python floats from lo to hi, one at a time: np.linspace's
-    values bit for bit.  That is k * step + lo with the last point hi itself,
-    and (k / (n - 1)) * (hi - lo) + lo when the step underflows to 0."""
-    div = max(n - 1, 1)
-    delta = hi - lo
-    step = delta / div
-    for k in range(div if n > 1 else n):
-        yield (k * step if step else k / div * delta) + lo
-    if n > 1:
-        yield hi
+    """n >= 2 evenly spaced Python floats from lo to hi, one at a time:
+    np.linspace's values bit for bit.  That is k * step + lo with the last
+    point hi itself, and (k / (n - 1)) * (hi - lo) + lo when the step underflows."""
+    step = (hi - lo) / (n - 1)
+    for k in range(n - 1):
+        yield (k * step if step else k / (n - 1) * (hi - lo)) + lo
+    yield hi
 
 
 def _log_grid(window, n: int) -> list:

@@ -17,7 +17,7 @@ from collections import namedtuple
 from ._numpy import np
 from .pulses import (PulseSequence, TargetRotation, _count, _entry_overlap, _jet,
                      embed_target, reduce_angle, repeated)
-from .su2 import TWO_PI
+from .su2 import TWO_PI, _finite
 
 IDENTITY_TOL = 1e-12
 DERIVATIVE_TOL = 1e-9
@@ -212,7 +212,7 @@ def design_five_pulse(p: int, q: int, r: int,
 
 
 def _split_residual(theta, gamma, m):
-    """sqrt(min |v|^2 / 2) over all phases of the (gamma, eta, gamma)
+    """(gamma, sqrt(min |v|^2 / 2)) over all phases of the (gamma, eta, gamma)
     corrector, eta = 2(2m pi - gamma), for v of three_pulse_scan.  In the
     frame of the first corrector axis, with delta = alpha - phi1,
     psi = phi2 - phi1, c = cos psi and K = 1 - cos eta,
@@ -230,8 +230,9 @@ def _split_residual(theta, gamma, m):
     root of the sextic S'^2 (S - Q) - theta^2 (S' - Q')^2; other roots,
     clipped, only add candidates.
     """
-    if not math.isfinite(gamma):
+    if not _finite(gamma):
         raise ValueError("scan angle gamma must be finite")
+    gamma = float(gamma)
     eta = 2.0 * (2.0 * m * math.pi - gamma)
     k = 1.0 - math.cos(eta)
     cg, sg, se = math.cos(gamma), math.sin(gamma), math.sin(eta)
@@ -250,7 +251,7 @@ def _split_residual(theta, gamma, m):
     # sums of squares: theta^2 + S - 2 theta rho cancels to ~1e-8 when flat
     rho = np.sqrt(np.polyval(bx, c) ** 2 + (1.0 - c * c) * np.polyval(bu, c) ** 2)
     v2 = (theta - rho) ** 2 + (1.0 - c * c) * np.polyval(bh, c) ** 2
-    return math.sqrt(float(v2.min()) / 2.0)
+    return gamma, math.sqrt(float(v2.min()) / 2.0)
 
 
 def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1) -> np.ndarray:
@@ -261,11 +262,9 @@ def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1) -> np.ndar
     Frobenius norm |v| / sqrt(2), v = sum_k theta_k m_k with m_k pulse k's
     axis carried back through the earlier pulses; _split_residual minimises
     |v| in closed form, free of the target azimuth.  The residual vanishes
-    only at integer multiples of pi: no other symmetric 3-pulse split admits
-    a first-order-flat sequence.
+    only at gamma = m pi, the default grid's midpoint: no other symmetric
+    3-pulse split admits a first-order-flat sequence.
     """
     m = _count(m, "m")
-    if gammas is None:
-        gammas = np.linspace(0.12, TWO_PI - 0.12, 61)
-    return np.array([(g, _split_residual(target.theta, g, m))
-                     for g in np.asarray(gammas, dtype=float).tolist()]).reshape(-1, 2)
+    gammas = np.linspace(0.12, 2 * m * math.pi - 0.12, 61) if gammas is None else gammas
+    return np.array([_split_residual(target.theta, g, m) for g in gammas]).reshape(-1, 2)

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .su2 import TWO_PI, _entries, _split, rotation
+from .su2 import TWO_PI, _entries, _finite, _split, rotation
 
 
 def reduce_angle(phi: float) -> float:
@@ -32,7 +32,7 @@ class Pulse(namedtuple("Pulse", "angle phase")):
     _make = _checked_make
 
     def __new__(cls, angle, phase):
-        if not (math.isfinite(angle) and math.isfinite(phase)):
+        if not (_finite(angle) and _finite(phase)):
             raise ValueError("pulse angle and phase must be finite")
         if angle < 0:
             raise ValueError("pulse angle must be >= 0 (fold sign into the phase)")
@@ -89,7 +89,7 @@ class TargetRotation(namedtuple("TargetRotation", "theta alpha")):
     _make = _checked_make
 
     def __new__(cls, theta, alpha):
-        if not (math.isfinite(theta) and math.isfinite(alpha)):
+        if not (_finite(theta) and _finite(alpha)):
             raise ValueError("target angles must be finite")
         if not 0.0 < theta < 2.0 * TWO_PI:
             raise ValueError("target theta must lie in (0, 4*pi)")
@@ -106,7 +106,7 @@ def compile_sequence(seq: PulseSequence, epsilon: float = 0.0) -> np.ndarray:
     compile(s1 ++ s2) = compile(s2) @ compile(s1).  The running product is
     four Python complexes; the 2x2 array is built once at the end.
     """
-    if not math.isfinite(epsilon) or abs(epsilon) >= 1.0:
+    if not abs(epsilon) < 1.0:   # NaN fails the comparison too
         raise ValueError("fractional error must satisfy |epsilon| < 1")
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for p in seq:
@@ -125,7 +125,7 @@ def _jet(seq: PulseSequence, epsilon: float = 0.0) -> tuple:
     (X cos phase + Y sin phase), so dR/d(epsilon) = G R: U maps to R U and
     D to R D + G R U.  Input checks and messages are compile_sequence's.
     """
-    if not math.isfinite(epsilon) or abs(epsilon) >= 1.0:
+    if not abs(epsilon) < 1.0:
         raise ValueError("fractional error must satisfy |epsilon| < 1")
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     da = db = dc = dd = 0.0
@@ -174,7 +174,7 @@ def _overlap_at(full: PulseSequence, target: TargetRotation):
     u01r, u01i, u10r, u10i = u01.real, u01.imag, u10.real, u10.imag
 
     def at(e: float) -> tuple:
-        if not math.isfinite(e) or abs(e) >= 1.0:
+        if not abs(e) < 1.0:
             raise ValueError("fractional error must satisfy |epsilon| < 1")
         scale = 1.0 + e
         # angle * scale grows with angle, so the longest pulse overflows first

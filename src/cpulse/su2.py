@@ -13,6 +13,14 @@ from ._numpy import np
 TWO_PI = 2.0 * math.pi
 
 
+def _finite(x) -> bool:
+    """math.isfinite(x), False for an int too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def axis_vector(phi: float) -> np.ndarray:
     """Unit 3-vector of the XY-plane axis at azimuth phi."""
     return np.array([np.cos(phi), np.sin(phi), 0.0])
@@ -26,7 +34,7 @@ def rotation(theta: float, alpha: float) -> np.ndarray:
     scalar trig on Python floats (_entries, which the scalar kernels share).
     theta may be negative (opposite sense).
     """
-    if not math.isfinite(alpha):
+    if not _finite(alpha):
         raise ValueError("rotation angles must be finite")
     return np.array(_entries(theta, math.cos(alpha), math.sin(alpha)))
 
@@ -34,7 +42,7 @@ def rotation(theta: float, alpha: float) -> np.ndarray:
 def _entries(theta: float, ca: float, sa: float) -> tuple:
     """((c, r01), (r10, c)), the entries of the rotation by theta about the
     axis (ca, sa, 0) as Python scalars: scalar trig on Python floats."""
-    if not math.isfinite(theta):
+    if not _finite(theta):
         raise ValueError("rotation angles must be finite")
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)

@@ -786,23 +786,23 @@ class TestTable1:
         # each row's branch is the one whose fit lies nearest the paper's
         # value (the first, on a tie), so reordering the branches fails here
         target = TargetRotation(PI, PI)
-        for label, (family, ps), branch, paper_c in cli.TABLE1_ROWS:
+        for family, ps, branch, paper_c in cli.TABLE1_ROWS:
             results = ([design_wm(ps[0], target)] if family == "wm"
                        else design_five_pulse(*ps, target))
             dist = [abs(fit_error_scaling(r.sequence, target, COEFF_WINDOW).coefficient
                         - paper_c) for r in results]
-            assert branch == dist.index(min(dist)), label
+            assert branch == dist.index(min(dist)), results[branch].label
 
     def test_row_off_the_paper_exits_1_after_every_row(self, capsys, monkeypatch):
         rows = list(cli.TABLE1_ROWS)
-        label, source, branch, paper_c = rows[2]
-        rows[2] = (label, source, branch, 2.0 * paper_c)
+        family, ps, branch, paper_c = rows[2]
+        rows[2] = (family, ps, branch, 2.0 * paper_c)
         monkeypatch.setattr(cli, "TABLE1_ROWS", rows)
         assert main(["table1"]) == 1
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 7
         [line] = captured.err.splitlines()
-        assert line.startswith(f"FAIL {label}: relative error ")
+        assert line.startswith("FAIL W3: relative error ")
         assert line.endswith(" exceeds 1%")
 
     def test_one_fit_per_row(self, capsys, monkeypatch):

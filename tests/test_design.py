@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cpulse.analysis import fit_error_scaling, infidelity
-from cpulse.design import (InfeasibleDesign, _validated, derivative_residual,
+from cpulse.design import (DERIVATIVE_TOL, InfeasibleDesign, _validated, derivative_residual,
                            design_five_pulse, design_wm, design_wn,
                            error_derivative, identity_residual,
                            three_pulse_scan)
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target, reduce_angle)
-from cpulse.su2 import rotation
+from cpulse.su2 import TWO_PI, rotation
 from su2_oracle import IDENTITY, xy_axis
 
 PI = np.pi
@@ -377,11 +377,24 @@ class TestScan:
         assert np.array_equal(three_pulse_scan(target, [3.480977, 2 * PI], 2.0),
                               three_pulse_scan(target, [3.480977, 2 * PI], 2))
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_default_grid_reaches_the_flat_split_m_pi(self, m):
+        rows = three_pulse_scan(TargetRotation(PI, 0.0), m=m)
+        assert rows.shape == (61, 2)
+        assert np.flatnonzero(rows[:, 1] < DERIVATIVE_TOL).tolist() == [30]
+        assert rows[30, 0] == pytest.approx(m * PI, rel=1e-15)
+
+    def test_default_grid_at_m_1(self):
+        rows = three_pulse_scan(TargetRotation(PI, 0.0))
+        assert rows[:, 0].tobytes() == np.linspace(0.12, TWO_PI - 0.12, 61).tobytes()
+
     def test_empty_grid_keeps_the_row_shape(self):
         rows = three_pulse_scan(TargetRotation(PI, 0.0), [])
         assert rows.shape == (0, 2) and rows[:, 1].tolist() == []
 
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10 ** 400, id="huge-int"),
+                                       pytest.param(-10 ** 400, id="huge-negative-int")])
     def test_non_finite_gamma_named(self, gamma):
         with pytest.raises(ValueError, match="^scan angle gamma must be finite$"):
             three_pulse_scan(TargetRotation(PI, 0.0), [1.0, gamma])

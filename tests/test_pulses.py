@@ -6,8 +6,8 @@ import pytest
 
 from cpulse.analysis import fidelity
 from cpulse.design import design_five_pulse, design_wm, design_wn, three_pulse_scan
-from cpulse.pulses import (MAX_MULTIPLE, Pulse, PulseSequence, TargetRotation, _count,
-                           compile_sequence, embed_target, format_sequence,
+from cpulse.pulses import (MAX_MULTIPLE, Pulse, PulseSequence, TargetRotation, _count, _jet,
+                           _overlap_at, compile_sequence, embed_target, format_sequence,
                            parse_sequence, repeated, sequence_from_json,
                            sequence_to_json)
 from cpulse.su2 import rotation
@@ -100,6 +100,14 @@ class TestCompile:
         seq = PulseSequence.from_pairs([(PI, 0.0)])
         with pytest.raises(ValueError):
             compile_sequence(seq, 1.0)
+
+    @pytest.mark.parametrize("eps", [10 ** 400, -10 ** 400], ids=["huge-int", "huge-negative-int"])
+    @pytest.mark.parametrize("kernel", [
+        compile_sequence, _jet, lambda seq, e: _overlap_at(seq, TargetRotation(PI, 0.0))(e)],
+        ids=["compile_sequence", "_jet", "_overlap_at"])
+    def test_epsilon_domain_holds_an_int_too_large_for_a_float(self, kernel, eps):
+        with pytest.raises(ValueError, match=r"^fractional error must satisfy \|epsilon\| < 1$"):
+            kernel(bb1_corrector(), eps)
 
 
 class TestEmbed:

@@ -86,8 +86,11 @@ class TestConstruction:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("angle,phase", [(math.nan, 0.0), (1.0, math.inf),
-                                             (-math.inf, 0.0)])
+    @pytest.mark.parametrize("angle,phase", [
+        (math.nan, 0.0), (1.0, math.inf), (-math.inf, 0.0),
+        pytest.param(10 ** 400, 0.0, id="huge-int-angle"),
+        pytest.param(1.0, 10 ** 400, id="huge-int-phase"),
+        pytest.param(1.0, -10 ** 400, id="huge-negative-int-phase")])
     def test_pulse_non_finite(self, angle, phase):
         with pytest.raises(ValueError, match=r"^pulse angle and phase must be finite$"):
             Pulse(angle, phase)
@@ -101,7 +104,10 @@ class TestValidation:
         with pytest.raises(TypeError):
             Pulse("pi", 0.0)
 
-    @pytest.mark.parametrize("theta,alpha", [(math.nan, 0.0), (1.0, math.inf)])
+    @pytest.mark.parametrize("theta,alpha", [
+        (math.nan, 0.0), (1.0, math.inf),
+        pytest.param(10 ** 400, 0.0, id="huge-int-theta"),
+        pytest.param(1.0, -10 ** 400, id="huge-negative-int-alpha")])
     def test_target_non_finite(self, theta, alpha):
         with pytest.raises(ValueError, match=r"^target angles must be finite$"):
             TargetRotation(theta, alpha)

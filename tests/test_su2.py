@@ -35,6 +35,13 @@ def test_rotation_rejects_non_finite():
         rotation(1.0, np.inf)
 
 
+@pytest.mark.parametrize("theta,alpha", [(10 ** 400, 0.0), (-10 ** 400, 0.0), (1.0, 10 ** 400)],
+                         ids=["huge-int-theta", "huge-negative-int-theta", "huge-int-alpha"])
+def test_rotation_rejects_an_int_too_large_for_a_float(theta, alpha):
+    with pytest.raises(ValueError, match="^rotation angles must be finite$"):
+        rotation(theta, alpha)
+
+
 @pytest.mark.parametrize("theta", [-3.0, 0.0, 0.3, np.pi, 2.1, 9.0])
 @pytest.mark.parametrize("alpha", [0.0, 1.0, np.pi, 4.5])
 def test_rotation_unitary_with_expected_trace(theta, alpha):
