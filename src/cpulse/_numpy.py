@@ -1,15 +1,10 @@
-"""numpy, bound through importlib's LazyLoader recipe and executed on first
-attribute access, so that a job building no array, a design for one, never
-pays numpy's import.  A numpy already imported is used as it is."""
+"""numpy's names, each imported on its first read (PEP 562) and kept here:
+a job that builds no array never imports numpy, cpulse imports without it,
+and the first array call raises ModuleNotFoundError."""
 
-import importlib.util
-import sys
 
-np = sys.modules.get("numpy")
-if np is None:
-    _spec = importlib.util.find_spec("numpy")
-    if _spec is None:
-        raise ModuleNotFoundError("cpulse needs numpy", name="numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(np)
+def __getattr__(name: str):
+    if name.startswith("__"):   # probes such as unittest's __warningregistry__
+        raise AttributeError(name)
+    import numpy
+    return globals().setdefault(name, getattr(numpy, name))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._numpy import np
+from . import _numpy as np
 from .pulses import (PulseSequence, TargetRotation, _checked_make, _entry_overlap,
                      _overlap_at, compile_sequence, embed_target)
 
@@ -78,7 +78,10 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
     given, for bare-pulse baselines and for a corrector already placed with
     embed_target at another split.
     """
-    eps = np.fromiter(eps_grid, dtype=float)
+    try:
+        eps = np.fromiter(eps_grid, dtype=float)
+    except OverflowError:   # an int too large for a float is outside the kernel's domain
+        raise ValueError("fractional error must satisfy |epsilon| < 1") from None
     full = embed_target(seq, target) if embed else seq
     uc = target.unitary().conj().tolist()
     infids = np.fromiter((_entry_overlap(*compile_sequence(full, e).ravel().tolist(), uc)[1]
@@ -106,8 +109,8 @@ def _log_grid(window, n: int) -> list:
 
 def _fit_window(window) -> tuple:
     lo, hi = window
-    if not 0.0 < lo < hi:
-        raise ValueError("fit window needs 0 < eps_min < eps_max")
+    if not 0.0 < lo < hi < 1.0:   # the error domain; NaN and 10**400 fail too
+        raise ValueError("fit window needs 0 < eps_min < eps_max < 1")
     return lo, hi
 
 
@@ -148,7 +151,7 @@ def fit_scaling(table: SweepTable, window=ORDER_WINDOW) -> FitReport:
     list or array columns, are fitted as fit_error_scaling fits its own grid.
     Raises FitWindowError when any infidelity in the window sits at the
     numerical floor; shrink the window from below (larger eps_min) in that
-    case.  The window must satisfy 0 < eps_min < eps_max.
+    case.  The window must satisfy 0 < eps_min < eps_max < 1.
     """
     lo, hi = _fit_window(window)
     pts = [(float(e), float(f)) for e, f in

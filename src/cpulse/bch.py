@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from ._numpy import np
+from . import _numpy as np
 from .pulses import PulseSequence, TargetRotation
 from .su2 import axis_vector
 

@@ -9,7 +9,7 @@ simulate makes one pass of the one-point kernel, pulses._jet: it prints the
 matrix (compile_sequence's bit for bit) and its pulses._entry_overlap.  sweep
 builds the many-point kernel, pulses._overlap_at, once and streams the library
 sweep's rows from it bit for bit, over a grid generated point by point and
-walked once.  No command but verify --scan loads numpy, and only JSON input
+walked once.  No command but verify --scan imports numpy, and only JSON input
 or output loads json.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible design or bad

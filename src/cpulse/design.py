@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._numpy import np
+from . import _numpy as np
 from .pulses import (PulseSequence, TargetRotation, _count, _entry_overlap, _jet,
                      embed_target, reduce_angle, repeated)
 from .su2 import TWO_PI, _finite

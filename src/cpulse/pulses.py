@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._numpy import np
+from . import _numpy as np
 from .su2 import TWO_PI, _entries, _finite, _split, rotation
 
 

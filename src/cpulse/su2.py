@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from ._numpy import np
+from . import _numpy as np
 
 TWO_PI = 2.0 * math.pi
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepTable(np.array([0.1, 0.1]), np.array([1.0, 1.0]),
                        np.array([0.0, 0.0]))
+
+    def test_int_too_large_for_a_float_is_outside_the_error_domain(self):
+        # numpy's conversion overflows; the sweep raises the kernel's error
+        with pytest.raises(ValueError, match=r"^fractional error must satisfy \|epsilon\| < 1$"):
+            sweep(bb1_corrector(), TargetRotation(PI, 0.0), [10**400])
 
     def test_bb1_matches_analytic_sixth_order_at_0p05(self):
         target = TargetRotation(PI, 0.0)
@@ -199,15 +205,26 @@ class TestFit:
         # a table may hold negative errors; a window reaching them has no log
         table = plain_sweep(TargetRotation(PI, 0.0), [-0.08, -0.04, 0.02, 0.04, 0.08])
         for window in ((-0.1, 0.1), (0.0, 0.1)):
-            with pytest.raises(ValueError, match="^fit window needs 0 < eps_min < eps_max$"):
+            with pytest.raises(ValueError, match="^fit window needs 0 < eps_min < eps_max < 1$"):
                 fit_scaling(table, window)
 
     def test_reversed_window_is_rejected(self):
         table = plain_sweep(TargetRotation(PI, 0.0), fit_grid())
         for fit in (lambda w: fit_scaling(table, w),
                     lambda w: fit_error_scaling(bb1_corrector(), TargetRotation(PI, 0.0), w)):
-            with pytest.raises(ValueError, match="^fit window needs 0 < eps_min < eps_max$"):
+            with pytest.raises(ValueError, match="^fit window needs 0 < eps_min < eps_max < 1$"):
                 fit((0.05, 0.01))
+
+    @pytest.mark.parametrize("top", [10**400, sys.float_info.max, 1.0],
+                             ids=["int-past-float", "float-max", "one"])
+    def test_window_past_the_error_domain_is_rejected(self, top):
+        # errors lie in (-1, 1); 10**400 and float max used to raise
+        # OverflowError (hi * (1 + 1e-12), 10.0 ** log10(hi))
+        table = plain_sweep(TargetRotation(PI, 0.0), fit_grid())
+        for fit in (lambda w: fit_scaling(table, w),
+                    lambda w: fit_error_scaling(bb1_corrector(), TargetRotation(PI, 0.0), w)):
+            with pytest.raises(ValueError, match="^fit window needs 0 < eps_min < eps_max < 1$"):
+                fit((1e-3, top))
 
     @pytest.mark.parametrize("window", [ORDER_WINDOW, COEFF_WINDOW])
     def test_list_built_table_fits_like_the_array_built_one(self, window):

@@ -319,11 +319,13 @@ class TestResiduals:
 
 class TestScan:
     def test_flat_only_at_pi_multiples(self):
+        # at m = 1 only gamma = pi is flat: gamma = 2 pi, the row past the grid,
+        # is not (its residual is 6.66 at theta = pi)
         rows = three_pulse_scan(TargetRotation(PI, 0.0),
-                                gammas=np.linspace(0.7, 2 * PI - 0.7, 15))
+                                gammas=[*np.linspace(0.7, 2 * PI - 0.7, 15), 2 * PI])
+        assert rows[-1][0] == 2 * PI
         for gamma, res in rows:
-            near_pi = min(abs(gamma - PI), abs(gamma - 2 * PI)) <= 0.02
-            assert (res < 1e-9) == near_pi
+            assert (res < 1e-9) == (abs(gamma - PI) <= 0.02)
 
     @pytest.mark.parametrize("gap", [3e-9, 1e-9])
     def test_every_split_flattens_near_4pi(self, gap):

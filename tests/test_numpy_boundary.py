@@ -1,9 +1,10 @@
-"""Where numpy gets loaded.  cpulse binds numpy lazily, so design,
-simulate, sweep, coeff, verify (without --scan) and table1 run on math and
-Python complexes alone; only verify --scan, whose scan finds polynomial
-roots with numpy, loads it.  The value records need no dataclasses either,
-so these jobs start without it and the inspect/ast machinery it pulls in,
-and json is imported only for JSON input or output.
+"""Where numpy gets imported.  cpulse imports numpy on the first read of one
+of its names, so design, simulate, sweep, coeff, verify (without --scan) and
+table1 run on math and Python complexes alone, with numpy absent too; only
+verify --scan, whose scan finds polynomial roots with numpy, imports it.
+The value records need no dataclasses either, so these jobs start without
+it and the inspect/ast machinery it pulls in, and json is imported only for
+JSON input or output.
 pytest has imported numpy already, so each check runs in a fresh
 interpreter with only src on the path."""
 
@@ -33,15 +34,15 @@ def fresh(code: str) -> str:
 
 
 def fresh_main(argv) -> tuple:
-    """(exit code, whether numpy's core got loaded, stdout) of cpulse.cli.main
-    on argv in a fresh interpreter."""
+    """(exit code, whether numpy got imported, stdout) of cpulse.cli.main on
+    argv in a fresh interpreter."""
     out = fresh(f"""
 import contextlib, io, json, sys
 from cpulse.cli import main
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     code = main({argv!r})
-print(json.dumps([code, "numpy._core" in sys.modules, buf.getvalue()]))
+print(json.dumps([code, "numpy" in sys.modules, buf.getvalue()]))
 """)
     return tuple(json.loads(out))
 
@@ -119,9 +120,9 @@ from cpulse.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["design", "--family"] + {family!r}
                 + ["--theta", "1.3", "--alpha", "0.4", "--format", {fmt!r}])
-print(code, "numpy._core" in sys.modules, type(sys.modules["numpy"]).__name__)
+print(code, "numpy" in sys.modules)
 """)
-    assert out.split() == ["0", "False", "_LazyModule"]
+    assert out.split() == ["0", "False"]
 
 
 def test_short_jobs_never_load_dataclasses_or_inspect():
@@ -131,7 +132,7 @@ def test_short_jobs_never_load_dataclasses_or_inspect():
 import contextlib, io, json, sys
 import cpulse.cli
 cpulse.cli.build_parser()
-heavy = ("dataclasses", "inspect", "numpy._core")
+heavy = ("dataclasses", "inspect", "numpy")
 seen = {"parser": [m for m in heavy if m in sys.modules]}
 for argv in (["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"],
              ["coeff", "--family", "wm", "--m", "1", "--format", "json"],
@@ -192,7 +193,7 @@ def test_scan_through_the_lazy_binding_matches_in_process():
     out = fresh(f"""
 import sys
 from cpulse.cli import main
-assert type(sys.modules["numpy"]).__name__ == "_LazyModule"
+assert "numpy" not in sys.modules
 sys.exit(main({argv!r}))
 """)
     assert out == buf.getvalue() == "PASS three_pulse_scan: flat residual only at pi multiples\n"
@@ -210,8 +211,90 @@ print(numpy.linalg.norm(numpy.array([3.0, 4.0])), numpy.__name__)
 
 def test_numpy_imported_first_is_used_as_is():
     out = fresh("""
+import sys
 import numpy
 import cpulse._numpy
-print(cpulse._numpy.np is numpy)
+print(cpulse._numpy.ndarray is numpy.ndarray, sys.modules["numpy"] is numpy)
 """)
-    assert out.split() == ["True"]
+    assert out.split() == ["True", "True"]
+
+
+def test_runs_with_numpy_blocked(five_pulse_file):
+    # None in sys.modules makes `import numpy` raise ModuleNotFoundError, on
+    # any numpy version: every job but verify --scan runs without numpy, and
+    # the first array call raises
+    argvs = [["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"],
+             ["design", "--family", "wm", "--m", "2", "--format", "json"],
+             ["simulate", "--family", "wn", "--n", "2", "--eps", "0.1"],
+             ["simulate", "--seq", five_pulse_file, "--format", "json"],
+             ["sweep", "--family", "wm", "--m", "1", "--eps-count", "30"],
+             ["sweep", "--seq", five_pulse_file, "--eps-count", "9", "--format", "json"],
+             ["coeff", "--family", "wm", "--m", "2", "--theta", "1.3", "--alpha", "0.4"],
+             ["coeff", "--seq", five_pulse_file, "--window", "coeff", "--format", "json"],
+             ["verify", "--family", "wn", "--n", "3", "--theta", "2.0"],
+             ["verify", "--seq", five_pulse_file],
+             ["table1"]]
+    expected = []
+    for argv in argvs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            expected.append([main(argv), buf.getvalue()])
+    out = fresh(f"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import cpulse
+from cpulse.cli import main
+runs = []
+for argv in {argvs!r}:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runs.append([main(argv), buf.getvalue()])
+try:
+    cpulse.rotation(1.0, 0.0)
+except ImportError as exc:
+    raised = type(exc).__name__
+else:
+    raised = None
+print(json.dumps([runs, raised]))
+""")
+    runs, raised = json.loads(out)
+    assert [code for code, _ in expected] == [0] * len(argvs)
+    assert runs == expected
+    assert raised == "ModuleNotFoundError"
+
+
+def test_threads_touching_numpy_first_agree():
+    # the import lock serialises numpy's first import across threads
+    out = fresh("""
+import json, sys, threading
+import cpulse
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(4, timeout=30)
+results = [None] * 4
+
+def first_touch(i):
+    barrier.wait()
+    results[i] = cpulse.rotation(1.0, 0.0)
+
+threads = [threading.Thread(target=first_touch, args=(i,)) for i in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=30)
+    assert not t.is_alive()
+print(json.dumps([repr(r.tolist()) for r in results]))
+""")
+    assert json.loads(out) == [repr(cpulse.rotation(1.0, 0.0).tolist())] * 4
+
+
+def test_module_probes_never_import_numpy():
+    # unittest's assertWarns reads __warningregistry__ off every module in
+    # sys.modules; a dunder the binding lacks is not looked up in numpy
+    out = fresh("""
+import sys, unittest, warnings
+import cpulse
+with unittest.TestCase().assertWarns(UserWarning):
+    warnings.warn("probe")
+print(hasattr(cpulse._numpy, "__path__"), "numpy" in sys.modules)
+""")
+    assert out.split() == ["False", "False"]
