@@ -7,7 +7,7 @@ from collections import namedtuple
 
 from . import _numpy as np
 from .pulses import (PulseSequence, TargetRotation, _checked_make, _entry_overlap,
-                     _overlap_at, compile_sequence, embed_target)
+                     _in_domain, _overlap_at, compile_sequence, embed_target)
 
 # Log-spaced fit window for the scaling *order*: below 1e-3 the infidelity of
 # a 6th-order sequence sinks toward the numerical floor, above 10^-1.5 the
@@ -51,11 +51,13 @@ class SweepTable(namedtuple("SweepTable", "epsilons fidelities infidelities labe
     _make = _checked_make
 
     def __new__(cls, epsilons, fidelities, infidelities, label="sequence"):
-        eps = np.asarray(epsilons, dtype=float)
+        try:   # numpy raises OverflowError for an int too large for a float
+            eps, *cols = [np.asarray(c, dtype=float) for c in (epsilons, fidelities, infidelities)]
+        except OverflowError:
+            raise ValueError("sweep table entries must be representable as floats") from None
         if eps.size == 0 or np.isnan(eps).any() or np.any(np.diff(eps) <= 0):
             raise ValueError("epsilon grid must be nonempty and strictly increasing")
-        for name, column in (("fidelities", fidelities), ("infidelities", infidelities)):
-            col = np.asarray(column, dtype=float)
+        for name, col in zip(("fidelities", "infidelities"), cols):
             if col.shape != eps.shape:
                 raise ValueError("sweep table columns must have equal length")
             if not (np.all(col >= -1e-12) and np.all(col <= 1 + 1e-12)):   # NaN fails
@@ -76,12 +78,9 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
     With embed=True the corrector is wrapped around the target pulse (both
     suffer the same fractional error); embed=False sweeps the sequence as
     given, for bare-pulse baselines and for a corrector already placed with
-    embed_target at another split.
+    embed_target at another split.  Each error meets compile_sequence's checks.
     """
-    try:
-        eps = np.fromiter(eps_grid, dtype=float)
-    except OverflowError:   # an int too large for a float is outside the kernel's domain
-        raise ValueError("fractional error must satisfy |epsilon| < 1") from None
+    eps = np.fromiter(map(_in_domain, eps_grid), dtype=float)
     full = embed_target(seq, target) if embed else seq
     uc = target.unitary().conj().tolist()
     infids = np.fromiter((_entry_overlap(*compile_sequence(full, e).ravel().tolist(), uc)[1]

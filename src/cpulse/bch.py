@@ -1,31 +1,31 @@
 """Symmetric Baker-Campbell-Hausdorff oracle over su(2), as cross products.
 
-Generators are real 3-vectors v standing for -i v.sigma, so the bracket of
-two stored vectors is 2 (a x b).  The log of e^{tR/2} e^{tS} e^{tR/2} is
-t (R + S) + t^3 c(R, S) + O(t^5) with c(R, S) = -(1/24) [R + 2S, [R, S]]
-(Cummins, Llewellyn and Jones, PRA 67, 042308, 2003).  Composed across the
-corrector and then against the target it gives the error log of a corrected
-rotation: its linear row is the design condition and its cubic row fixes
-the sixth-order infidelity coefficient.
+Generators are real 3-vectors v standing for -i v.sigma, held as 3-tuples of
+Python floats, so the bracket of two stored vectors is 2 (a x b).  The log
+of e^{tR/2} e^{tS} e^{tR/2} is t (R + S) + t^3 c(R, S) + O(t^5) with
+c(R, S) = -(1/24) [R + 2S, [R, S]] (Cummins, Llewellyn and Jones, PRA 67,
+042308, 2003).  Composed across the corrector and then against the target
+it gives the error log of a corrected rotation: its linear row is the design
+condition and its cubic row fixes the sixth-order infidelity coefficient.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import _numpy as np
 from .pulses import PulseSequence, TargetRotation
-from .su2 import axis_vector
 
 
-def commutator(a, b) -> np.ndarray:
+def commutator(a, b) -> tuple:
     """Bracket of stored vectors: [-i a.sigma, -i b.sigma] -> 2 (a x b)."""
-    return 2.0 * np.cross(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return 2.0 * (a1 * b2 - a2 * b1), 2.0 * (a2 * b0 - a0 * b2), 2.0 * (a0 * b1 - a1 * b0)
 
 
-def _cubic(r, s) -> np.ndarray:
+def _cubic(r, s) -> tuple:
     """t^3 coefficient of the symmetric BCH: -(1/24) [R + 2S, [R, S]]."""
-    return (-1.0 / 24.0) * commutator(r + 2.0 * s, commutator(r, s))
+    r2s = tuple(x + 2.0 * y for x, y in zip(r, s))
+    return tuple((-1.0 / 24.0) * x for x in commutator(r2s, commutator(r, s)))
 
 
 def corrector_generators(corrector: PulseSequence, target: TargetRotation):
@@ -41,38 +41,36 @@ def corrector_generators(corrector: PulseSequence, target: TargetRotation):
     phi2 = corrector.pulses[1].phase
     if abs(corrector.pulses[2].phase - phi1) > 1e-12:
         raise ValueError("outer corrector pulses must share one phase")
-    q = target.theta * axis_vector(target.alpha)
-    r = np.pi * axis_vector(phi1)
-    s = np.pi * axis_vector(2.0 * phi1 - phi2)
-    return q, r, s
+    return tuple((k * math.cos(phi), k * math.sin(phi), 0.0) for k, phi in
+                 ((target.theta, target.alpha), (math.pi, phi1),
+                  (math.pi, 2.0 * phi1 - phi2)))
 
 
-def p_epsilon(corrector: PulseSequence, target: TargetRotation) -> np.ndarray:
+def p_epsilon(corrector: PulseSequence, target: TargetRotation) -> tuple:
     """Error-log coefficients of the corrected rotation through eps^3.
 
-    Row k of the (4, 3) result is the eps^k coefficient.  The corrector's
-    log eps (r + s) + eps^3 c(r, s), doubled and divided by eps, is
-    d + 2 eps^2 c(r, s) with d = 2 (r + s); composing it against q at
+    Row k of the four 3-tuples returned is the eps^k coefficient.  The
+    corrector's log eps (r + s) + eps^3 c(r, s), doubled and divided by eps,
+    is d + 2 eps^2 c(r, s) with d = 2 (r + s); composing it against q at
     t = eps/2 gives row 1 = q/2 + r + s and row 3 = c(r, s) + c(q, d)/8,
     with rows 0 and 2 zero.  A flat corrector has row 1 = 0, so d = -q and
     row 3 is c(r, s) alone; otherwise the nonzero row 1 is reported.
     """
     q, r, s = corrector_generators(corrector, target)
-    d = 2.0 * (r + s)
-    series = np.zeros((4, 3))
-    series[1] = 0.5 * (q + d)
-    series[3] = _cubic(r, s) + _cubic(q, d) / 8.0
-    return series
+    d = tuple(2.0 * (x + y) for x, y in zip(r, s))
+    zero = (0.0, 0.0, 0.0)
+    return (zero, tuple(0.5 * (x + y) for x, y in zip(q, d)), zero,
+            tuple(x + y / 8.0 for x, y in zip(_cubic(r, s), _cubic(q, d))))
 
 
-def sixth_order_coefficient(series: np.ndarray) -> float:
+def sixth_order_coefficient(series) -> float:
     """Infidelity coefficient C in 1 - F = C eps^6 from the cubic row.
 
     F = 1 + (1/4) Tr(P^2) and Tr((-i w.sigma)^2) = -2 |w|^2, so
-    C = |w|^2 / 2 for the cubic coefficient w.
+    C = |w|^2 / 2 for w, row 3 of any (4, 3) nested sequence or array.
     """
-    w = series[3]
-    return 0.5 * float(w @ w)
+    w0, w1, w2 = map(float, series[3])
+    return 0.5 * (w0 * w0 + w1 * w1 + w2 * w2)
 
 
 def analytic_c(delta: float) -> float:

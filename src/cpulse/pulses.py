@@ -99,6 +99,13 @@ class TargetRotation(namedtuple("TargetRotation", "theta alpha")):
         return rotation(self.theta, self.alpha)
 
 
+def _in_domain(epsilon):
+    """epsilon, once inside every kernel's error domain |epsilon| < 1."""
+    if not abs(epsilon) < 1.0:   # NaN and 10**400 fail; a str raises abs()'s TypeError
+        raise ValueError("fractional error must satisfy |epsilon| < 1")
+    return epsilon
+
+
 def compile_sequence(seq: PulseSequence, epsilon: float = 0.0) -> np.ndarray:
     """Matrix product of the sequence with every angle scaled by (1 + epsilon).
 
@@ -106,8 +113,7 @@ def compile_sequence(seq: PulseSequence, epsilon: float = 0.0) -> np.ndarray:
     compile(s1 ++ s2) = compile(s2) @ compile(s1).  The running product is
     four Python complexes; the 2x2 array is built once at the end.
     """
-    if not abs(epsilon) < 1.0:   # NaN fails the comparison too
-        raise ValueError("fractional error must satisfy |epsilon| < 1")
+    _in_domain(epsilon)
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for p in seq:
         (r00, r01), (r10, r11) = rotation(p.angle * (1.0 + epsilon), p.phase).tolist()
@@ -125,8 +131,7 @@ def _jet(seq: PulseSequence, epsilon: float = 0.0) -> tuple:
     (X cos phase + Y sin phase), so dR/d(epsilon) = G R: U maps to R U and
     D to R D + G R U.  Input checks and messages are compile_sequence's.
     """
-    if not abs(epsilon) < 1.0:
-        raise ValueError("fractional error must satisfy |epsilon| < 1")
+    _in_domain(epsilon)
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     da = db = dc = dd = 0.0
     for p in seq:

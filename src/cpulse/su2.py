@@ -21,11 +21,6 @@ def _finite(x) -> bool:
         return False
 
 
-def axis_vector(phi: float) -> np.ndarray:
-    """Unit 3-vector of the XY-plane axis at azimuth phi."""
-    return np.array([np.cos(phi), np.sin(phi), 0.0])
-
-
 def rotation(theta: float, alpha: float) -> np.ndarray:
     """Rotation by theta about the XY-plane axis at azimuth alpha.
 

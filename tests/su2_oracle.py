@@ -1,17 +1,19 @@
-"""Test-side SU(2) references: Pauli matrices, the general closed-form
-exponential, the symmetric BCH series, fit grids as arrays and the
-bare-pulse sweep baseline.
+"""Test-side SU(2) references: Pauli matrices, XY-plane axes as arrays, the
+general closed-form exponential, the symmetric BCH series and its error-log
+rows by the array route, fit grids as arrays and the bare-pulse sweep
+baseline.
 
 The package needs none of these; the tests use them as independent
 matrix-level references for the scalar routines in cpulse.
 """
+
+import math
 
 import numpy as np
 
 from cpulse.analysis import FIT_POINTS, ORDER_WINDOW, SweepTable, _log_grid, sweep
 from cpulse.bch import _cubic
 from cpulse.pulses import Pulse, PulseSequence, TargetRotation
-from cpulse.su2 import axis_vector
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -25,6 +27,11 @@ def pauli_sum(vec) -> np.ndarray:
     """Hermitian matrix v . sigma for a real 3-vector v."""
     vx, vy, vz = vec
     return vx * SIGMA_X + vy * SIGMA_Y + vz * SIGMA_Z
+
+
+def axis_vector(phi: float) -> np.ndarray:
+    """Unit 3-vector of the XY-plane axis at azimuth phi."""
+    return np.array([np.cos(phi), np.sin(phi), 0.0])
 
 
 def xy_axis(phi: float) -> np.ndarray:
@@ -57,7 +64,24 @@ def dagger(u: np.ndarray) -> np.ndarray:
 
 def sbch(r, s, t: float) -> np.ndarray:
     """log of e^{tR/2} e^{tS} e^{tR/2} through t^3; the next term is t^5."""
-    return t * (r + s) + t ** 3 * _cubic(r, s)
+    return t * (r + s) + t ** 3 * np.asarray(_cubic(r, s))
+
+
+def p_epsilon_array(corrector: PulseSequence, target: TargetRotation) -> np.ndarray:
+    """p_epsilon's rows as a (4, 3) array, each bracket 2 np.cross(a, b) on
+    generator arrays k (cos(phi), sin(phi), 0) with libm's cos and sin."""
+    phi1, phi2 = corrector.pulses[0].phase, corrector.pulses[1].phase
+    q, r, s = (k * np.array([math.cos(phi), math.sin(phi), 0.0]) for k, phi in
+               ((target.theta, target.alpha), (np.pi, phi1), (np.pi, 2.0 * phi1 - phi2)))
+
+    def cubic(a, b):
+        return (-1.0 / 24.0) * (2.0 * np.cross(a + 2.0 * b, 2.0 * np.cross(a, b)))
+
+    d = 2.0 * (r + s)
+    series = np.zeros((4, 3))
+    series[1] = 0.5 * (q + d)
+    series[3] = cubic(r, s) + cubic(q, d) / 8.0
+    return series
 
 
 def fit_grid(window=ORDER_WINDOW, n: int = FIT_POINTS) -> np.ndarray:

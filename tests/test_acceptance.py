@@ -15,8 +15,7 @@ from cpulse.design import (derivative_residual, design_five_pulse, design_wm,
                            three_pulse_scan)
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
-from cpulse.su2 import axis_vector
-from su2_oracle import exp_pauli, fit_grid, plain_sweep, sbch
+from su2_oracle import axis_vector, exp_pauli, fit_grid, plain_sweep, sbch
 
 PI = math.pi
 BB1_C_EXACT = 5 * PI ** 6 / 1024

@@ -100,6 +100,17 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"^fractional error must satisfy \|epsilon\| < 1$"):
             sweep(bb1_corrector(), TargetRotation(PI, 0.0), [10**400])
 
+    @pytest.mark.parametrize("grid", [["0.1"], [0.0, "0.1"], np.array(["0.1"])],
+                             ids=["str", "float-then-str", "numpy-str"])
+    def test_str_errors_raise_the_kernels_type_error(self, grid):
+        # numpy's fromiter would parse the str; the kernel rejects it
+        seq, target = bb1_corrector(), TargetRotation(PI, 0.0)
+        with pytest.raises(TypeError) as kernel:
+            compile_sequence(seq, grid[-1])
+        with pytest.raises(TypeError) as swept:
+            sweep(seq, target, grid)
+        assert str(swept.value) == str(kernel.value)
+
     def test_bb1_matches_analytic_sixth_order_at_0p05(self):
         target = TargetRotation(PI, 0.0)
         table = sweep(bb1_corrector(), target, [0.05])

@@ -8,8 +8,8 @@ from cpulse.bch import (analytic_c, commutator, corrector_generators,
 from cpulse.design import design_wm, design_wn
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
-from cpulse.su2 import axis_vector, rotation, su2_parts
-from su2_oracle import dagger, exp_pauli, pauli_sum, sbch
+from cpulse.su2 import rotation, su2_parts
+from su2_oracle import axis_vector, dagger, exp_pauli, p_epsilon_array, pauli_sum, sbch
 
 PI = np.pi
 EX = np.array([1.0, 0.0, 0.0])
@@ -90,7 +90,7 @@ class TestPEpsilon:
         target = TargetRotation(PI, 0.0)
         corrector = bb1_corrector()
         series = p_epsilon(corrector, target)
-        _, r, s = corrector_generators(corrector, target)
+        _, r, s = np.asarray(corrector_generators(corrector, target))
         expected = -np.asarray(commutator(r + 2 * s, commutator(r, s))) / 24.0
         assert np.allclose(series[3], expected, atol=1e-12)
 
@@ -106,7 +106,7 @@ class TestPEpsilon:
             target = TargetRotation(theta, 0.0)
             corrector = design_wn(1, target).sequence
             series = p_epsilon(corrector, target)
-            _, r, s = corrector_generators(corrector, target)
+            _, r, s = np.asarray(corrector_generators(corrector, target))
             expected = -np.asarray(commutator(r + 2 * s, commutator(r, s))) / 24.0
             assert np.allclose(series[3], expected, atol=1e-10)
 
@@ -129,12 +129,37 @@ class TestPEpsilon:
                 for e in eps])
             linear, cubic, _ = np.linalg.solve(powers, odd)
             series = p_epsilon(corrector, target)
-            assert series.shape == (4, 3)
+            assert np.shape(series) == (4, 3)
             assert not np.any(series[0]) and not np.any(series[2])
             assert np.linalg.norm(linear - series[1]) <= \
                 1e-9 * np.linalg.norm(series[1])
             assert np.linalg.norm(cubic - series[3]) <= \
                 1e-5 * np.linalg.norm(series[3])
+
+    def test_rows_match_array_route_bit_for_bit(self):
+        # the tuple rows are np.cross's floats; C differs from the array
+        # route's BLAS dot only in the rounding of its three-term sum
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            phi1, phi2, alpha = rng.uniform(-10, 10, size=3).tolist()
+            target = TargetRotation(rng.uniform(0.01, 4 * PI - 0.01), alpha)
+            corrector = PulseSequence.from_pairs(
+                [(PI, phi1), (2 * PI, phi2), (PI, phi1)])
+            series = p_epsilon(corrector, target)
+            reference = p_epsilon_array(corrector, target)
+            assert [list(row) for row in series] == reference.tolist()
+            assert all(type(x) is float for row in series for x in row)
+            c, w = sixth_order_coefficient(series), reference[3]
+            assert abs(c - 0.5 * float(w @ w)) <= 4.5e-16 * c
+
+    def test_coefficient_same_for_array_and_tuple_rows(self):
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            target = TargetRotation(rng.uniform(0.1, 4 * PI - 0.1), rng.uniform(0, 2 * PI))
+            series = p_epsilon(design_wm(1, target).sequence, target)
+            c, from_array = (sixth_order_coefficient(rows) for rows in (series, np.array(series)))
+            assert type(c) is type(from_array) is float
+            assert from_array == c
 
     def test_rejects_other_shapes(self):
         target = TargetRotation(PI, 0.0)
@@ -200,7 +225,7 @@ class TestAnalyticCoefficient:
             phi1, phi2 = rng.uniform(0, 2 * PI, size=2)
             r = PI * axis_vector(phi1)
             s = PI * axis_vector(2 * phi1 - phi2)
-            w = commutator(r + 2 * s, commutator(r, s))
+            w = np.asarray(commutator(r + 2 * s, commutator(r, s)))
             series_trace = -2.0 * float(w @ w)
             mr = -1j * pauli_sum(r)
             ms = -1j * pauli_sum(s)

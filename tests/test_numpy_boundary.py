@@ -1,7 +1,8 @@
 """Where numpy gets imported.  cpulse imports numpy on the first read of one
-of its names, so design, simulate, sweep, coeff, verify (without --scan) and
-table1 run on math and Python complexes alone, with numpy absent too; only
-verify --scan, whose scan finds polynomial roots with numpy, imports it.
+of its names, so design, simulate, sweep, coeff, verify (without --scan),
+table1 and the library quick start run on math and Python complexes alone,
+with numpy absent too; only verify --scan, whose scan finds polynomial roots
+with numpy, imports it.
 The value records need no dataclasses either, so these jobs start without
 it and the inspect/ast machinery it pulls in, and json is imported only for
 JSON input or output.
@@ -11,6 +12,7 @@ interpreter with only src on the path."""
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +185,33 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, "json" in sys.modules)
 """)
     assert out.split() == ["0", "True"]
+
+
+QUICK_START = """
+import json, math, sys
+{block}
+import cpulse
+target = cpulse.TargetRotation(math.pi, math.pi)
+bb1 = cpulse.design_wm(1, target)
+w121 = cpulse.design_five_pulse(1, 2, 1, target)
+report = cpulse.fit_error_scaling(bb1.sequence, target)
+values = [bb1.phases, [b.phases for b in w121], report.order, report.coefficient,
+          repr(cpulse.crossover(bb1.sequence, target)),
+          repr(cpulse.crossover(w121[0].sequence, target)),
+          cpulse.sixth_order_coefficient(cpulse.p_epsilon(bb1.sequence, target)),
+          cpulse.analytic_c(math.acos(-7 / 8))]
+print(json.dumps([values, sys.modules.get("numpy") is not None]))
+"""
+
+
+def test_library_quick_start_never_loads_numpy():
+    # the README's quick start, the benchmark's quick-start job: design,
+    # fit, crossover and the BCH coefficient all run on Python floats
+    present = json.loads(fresh(QUICK_START.format(block="")))
+    blocked = json.loads(fresh(QUICK_START.format(block='sys.modules["numpy"] = None')))
+    assert present[1] is False
+    assert blocked == present
+    assert present[0][-2] == pytest.approx(5 * math.pi ** 6 / 1024, rel=1e-12)
 
 
 def test_scan_through_the_lazy_binding_matches_in_process():

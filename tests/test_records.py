@@ -146,6 +146,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^infidelities must lie in \[0, 1\]$"):
             SweepTable([0.0, 0.1], [1.0, 1.0], infid)
 
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["epsilons", "fidelities", "infidelities"])
+    @pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400], ids=["huge-int", "huge-negative-int"])
+    def test_sweep_table_int_too_large_for_a_float(self, column, huge):
+        # numpy's conversion overflows; the table raises ValueError instead
+        columns = [[0.0, 0.1], [1.0, 0.9], [0.0, 0.1]]
+        columns[column][1] = huge
+        with pytest.raises(ValueError,
+                           match=r"^sweep table entries must be representable as floats$"):
+            SweepTable(*columns)
+
     def test_sweep_table_infidelity_slack_matches_fidelity(self):
         t = SweepTable([0.0, 0.1], [1.0 + 1e-13, -1e-13], [-1e-13, 1.0 + 1e-13])
         assert t.infidelities == [-1e-13, 1.0 + 1e-13]
