@@ -51,8 +51,13 @@ class SweepTable(namedtuple("SweepTable", "epsilons fidelities infidelities labe
     _make = _checked_make
 
     def __new__(cls, epsilons, fidelities, infidelities, label="sequence"):
+        columns = [np.asarray(c) for c in (epsilons, fidelities, infidelities)]
+        for c in columns:
+            if c.dtype.kind in "OSU":   # dtype=float would parse a str: the kernel's
+                for x in c.ravel().tolist():   # abs() (_in_domain) refuses it first
+                    abs(x)
         try:   # numpy raises OverflowError for an int too large for a float
-            eps, *cols = [np.asarray(c, dtype=float) for c in (epsilons, fidelities, infidelities)]
+            eps, *cols = [np.asarray(c, dtype=float) for c in columns]
         except OverflowError:
             raise ValueError("sweep table entries must be representable as floats") from None
         if eps.size == 0 or np.isnan(eps).any() or np.any(np.diff(eps) <= 0):
@@ -90,7 +95,7 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
 
 def _lin_grid(lo: float, hi: float, n: int):
     """n >= 2 evenly spaced Python floats from lo to hi, one at a time:
-    np.linspace's values bit for bit.  That is k * step + lo with the last
+    numpy.linspace's values bit for bit.  That is k * step + lo with the last
     point hi itself, and (k / (n - 1)) * (hi - lo) + lo when the step underflows."""
     step = (hi - lo) / (n - 1)
     for k in range(n - 1):

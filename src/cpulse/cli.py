@@ -226,7 +226,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Rows of sweep(full, target, np.linspace(...), embed=False) bit for
+    """Rows of sweep(full, target, numpy.linspace(...), embed=False) bit for
     bit, streamed from the scalar kernel without building an array."""
     # the error model's own domain: the kernel rejects |eps| >= 1, and a
     # finite grid wider than that overflows the grid's step

@@ -15,9 +15,10 @@ import math
 from collections import namedtuple
 
 from . import _numpy as np
+from .analysis import _lin_grid
 from .pulses import (PulseSequence, TargetRotation, _count, _entry_overlap, _jet,
                      embed_target, reduce_angle, repeated)
-from .su2 import TWO_PI, _finite
+from .su2 import _finite
 
 IDENTITY_TOL = 1e-12
 DERIVATIVE_TOL = 1e-9
@@ -180,7 +181,7 @@ def design_five_pulse(p: int, q: int, r: int,
     if (p + q + r) % 2:
         raise ValueError("p + q + r must be even")
     weights = (float(p), float(q), float(r))
-    t = target.theta / TWO_PI
+    t = target.theta / math.tau
 
     phase_sets = []
     best = math.inf
@@ -266,5 +267,5 @@ def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1) -> np.ndar
     3-pulse split admits a first-order-flat sequence.
     """
     m = _count(m, "m")
-    gammas = np.linspace(0.12, 2 * m * math.pi - 0.12, 61) if gammas is None else gammas
+    gammas = _lin_grid(0.12, 2 * m * math.pi - 0.12, 61) if gammas is None else gammas
     return np.array([_split_residual(target.theta, g, m) for g in gammas]).reshape(-1, 2)

@@ -12,13 +12,13 @@ import math
 from collections import namedtuple
 
 from . import _numpy as np
-from .su2 import TWO_PI, _entries, _finite, _split, rotation
+from .su2 import _entries, _finite, _split, rotation
 
 
 def reduce_angle(phi: float) -> float:
     """Map an angle to [0, 2*pi)."""
-    r = float(phi) % TWO_PI
-    return r if r < TWO_PI else 0.0   # a tiny negative angle rounds up to 2*pi
+    r = float(phi) % math.tau
+    return r if r < math.tau else 0.0   # a tiny negative angle rounds up to 2*pi
 
 
 # namedtuple's _make, which _replace calls, through the constructor's checks
@@ -91,7 +91,7 @@ class TargetRotation(namedtuple("TargetRotation", "theta alpha")):
     def __new__(cls, theta, alpha):
         if not (_finite(theta) and _finite(alpha)):
             raise ValueError("target angles must be finite")
-        if not 0.0 < theta < 2.0 * TWO_PI:
+        if not 0.0 < theta < 2.0 * math.tau:
             raise ValueError("target theta must lie in (0, 4*pi)")
         return super().__new__(cls, theta, reduce_angle(alpha))
 

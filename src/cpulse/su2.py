@@ -10,8 +10,6 @@ import math
 
 from . import _numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 
 def _finite(x) -> bool:
     """math.isfinite(x), False for an int too large for a float."""

@@ -1,0 +1,161 @@
+"""Record the CLI golden corpus that tests/test_cli_golden.py replays.
+
+Run from the repository root, at the commit whose output is to be kept:
+
+    PYTHONPATH=src python tests/record_cli_golden.py
+
+It writes tests/cli_golden.json: the input files the argvs read and, per
+argv, its exit code and the sha256 of its stdout, stderr and --out bytes.
+The argvs and files are fixed, so the file changes only when some output
+does.  A re-recording lists in CHANGES.md each argv whose entry changed,
+and why: re-recording to hide a change defeats the corpus.
+
+The argvs cover every command and exit code (0-3).  None is an argparse
+error: argparse's messages differ between Python versions.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+from cpulse.cli import main
+from cpulse.design import design_five_pulse, design_wm
+from cpulse.pulses import PulseSequence, TargetRotation, format_sequence, sequence_to_json
+from test_cli_golden import CORPUS, OUT, run_corpus
+
+PI = math.pi
+# --theta, --alpha: signed pi forms, a separate negative token, decimals
+TARGETS = [("pi", "0"), ("pi", "pi"), ("pi/2", "-pi/2"), ("1.3", "0.4"), ("3pi", "-0.7")]
+# (design flags, branch) of each designed source
+DESIGNED = [(["--family", "wm", "--m", m], "0") for m in "123"] + [
+    (["--family", "wn", "--n", n], "0") for n in "124"] + [
+    (["--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"], "0"),
+    (["--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"], "1"),
+    (["--family", "fivepulse", "--p", "1", "--q", "1", "--r", "2"], "0"),
+    (["--family", "fivepulse", "--p", "2", "--q", "2", "--r", "2"], "0")]
+# the jobs every source runs: simulate, sweep and coeff in both formats, verify
+JOBS = [["simulate", "--eps", "0.05"],
+        ["simulate", "--eps", "-0.1", "--split", "0.3", "--format", "json"],
+        ["sweep", "--eps-count", "7"],
+        ["sweep", "--eps-min", "-0.2", "--eps-max", "0.2", "--eps-count", "5", "--format", "json"],
+        ["coeff"],
+        ["coeff", "--window", "coeff", "--format", "json"],
+        ["verify"]]
+
+
+def pairs_text(pairs) -> str:
+    return format_sequence(PulseSequence.from_pairs(pairs))
+
+
+def files() -> dict:
+    """{name: text} of the --seq files."""
+    # W1 for a text file's default target, pi about X: it passes verify
+    w1 = [(p.angle, p.phase) for p in design_wm(1, TargetRotation(PI, 0.0)).sequence]
+    out = {"w1.txt": pairs_text(w1),
+           # BB1's angles with wrong phases: in the (pi, 2 pi, pi) family, not flat
+           "broken.txt": pairs_text([(PI, 0.1), (2 * PI, 2.0), (PI, 0.1)]),
+           # outer phases pi apart: the angles match the family, the phases not
+           "outer_pi.txt": pairs_text([w1[0], w1[1], (w1[2][0], w1[2][1] + PI)]),
+           "huge.txt": "1e308 0\n",
+           "bad_line.txt": "3.14 0 7\n",
+           "negative.txt": "-1 0\n",
+           "empty.txt": "# no pulses\n",
+           "bad.json": "{\"pulses\": [{\"angle\": \"pi\", \"phase\": 0}]}\n"}
+    # off the family by delta at one index: numpy's allclose would pass them
+    for delta in ("1e-9", "-1e-9", "2e-5"):
+        for i in range(3):
+            pairs = list(w1)
+            pairs[i] = (pairs[i][0] + float(delta), pairs[i][1])
+            out[f"w1_off{delta}_at{i}.txt"] = pairs_text(pairs)
+    w121_target = TargetRotation(1.9, 0.7)
+    w121 = design_five_pulse(1, 2, 1, w121_target)[0].sequence
+    out["w121.json"] = json.dumps(sequence_to_json(w121, w121_target))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["design", "--family", "fivepulse", "--p", "2", "--q", "2", "--r", "2",
+                     "--theta", "pi/2", "--alpha", "0.3", "--format", "json"]) == 0
+    out["w222_design.json"] = buf.getvalue()
+    return out
+
+
+def argvs(names) -> list:
+    cases = []
+    for theta, alpha in TARGETS:
+        at = ["--theta", theta, "--alpha", alpha]
+        for flags, branch in DESIGNED:
+            if branch == "0":
+                cases += [["design"] + flags + at, ["design"] + flags + at + ["--format", "json"]]
+            cases += [job + flags + ["--branch", branch] + at for job in JOBS]
+        cases += [job + ["--family", "plain"] + at for job in JOBS[:-1]]
+    for name in ("w1.txt", "w121.json"):
+        cases += [job + ["--seq", name] for job in JOBS]
+    for branch in ("0", "5", "11", "12"):
+        cases += [job + ["--seq", "w222_design.json", "--branch", branch] for job in JOBS]
+    cases += [["verify", "--seq", name] for name in names
+              if name.startswith(("w1_off", "outer_pi", "broken"))]
+    cases += [["coeff", "--seq", name, "--window", "coeff"] for name in names
+              if name.startswith(("w1_off", "outer_pi"))]
+    cases += [["simulate", "--seq", name] for name in names
+              if name.startswith(("huge", "bad", "negative", "empty"))]
+    cases += [
+        # --out: written, and into a missing directory
+        ["sweep", "--family", "wm", "--m", "2", "--eps-count", "9", "--out", OUT],
+        ["design", "--family", "fivepulse", "--format", "json", "--out", OUT],
+        ["table1", "--out", OUT],
+        ["coeff", "--out", "missing/" + OUT],
+        ["simulate", "--seq", "missing.txt"],
+        ["verify", "--seq", "missing.json"],
+        # the embedded target, and a flag that disagrees with it
+        ["verify", "--seq", "w121.json", "--theta", "1.9"],
+        ["verify", "--seq", "w121.json", "--theta", "pi"],
+        # the integer caps, flags the family ignores included
+        ["design", "--family", "wn", "--n", "1001"],
+        ["sweep", "--family", "wm", "--m", "1000", "--eps-count", "3"],
+        ["coeff", "--family", "wm", "--p", "1001"],
+        ["sweep", "--eps-count", "1000001"],
+        # the branch rule
+        ["simulate", "--family", "plain", "--branch", "1"],
+        ["verify", "--seq", "w1.txt", "--branch", "1"],
+        ["coeff", "--family", "wm", "--branch", "1"],
+        # the error domain and an overflowing angle
+        ["simulate", "--eps", "1"],
+        ["simulate", "--eps", "-1e-3"],
+        ["simulate", "--seq", "huge.txt", "--eps", "0.9"],
+        ["sweep", "--seq", "huge.txt", "--eps-max", "0.9"],
+        ["sweep", "--eps-min", "0.1", "--eps-max", "0.1"],
+        ["sweep", "--eps-max", "1.5"],
+        ["sweep", "--eps-min", "-1e-3", "--eps-max", "1e-3", "--eps-count", "4"],
+        ["sweep", "--eps-min", "0", "--eps-max", "1e-300", "--eps-count", "3"],
+        ["sweep", "--split", "2"],
+        ["simulate", "--family", "plain", "--split", "-0.5"],
+        # targets and angles
+        ["design", "--theta", "0"],
+        ["design", "--theta", "4pi"],
+        ["design", "--theta", "pi/0"],
+        ["design", "--theta", "half"],
+        ["design", "--family", "fivepulse", "--p", "1", "--q", "1", "--r", "1"],
+        ["design", "--family", "fivepulse", "--p", "1", "--q", "1", "--r", "4", "--theta", "pi"],
+        ["design", "--family", "wm", "--m", "1000", "--alph", "-pi/2"],
+        # the scan: it passes, reads the target flags, fails near 4 pi, refuses a source
+        ["verify", "--scan"],
+        ["verify", "--scan", "--theta", "0.3", "--alpha", "-pi/2"],
+        ["verify", "--scan", "--theta", repr(4 * PI - 1e-9)],
+        ["verify", "--scan", "--seq", "w1.txt"],
+        ["table1"]]
+    return cases
+
+
+if __name__ == "__main__":
+    corpus_files = files()
+    cases = argvs(sorted(corpus_files))
+    keys = [" ".join(argv) for argv in cases]
+    assert len(set(keys)) == len(keys), "repeated argv"
+    assert all(" " not in token for argv in cases for token in argv)
+    entries = run_corpus(cases, corpus_files)
+    bad = {key: entry for key, entry in entries.items()
+           if entry is None or not isinstance(entry["exit"], int)}
+    assert not bad, bad
+    CORPUS.write_text(json.dumps({"files": corpus_files, "cases": entries}, indent=1) + "\n")
+    codes = sorted({entry["exit"] for entry in entries.values()})
+    print(f"{len(entries)} argvs, exit codes {codes}")

@@ -444,6 +444,45 @@ class TestVerify:
         assert main(["verify", "--scan", "--theta", repr(4 * PI - gap)]) == code
         assert capsys.readouterr().out.startswith(verdict + " three_pulse_scan")
 
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9, 2e-5])
+    def test_near_family_file_fails_its_analytic_line(self, capsys, tmp_path, index, offset):
+        # W1 with one angle off by offset: numpy's allclose test on the
+        # angles keeps the analytic_coefficient line.  With the last pi pulse
+        # 1e-9 off, that line is the only check that fails: C moves by 31-47%
+        # while the derivative residual stays under DERIVATIVE_TOL
+        pairs = [(p.angle, p.phase) for p in design_wm(1, TargetRotation(PI, 0.0)).sequence]
+        pairs[index] = (pairs[index][0] + offset, pairs[index][1])
+        path = tmp_path / "off.txt"
+        path.write_text(format_sequence(PulseSequence.from_pairs(pairs)))
+        assert main(["verify", "--seq", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert lines[-1].startswith("FAIL analytic_coefficient: fit ")
+        assert lines[-1].endswith(" vs analytic 4.69428")
+        if index == 2 and abs(offset) == 1e-9:
+            assert all(line.startswith("PASS ") for line in lines[:-1]), lines
+
+    def test_unequal_outer_phases_fail_the_analytic_line(self, capsys, tmp_path):
+        (a1, p1), (a2, p2), (a3, _) = [
+            (p.angle, p.phase) for p in design_wm(1, TargetRotation(PI, 0.0)).sequence]
+        path = tmp_path / "outer.txt"
+        path.write_text(format_sequence(PulseSequence.from_pairs(
+            [(a1, p1), (a2, p2), (a3, p1 + PI)])))
+        assert main(["verify", "--seq", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("FAIL analytic_coefficient: fit 4.93557 vs analytic 4.69428\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--family", "wm", "--m", "1"],
+         "PASS analytic_coefficient: fit 4.69272 vs analytic 4.69428\n"),
+        (["--family", "wn", "--n", "1", "--theta", "pi/2", "--alpha", "0.3"],
+         "PASS analytic_coefficient: fit 0.923956 vs analytic 0.924187\n")], ids=["wm1", "wn1"])
+    def test_designed_family_passes_its_analytic_line(self, capsys, argv, line):
+        assert main(["verify"] + argv) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(line) and out.count("\n") == 5
+
     def test_broken_sequence_file_fails(self, capsys, tmp_path):
         # hand-edited corrector: BB1 angles, wrong phases
         seq = parse_sequence("3.141592653589793 0.1\n"

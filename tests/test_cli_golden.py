@@ -1,0 +1,126 @@
+"""The CLI golden corpus: tests/cli_golden.json maps each argv to its exit
+code and the sha256 of its stdout, stderr and --out bytes, together with the
+input files those argvs read.  tests/record_cli_golden.py writes it.
+
+The replay runs every argv in-process through cli.main, in a scratch
+directory that holds the corpus files, and names each argv whose bytes
+moved.  Argvs without --scan run with numpy blocked (None in sys.modules),
+so they also prove that no such job needs numpy; the --scan argvs run after,
+or are skipped when numpy is not installed.  pytest has imported numpy
+already, so the test replays in a fresh interpreter.
+
+Uses neither numpy nor pytest, so it also runs as a script on any supported
+Python, numpy installed or not: PYTHONPATH=src python tests/test_cli_golden.py"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CORPUS = Path(__file__).with_name("cli_golden.json")
+# what each argv may write through --out, relative to the scratch directory
+OUT = "out.txt"
+
+
+def needs_numpy(argv) -> bool:
+    return "--scan" in argv
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv) -> dict:
+    """Exit code and sha256 of stdout, stderr and the --out file (None if
+    none was written) of cli.main on argv, in the current directory."""
+    from cpulse.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    written = None
+    if os.path.exists(OUT):
+        written = _sha(Path(OUT).read_bytes())
+        os.remove(OUT)
+    return {"exit": code, "stdout": _sha(out.getvalue().encode()),
+            "stderr": _sha(err.getvalue().encode()), "out": written}
+
+
+def run_corpus(argvs, files) -> dict:
+    """{argv joined by spaces: run_case's entry, or None for a --scan argv
+    when numpy is not installed}, each argv run in a scratch directory that
+    holds the files ({name: text}).  Must start before numpy is imported:
+    the argvs without --scan run first, with numpy blocked."""
+    if "numpy" in sys.modules:
+        raise RuntimeError("numpy is imported already, so it cannot be blocked")
+    results = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, text in files.items():
+            Path(scratch, name).write_text(text)
+        os.chdir(scratch)
+        try:
+            sys.modules["numpy"] = None
+            try:
+                for argv in argvs:
+                    if not needs_numpy(argv):
+                        results[" ".join(argv)] = _guarded(argv)
+            finally:
+                del sys.modules["numpy"]
+            have_numpy = importlib.util.find_spec("numpy") is not None
+            for argv in argvs:
+                if needs_numpy(argv):
+                    results[" ".join(argv)] = _guarded(argv) if have_numpy else None
+        finally:
+            os.chdir(home)
+    return {" ".join(argv): results[" ".join(argv)] for argv in argvs}
+
+
+def _guarded(argv) -> dict:
+    """run_case's entry, or the escaped exception as its exit (a failed
+    replay, never a recorded one)."""
+    try:
+        return run_case(argv)
+    except (Exception, SystemExit) as exc:   # a traceback or argparse's exit
+        return {"exit": f"{type(exc).__name__}: {exc}"}
+
+
+def replay() -> tuple:
+    """(argvs whose entry moved, each with its recorded and replayed entry;
+    number of --scan argvs skipped for want of numpy)."""
+    corpus = json.loads(CORPUS.read_text())
+    argvs = [key.split(" ") for key in corpus["cases"]]
+    got = run_corpus(argvs, corpus["files"])
+    moved = [(key, want, got[key]) for key, want in corpus["cases"].items()
+             if got[key] is not None and got[key] != want]
+    return moved, sum(entry is None for entry in got.values())
+
+
+def test_corpus_replays_byte_identical():
+    import cpulse
+    env = {**os.environ, "PYTHONPATH": str(Path(cpulse.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(", 0 scan argvs skipped\n"), proc.stdout
+
+
+def test_corpus_covers_every_exit_code():
+    cases = json.loads(CORPUS.read_text())["cases"]
+    assert len(cases) >= 450
+    assert {entry["exit"] for entry in cases.values()} == {0, 1, 2, 3}
+    assert sum(needs_numpy(key.split(" ")) for key in cases) >= 2
+    assert any(entry["out"] is not None for entry in cases.values())
+
+
+if __name__ == "__main__":
+    moved, skipped = replay()
+    for key, want, got in moved:
+        print(f"moved: {key}\n  recorded {want}\n  replayed {got}")
+    print(f"{len(moved)} argvs moved, {skipped} scan argvs skipped")
+    sys.exit(1 if moved else 0)

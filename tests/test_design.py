@@ -1,4 +1,5 @@
 import math
+from math import tau as TWO_PI
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cpulse.design import (DERIVATIVE_TOL, InfeasibleDesign, _validated, derivat
                            three_pulse_scan)
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target, reduce_angle)
-from cpulse.su2 import TWO_PI, rotation
+from cpulse.su2 import rotation
 from su2_oracle import IDENTITY, xy_axis
 
 PI = np.pi

@@ -7,6 +7,7 @@ import copy
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from cpulse.analysis import FitReport, SweepTable
 from cpulse.cli import main
 from cpulse.design import DesignResult, design_wn
-from cpulse.pulses import Pulse, PulseSequence, TargetRotation, reduce_angle
+from cpulse.pulses import Pulse, PulseSequence, TargetRotation, compile_sequence, reduce_angle
 
 PI = math.pi
 BB1 = PulseSequence.from_pairs([(PI, 1.8234765819369754), (2 * PI, 5.4704297458109262),
@@ -155,6 +156,35 @@ class TestValidation:
         with pytest.raises(ValueError,
                            match=r"^sweep table entries must be representable as floats$"):
             SweepTable(*columns)
+
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["epsilons", "fidelities", "infidelities"])
+    @pytest.mark.parametrize("entries", [
+        lambda col: [str(x) for x in col],
+        lambda col: np.array([str(x) for x in col]),
+        lambda col: [col[0], str(col[1])],
+        lambda col: np.array([col[0], str(col[1])], dtype=object)],
+        ids=["str-list", "str-array", "mixed-list", "mixed-object-array"])
+    def test_sweep_table_str_entries_raise_the_kernels_type_error(self, column, entries):
+        # dtype=float would parse them; the kernel's own check refuses a str
+        with pytest.raises(TypeError) as kernel:
+            compile_sequence(BB1, "0.1")
+        columns = [[0.001, 0.002], [1.0, 0.9], [0.0, 0.1]]
+        columns[column] = entries(columns[column])
+        with pytest.raises(TypeError, match=f"^{re.escape(str(kernel.value))}$"):
+            SweepTable(*columns)
+
+    def test_sweep_table_float_columns_build_no_python_floats(self):
+        # the library sweep hands float arrays over: the checks stay in numpy,
+        # with no per-entry pass (a list of 10^5 Python floats takes 3.2 MB)
+        eps = np.linspace(1e-3, 0.5, 100000)
+        fid = np.full(eps.size, 0.5)
+        tracemalloc.start()
+        try:
+            SweepTable(eps, fid, fid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * eps.nbytes, peak
 
     def test_sweep_table_infidelity_slack_matches_fidelity(self):
         t = SweepTable([0.0, 0.1], [1.0 + 1e-13, -1e-13], [-1e-13, 1.0 + 1e-13])
