@@ -39,7 +39,7 @@ def corrector_generators(corrector: PulseSequence, target: TargetRotation):
         raise ValueError("corrector must be a (pi, 2*pi, pi) pulse triple")
     phi1 = corrector.pulses[0].phase
     phi2 = corrector.pulses[1].phase
-    if abs(corrector.pulses[2].phase - phi1) > 1e-12:
+    if abs(math.remainder(corrector.pulses[2].phase - phi1, math.tau)) > 1e-12:
         raise ValueError("outer corrector pulses must share one phase")
     return tuple((k * math.cos(phi), k * math.sin(phi), 0.0) for k, phi in
                  ((target.theta, target.alpha), (math.pi, phi1),

@@ -318,7 +318,7 @@ def cmd_verify(args) -> int:
         if args.seq is not None or args.branch:
             raise ValueError("--scan reads only --theta, --alpha and --out, not --seq/--branch")
         rows = three_pulse_scan(_target(args))
-        ok = all((res < DERIVATIVE_TOL) == (abs(g - math.pi) <= 0.02) for g, res in rows)
+        ok = all((res < DERIVATIVE_TOL) == (g == math.pi) for g, res in rows)
         checks = [("three_pulse_scan", ok, "flat residual only at pi multiples")]
     else:
         seq, _, target = _source(args, embed=False)
@@ -329,9 +329,10 @@ def cmd_verify(args) -> int:
                   ("derivative_residual", deriv < DERIVATIVE_TOL, "%.3g" % deriv),
                   ("order", abs(report.order - 6.0) <= 0.05, "%.4f" % report.order),
                   ("r_squared", report.r_squared > 0.9999, "%.8f" % report.r_squared)]
-        # np.allclose's test (rtol 1e-5, atol 1e-8) on the (pi, 2 pi, pi) angles
-        if len(seq) == 3 and all(abs(p.angle - a) <= 1e-8 + 1e-5 * a for p, a in
-                                 zip(seq, (math.pi, 2 * math.pi, math.pi))):
+        # analytic_c's inputs within 1e-8: the (pi, 2 pi, pi) angles, one outer phase
+        if len(seq) == 3 and all(abs(d) <= 1e-8 for d in (
+                *(p.angle - a for p, a in zip(seq, (math.pi, math.tau, math.pi))),
+                math.remainder(seq.pulses[2].phase - seq.pulses[0].phase, math.tau))):
             cfit = fit_error_scaling(seq, target, COEFF_WINDOW).coefficient
             cref = analytic_c(seq.pulses[1].phase - seq.pulses[0].phase)
             ok = cref > 0 and abs(cfit - cref) / cref < 0.01

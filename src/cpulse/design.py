@@ -262,9 +262,9 @@ def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1) -> np.ndar
     In the toggling frame the error derivative of the full sequence has
     Frobenius norm |v| / sqrt(2), v = sum_k theta_k m_k with m_k pulse k's
     axis carried back through the earlier pulses; _split_residual minimises
-    |v| in closed form, free of the target azimuth.  The residual vanishes
-    only at gamma = m pi, the default grid's midpoint: no other symmetric
-    3-pulse split admits a first-order-flat sequence.
+    |v| in closed form, free of the target azimuth.  Only gamma = m pi, the
+    default grid's midpoint, is flat; the rounding left there grows with m and
+    can exceed DERIVATIVE_TOL at small theta from about m = 180 on.
     """
     m = _count(m, "m")
     gammas = _lin_grid(0.12, 2 * m * math.pi - 0.12, 61) if gammas is None else gammas

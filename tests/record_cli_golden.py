@@ -62,12 +62,21 @@ def files() -> dict:
            "negative.txt": "-1 0\n",
            "empty.txt": "# no pulses\n",
            "bad.json": "{\"pulses\": [{\"angle\": \"pi\", \"phase\": 0}]}\n"}
-    # off the family by delta at one index: numpy's allclose would pass them
+    # off the family by delta at one index: within 1e-8 the closed form
+    # applies, at 2e-5 not (numpy's allclose would pass all three)
     for delta in ("1e-9", "-1e-9", "2e-5"):
         for i in range(3):
             pairs = list(w1)
             pairs[i] = (pairs[i][0] + float(delta), pairs[i][1])
             out[f"w1_off{delta}_at{i}.txt"] = pairs_text(pairs)
+        # the last phase off by delta: the closed form applies within 1e-8
+        if delta != "2e-5":
+            out[f"outer_off{delta}.txt"] = pairs_text(
+                [w1[0], w1[1], (w1[2][0], w1[2][1] + float(delta))])
+    # W1 turned so its outer phases straddle 0 (1e-13 and 2 pi - 1e-13),
+    # with its target turned alike: the outer phases match on the circle
+    wrap = PulseSequence.from_pairs([(PI, 1e-13), (2 * PI, w1[1][1] - w1[0][1]), (PI, -1e-13)])
+    out["outer_wrap.json"] = json.dumps(sequence_to_json(wrap, TargetRotation(PI, -w1[0][1])))
     w121_target = TargetRotation(1.9, 0.7)
     w121 = design_five_pulse(1, 2, 1, w121_target)[0].sequence
     out["w121.json"] = json.dumps(sequence_to_json(w121, w121_target))
@@ -93,9 +102,9 @@ def argvs(names) -> list:
     for branch in ("0", "5", "11", "12"):
         cases += [job + ["--seq", "w222_design.json", "--branch", branch] for job in JOBS]
     cases += [["verify", "--seq", name] for name in names
-              if name.startswith(("w1_off", "outer_pi", "broken"))]
+              if name.startswith(("w1_off", "outer_", "broken"))]
     cases += [["coeff", "--seq", name, "--window", "coeff"] for name in names
-              if name.startswith(("w1_off", "outer_pi"))]
+              if name.startswith(("w1_off", "outer_"))]
     cases += [["simulate", "--seq", name] for name in names
               if name.startswith(("huge", "bad", "negative", "empty"))]
     cases += [

@@ -175,6 +175,16 @@ class TestPEpsilon:
         with pytest.raises(ValueError, match="outer corrector pulses must share one phase"):
             corrector_generators(corrector, target)
 
+    def test_outer_phases_are_compared_on_the_circle(self):
+        # W1 turned so its outer phases straddle 0: 1e-13 and 2 pi - 1e-13
+        p1, p2, _ = (p.phase for p in design_wm(1, TargetRotation(PI, 0.0)).sequence)
+        target = TargetRotation(PI, -p1)
+        corrector = PulseSequence.from_pairs([(PI, 1e-13), (2 * PI, p2 - p1), (PI, -1e-13)])
+        assert corrector.pulses[2].phase == 2 * PI - 1e-13
+        c = sixth_order_coefficient(p_epsilon(corrector, target))
+        delta = corrector.pulses[1].phase - corrector.pulses[0].phase
+        assert c == pytest.approx(analytic_c(delta), rel=1e-12, abs=1e-12)
+
     @pytest.mark.parametrize("index", [0, 1, 2])
     @pytest.mark.parametrize("offset", [1e-9, -1e-9, 2e-5])
     def test_angle_check_is_absolute(self, index, offset):

@@ -13,7 +13,8 @@ import pytest
 from cpulse import cli
 from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling, sweep
 from cpulse.cli import main, parse_angle
-from cpulse.design import design_five_pulse, design_wm, design_wn, three_pulse_scan
+from cpulse.design import (DERIVATIVE_TOL, design_five_pulse, design_wm, design_wn,
+                           three_pulse_scan)
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _overlap_at, compile_sequence,
                            embed_target, format_sequence, parse_sequence, sequence_to_json)
 
@@ -447,16 +448,22 @@ class TestVerify:
     @pytest.mark.parametrize("index", [0, 1, 2])
     @pytest.mark.parametrize("offset", [1e-9, -1e-9, 2e-5])
     def test_near_family_file_fails_its_analytic_line(self, capsys, tmp_path, index, offset):
-        # W1 with one angle off by offset: numpy's allclose test on the
-        # angles keeps the analytic_coefficient line.  With the last pi pulse
-        # 1e-9 off, that line is the only check that fails: C moves by 31-47%
-        # while the derivative residual stays under DERIVATIVE_TOL
+        # W1 with one angle off by offset.  Within 1e-8 of (pi, 2 pi, pi) the
+        # closed form applies and keeps the analytic_coefficient line: with the
+        # last pi pulse 1e-9 off, that line is the only check that fails (C
+        # moves by 31-47% while the derivative residual stays under
+        # DERIVATIVE_TOL).  At 2e-5 off it does not apply, and the invariant
+        # checks fail the file
         pairs = [(p.angle, p.phase) for p in design_wm(1, TargetRotation(PI, 0.0)).sequence]
         pairs[index] = (pairs[index][0] + offset, pairs[index][1])
         path = tmp_path / "off.txt"
         path.write_text(format_sequence(PulseSequence.from_pairs(pairs)))
         assert main(["verify", "--seq", str(path)]) == 1
         lines = capsys.readouterr().out.splitlines()
+        if offset == 2e-5:
+            assert len(lines) == 4 and not any("analytic" in line for line in lines), lines
+            assert any(line.startswith("FAIL ") for line in lines), lines
+            return
         assert len(lines) == 5
         assert lines[-1].startswith("FAIL analytic_coefficient: fit ")
         assert lines[-1].endswith(" vs analytic 4.69428")
@@ -469,9 +476,88 @@ class TestVerify:
         path = tmp_path / "outer.txt"
         path.write_text(format_sequence(PulseSequence.from_pairs(
             [(a1, p1), (a2, p2), (a3, p1 + PI)])))
+        # the closed form needs one outer phase, so the line does not apply
         assert main(["verify", "--seq", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and not any("analytic" in line for line in lines), lines
+        assert lines[1].startswith("FAIL derivative_residual: ")
+
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9])
+    def test_outer_phase_off_by_1e9_fails_its_analytic_line(self, capsys, tmp_path, offset):
+        # within 1e-8 of one outer phase the closed form applies; C moves by ~10%
+        (a1, p1), (a2, p2), (a3, _) = [
+            (p.angle, p.phase) for p in design_wm(1, TargetRotation(PI, 0.0)).sequence]
+        path = tmp_path / "outer.txt"
+        path.write_text(format_sequence(PulseSequence.from_pairs(
+            [(a1, p1), (a2, p2), (a3, p1 + offset)])))
+        assert main(["verify", "--seq", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert lines[-1].startswith("FAIL analytic_coefficient: fit ")
+        assert lines[-1].endswith(" vs analytic 4.69428")
+
+    def test_outer_phases_are_compared_on_the_circle(self, capsys, tmp_path):
+        # W1 turned so its outer phases straddle 0: 1e-13 and 2 pi - 1e-13
+        p1, p2, _ = (p.phase for p in design_wm(1, TargetRotation(PI, 0.0)).sequence)
+        target = TargetRotation(PI, -p1)
+        seq = PulseSequence.from_pairs([(PI, 1e-13), (2 * PI, p2 - p1), (PI, -1e-13)])
+        assert seq.pulses[2].phase == 2 * PI - 1e-13
+        path = tmp_path / "wrap.json"
+        path.write_text(json.dumps(sequence_to_json(seq, target)))
+        assert main(["verify", "--seq", str(path)]) == 0
         out = capsys.readouterr().out
-        assert out.endswith("FAIL analytic_coefficient: fit 4.93557 vs analytic 4.69428\n")
+        assert out.endswith("PASS analytic_coefficient: fit 4.69272 vs analytic 4.69428\n")
+        assert out.count("PASS ") == 5
+
+    def test_near_family_files_fail_an_invariant_check(self, capsys, tmp_path):
+        # every file more than 1e-8 off the closed form's inputs, up to where
+        # numpy's allclose (rtol 1e-5) once admitted the angles, and any outer
+        # phase gap, fails one of the four invariant checks and has no
+        # analytic_coefficient line
+        rng = np.random.default_rng(27)
+        path = tmp_path / "near.json"
+        for _ in range(40):
+            target = TargetRotation(rng.uniform(0.1, 4 * PI - 0.1), rng.uniform(0, 2 * PI))
+            w1 = [(p.angle, p.phase) for p in design_wm(1, target).sequence]
+            for kind, top in (("angle", 7e-5), ("phase", PI)) * 6:
+                offset = rng.choice([-1, 1]) * 10 ** rng.uniform(math.log10(1.01e-8),
+                                                                 math.log10(top))
+                pairs = list(w1)
+                if kind == "angle":   # one angle off
+                    index = rng.integers(3)
+                    pairs[index] = (pairs[index][0] + offset, pairs[index][1])
+                else:                 # the outer phases apart
+                    pairs[2] = (pairs[2][0], pairs[2][1] + offset)
+                path.write_text(json.dumps(sequence_to_json(
+                    PulseSequence.from_pairs(pairs), target)))
+                assert main(["verify", "--seq", str(path)]) == 1, (target, pairs)
+                lines = capsys.readouterr().out.splitlines()
+                assert len(lines) == 4 and any(line.startswith("FAIL ") for line in lines), lines
+
+    def test_scan_verdict_matches_the_rows_within_0_02_of_pi(self, capsys, monkeypatch):
+        # the verdict names the grid's own flat row, gamma == pi; no other row
+        # of the default m = 1 grid lies within 0.02 of pi, so it agrees with
+        # the rule that accepted any row there
+        rows_seen = []
+
+        def recording_scan(target):
+            rows_seen.append(three_pulse_scan(target))
+            return rows_seen[-1]
+
+        monkeypatch.setattr(cli, "three_pulse_scan", recording_scan)
+        rng = np.random.default_rng(2702)
+        thetas = [*rng.uniform(0.01, 4 * PI - 0.01, 200), 4 * PI - 1e-9, 4 * PI - 3e-9]
+        codes = set()
+        for theta in thetas:
+            code = main(["verify", "--scan", "--theta", repr(float(theta)),
+                         "--alpha", repr(rng.uniform(0, 2 * PI))])
+            capsys.readouterr()
+            gammas, res = rows_seen[-1][:, 0], rows_seen[-1][:, 1]
+            assert ((gammas == PI) == (np.abs(gammas - PI) <= 0.02)).all()
+            assert code == (0 if ((res < DERIVATIVE_TOL) == (np.abs(gammas - PI) <= 0.02)).all()
+                            else 1), theta
+            codes.add(code)
+        assert codes == {0, 1}
 
     @pytest.mark.parametrize("argv, line", [
         (["--family", "wm", "--m", "1"],

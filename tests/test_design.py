@@ -387,6 +387,14 @@ class TestScan:
         assert np.flatnonzero(rows[:, 1] < DERIVATIVE_TOL).tolist() == [30]
         assert rows[30, 0] == pytest.approx(m * PI, rel=1e-15)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 40])
+    @pytest.mark.parametrize("theta, alpha", [(0.3, 0.7), (PI, 0.0), (3 * PI, 2.0)])
+    def test_default_grid_is_flat_only_at_its_midpoint(self, theta, alpha, m):
+        # the rounding left at gamma = m pi grows with m; from about m = 180 on
+        # it can exceed DERIVATIVE_TOL at small theta, leaving no flat row
+        rows = three_pulse_scan(TargetRotation(theta, alpha), m=m)
+        assert np.flatnonzero(rows[:, 1] < DERIVATIVE_TOL).tolist() == [30]
+
     def test_default_grid_at_m_1(self):
         rows = three_pulse_scan(TargetRotation(PI, 0.0))
         assert rows[:, 0].tobytes() == np.linspace(0.12, TWO_PI - 0.12, 61).tobytes()
