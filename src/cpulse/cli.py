@@ -9,8 +9,8 @@ simulate makes one pass of the one-point kernel, pulses._jet: it prints the
 matrix (compile_sequence's bit for bit) and its pulses._entry_overlap.  sweep
 builds the many-point kernel, pulses._overlap_at, once and streams the library
 sweep's rows from it bit for bit, over a grid generated point by point and
-walked once.  No command but verify --scan imports numpy, and only JSON input
-or output loads json.
+walked once.  No command imports numpy, and only JSON input or output loads
+json.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible design or bad
 input, 3 I/O error.  CSV output is byte-stable for a fixed invocation
@@ -25,9 +25,9 @@ from itertools import islice, pairwise
 
 from .analysis import COEFF_WINDOW, ORDER_WINDOW, _lin_grid, fit_error_scaling
 from .bch import analytic_c
-from .design import (DERIVATIVE_TOL, IDENTITY_TOL, InfeasibleDesign, derivative_residual,
-                     design_five_pulse, design_wm, design_wn, identity_residual,
-                     three_pulse_scan)
+from .design import (DERIVATIVE_TOL, IDENTITY_TOL, InfeasibleDesign, _scan,
+                     derivative_residual, design_five_pulse, design_wm, design_wn,
+                     identity_residual)
 from .pulses import (MAX_MULTIPLE, Pulse, PulseSequence, TargetRotation, _entry_overlap, _jet,
                      _overlap_at, _target_conj, embed_target, format_sequence, parse_sequence,
                      sequence_from_json, sequence_to_json)
@@ -317,7 +317,7 @@ def cmd_verify(args) -> int:
     if args.scan:
         if args.seq is not None or args.branch:
             raise ValueError("--scan reads only --theta, --alpha and --out, not --seq/--branch")
-        rows = three_pulse_scan(_target(args))
+        rows = _scan(_target(args))
         ok = all((res < DERIVATIVE_TOL) == (g == math.pi) for g, res in rows)
         checks = [("three_pulse_scan", ok, "flat residual only at pi multiples")]
     else:

@@ -3,16 +3,18 @@
 Every family is derived from two constraints on the full sequence (corrector
 wrapped around the target): it must compile to the identity-composed-target
 at zero error, and its first derivative with respect to the fractional error
-must vanish there.  The 3-pulse and five-pulse designs and the 3-pulse
-exhaustiveness scan are solved in closed form (the five-pulse branches by
-the law of cosines, at most two per pinned azimuth); every returned result
-is re-validated against the matrix-level residuals.
+must vanish there.  The 3-pulse and five-pulse designs are solved in closed
+form (the five-pulse branches by the law of cosines, at most two per pinned
+azimuth), the 3-pulse exhaustiveness scan by bisection to adjacent floats;
+every returned result is re-validated against the matrix-level residuals.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import partial, reduce
+from itertools import pairwise, zip_longest
 
 from . import _numpy as np
 from .analysis import _lin_grid
@@ -212,47 +214,98 @@ def design_five_pulse(p: int, q: int, r: int,
 # ---------------------------------------------------------------------------
 
 
+def _plus(p, q):
+    """Sum of two coefficient lists, lowest power first."""
+    return [a + b for a, b in zip_longest(p, q, fillvalue=0.0)]
+
+
+def _times(p, q):
+    """Product of two coefficient lists: q shifted and scaled by each term of p."""
+    return reduce(_plus, ([0.0] * i + [a * b for b in q] for i, a in enumerate(p)))
+
+
+def _der(p):
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _at(p, x):
+    """p(x) by Horner's rule."""
+    return reduce(lambda acc, c: acc * x + c, reversed(p), 0.0)
+
+
+def _bisect(f, a, b):
+    """[a, b] halved down to adjacent floats, keeping f's sign at a on the
+    left; returns the left end, a root of f when its sign changes on [a, b]."""
+    left = f(a) < 0.0
+    while a < (mid := 0.5 * (a + b)) < b:
+        a, b = (mid, b) if (f(mid) < 0.0) == left else (a, mid)
+    return a
+
+
+def _pieces(p, lo, hi):
+    """[lo, the roots where p changes sign in (lo, hi), hi]: each lies in a
+    piece of its derivative's, on which p is monotone."""
+    if len(p) < 2:
+        return [lo, hi]
+    at = partial(_at, p)
+    return [lo, *(_bisect(at, a, b) for a, b in pairwise(_pieces(_der(p), lo, hi))
+                  if (at(a) < 0.0) != (at(b) < 0.0)), hi]
+
+
 def _split_residual(theta, gamma, m):
     """(gamma, sqrt(min |v|^2 / 2)) over all phases of the (gamma, eta, gamma)
     corrector, eta = 2(2m pi - gamma), for v of three_pulse_scan.  In the
     frame of the first corrector axis, with delta = alpha - phi1,
-    psi = phi2 - phi1, c = cos psi and K = 1 - cos eta,
+    psi = phi2 - phi1, u = 1 + cos psi in [0, 2] and K = 1 - cos eta,
 
         v = theta (cos delta, cos gamma sin delta, sin gamma sin delta) + B,
-        B = (gamma (2 - K) + eta c + gamma K c^2, sin psi (eta + gamma K c),
-             gamma sin eta sin psi).
+        B = (bx(u), sin psi bu(u), sin psi bh(u)),  sin^2 psi = u (2 - u),
 
-    The theta term sweeps a circle in the plane of e_x and u = (0, cos gamma,
-    sin gamma), so the minimum over delta is (theta - rho)^2 + h^2, with h
-    the out-of-plane part of B and rho^2 = |B|^2 - h^2.  As K^2 + sin^2 eta
-    = 2K, |B|^2 = S(c) = 2 gamma^2 K c^2 + 4 gamma eta c + 2 gamma^2 (2 - K)
-    + eta^2 is quadratic in c, and h^2 = Q(c) is a quartic (sin^2 psi =
-    1 - c^2).  Over c in [-1, 1] the minimum sits at c = +-1 or at a real
-    root of the sextic S'^2 (S - Q) - theta^2 (S' - Q')^2; other roots,
-    clipped, only add candidates.
+    bx quadratic and bu, bh linear in u.  The theta term sweeps a circle in
+    the plane of e_x and (0, cos gamma, sin gamma), so the minimum over delta
+    is (theta - rho)^2 + h^2, with h = sin psi bh the out-of-plane part of B,
+    rho^2 = P = S - u (2 - u) bh^2 and S = |B|^2 quadratic in u (as K^2 +
+    sin^2 eta = 2K).  The slope of |v|^2 = theta^2 + S - 2 theta rho has the
+    sign of S' rho - theta P', whose roots are roots of the sextic S'^2 P -
+    theta^2 P'^2: each monotone piece of the sextic holds at most one, and
+    u = 0 and 2 are the other candidates.  The flat minimum lies at u =
+    theta^2 / (8 m^2 pi^2), which u resolves and cos psi, near -1, does not.
     """
     if not _finite(gamma):
         raise ValueError("scan angle gamma must be finite")
     gamma = float(gamma)
     eta = 2.0 * (2.0 * m * math.pi - gamma)
-    k = 1.0 - math.cos(eta)
     cg, sg, se = math.cos(gamma), math.sin(gamma), math.sin(eta)
-    bx = [gamma * k, eta, gamma * (2.0 - k)]
-    bu = [cg * gamma * k, cg * eta + gamma * sg * se]
-    bh = [-sg * gamma * k, -sg * eta + gamma * cg * se]
-    # S in closed form: summed from squares, its cancelling c^4 and c^3 terms
-    # leave roundoff that adds roots near 1e16 and costs ~1e-9 of accuracy
-    s = [2.0 * gamma * gamma * k, 4.0 * gamma * eta,
-         2.0 * gamma * gamma * (2.0 - k) + eta * eta]
-    p = np.polysub(s, np.convolve([-1.0, 0.0, 1.0], np.convolve(bh, bh)))
-    ds, dp = np.polyder(s), np.polyder(p)
-    crit = np.polysub(np.convolve(np.convolve(ds, ds), p),
-                      theta * theta * np.convolve(dp, dp))
-    c = np.clip(np.concatenate([np.roots(crit).real, [-1.0, 1.0]]), -1.0, 1.0)
+    gk = gamma * (1.0 - math.cos(eta))
+    bx = [2.0 * gamma - eta, eta - 2.0 * gk, gk]
+    bu = [cg * (eta - gk) + gamma * sg * se, gk * cg]
+    bh = [gamma * cg * se - sg * (eta - gk), -gk * sg]
+    # S in closed form: summed from squares, its u^4 and u^3 terms would
+    # cancel only to roundoff
+    s = [(2.0 * gamma - eta) ** 2, 4.0 * gamma * (eta - gk), 2.0 * gamma * gk]
+    p = _plus(s, _times([0.0, -2.0, 1.0], _times(bh, bh)))
+    ds, dp = _der(s), _der(p)
+    sextic = _plus(_times(_times(ds, ds), p), _times([-theta * theta], _times(dp, dp)))
+
+    def rho(u):
+        return math.sqrt(_at(bx, u) ** 2 + u * (2.0 - u) * _at(bu, u) ** 2)
+
+    # unsquared: squaring pairs a spurious root with each real one
+    def slope(u):
+        return _at(ds, u) * rho(u) - theta * _at(dp, u)
+
+    ends = _pieces(_der(sextic), 0.0, 2.0)
     # sums of squares: theta^2 + S - 2 theta rho cancels to ~1e-8 when flat
-    rho = np.sqrt(np.polyval(bx, c) ** 2 + (1.0 - c * c) * np.polyval(bu, c) ** 2)
-    v2 = (theta - rho) ** 2 + (1.0 - c * c) * np.polyval(bh, c) ** 2
-    return gamma, math.sqrt(float(v2.min()) / 2.0)
+    return gamma, math.sqrt(min(
+        (theta - rho(u)) ** 2 + u * (2.0 - u) * _at(bh, u) ** 2
+        for u in (0.0, 2.0, *(_bisect(slope, a, b) for a, b in pairwise(ends)))) / 2.0)
+
+
+def _scan(target: TargetRotation, gammas=None, m: int = 1) -> list:
+    """three_pulse_scan's rows as (gamma, residual) pairs of Python floats."""
+    m = _count(m, "m")
+    gammas = _lin_grid(0.12, 2 * m * math.pi - 0.12, 61) if gammas is None else gammas
+    return [_split_residual(target.theta, g, m) for g in gammas]
 
 
 def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1) -> np.ndarray:
@@ -262,10 +315,7 @@ def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1) -> np.ndar
     In the toggling frame the error derivative of the full sequence has
     Frobenius norm |v| / sqrt(2), v = sum_k theta_k m_k with m_k pulse k's
     axis carried back through the earlier pulses; _split_residual minimises
-    |v| in closed form, free of the target azimuth.  Only gamma = m pi, the
-    default grid's midpoint, is flat; the rounding left there grows with m and
-    can exceed DERIVATIVE_TOL at small theta from about m = 180 on.
+    |v| exactly in the chart u = 1 + cos(phi2 - phi1), free of the target
+    azimuth.  Only gamma = m pi, the default grid's midpoint, is flat.
     """
-    m = _count(m, "m")
-    gammas = _lin_grid(0.12, 2 * m * math.pi - 0.12, 61) if gammas is None else gammas
-    return np.array([_split_residual(target.theta, g, m) for g in gammas]).reshape(-1, 2)
+    return np.array(_scan(target, gammas, m)).reshape(-1, 2)

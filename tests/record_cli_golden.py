@@ -162,8 +162,7 @@ if __name__ == "__main__":
     assert len(set(keys)) == len(keys), "repeated argv"
     assert all(" " not in token for argv in cases for token in argv)
     entries = run_corpus(cases, corpus_files)
-    bad = {key: entry for key, entry in entries.items()
-           if entry is None or not isinstance(entry["exit"], int)}
+    bad = {key: entry for key, entry in entries.items() if not isinstance(entry["exit"], int)}
     assert not bad, bad
     CORPUS.write_text(json.dumps({"files": corpus_files, "cases": entries}, indent=1) + "\n")
     codes = sorted({entry["exit"] for entry in entries.values()})

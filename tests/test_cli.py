@@ -13,8 +13,7 @@ import pytest
 from cpulse import cli
 from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling, sweep
 from cpulse.cli import main, parse_angle
-from cpulse.design import (DERIVATIVE_TOL, design_five_pulse, design_wm, design_wn,
-                           three_pulse_scan)
+from cpulse.design import DERIVATIVE_TOL, _scan, design_five_pulse, design_wm, design_wn
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _overlap_at, compile_sequence,
                            embed_target, format_sequence, parse_sequence, sequence_to_json)
 
@@ -418,9 +417,9 @@ class TestVerify:
 
         def recording_scan(target):
             seen.append(target)
-            return three_pulse_scan(target)
+            return _scan(target)
 
-        monkeypatch.setattr(cli, "three_pulse_scan", recording_scan)
+        monkeypatch.setattr(cli, "_scan", recording_scan)
         assert main(["verify", "--scan", "--theta", theta, "--alpha", alpha]) == 0
         assert capsys.readouterr().out == (
             "PASS three_pulse_scan: flat residual only at pi multiples\n")
@@ -432,7 +431,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("the scan must not run")
 
-        monkeypatch.setattr(cli, "three_pulse_scan", refuse)
+        monkeypatch.setattr(cli, "_scan", refuse)
         assert main(["verify", "--scan"] + extra) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -541,10 +540,11 @@ class TestVerify:
         rows_seen = []
 
         def recording_scan(target):
-            rows_seen.append(three_pulse_scan(target))
-            return rows_seen[-1]
+            rows = _scan(target)
+            rows_seen.append(np.array(rows))
+            return rows
 
-        monkeypatch.setattr(cli, "three_pulse_scan", recording_scan)
+        monkeypatch.setattr(cli, "_scan", recording_scan)
         rng = np.random.default_rng(2702)
         thetas = [*rng.uniform(0.01, 4 * PI - 0.01, 200), 4 * PI - 1e-9, 4 * PI - 3e-9]
         codes = set()

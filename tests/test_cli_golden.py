@@ -4,9 +4,8 @@ input files those argvs read.  tests/record_cli_golden.py writes it.
 
 The replay runs every argv in-process through cli.main, in a scratch
 directory that holds the corpus files, and names each argv whose bytes
-moved.  Argvs without --scan run with numpy blocked (None in sys.modules),
-so they also prove that no such job needs numpy; the --scan argvs run after,
-or are skipped when numpy is not installed.  pytest has imported numpy
+moved.  Every argv runs with numpy blocked (None in sys.modules), so the
+replay also proves that no CLI job needs numpy.  pytest has imported numpy
 already, so the test replays in a fresh interpreter.
 
 Uses neither numpy nor pytest, so it also runs as a script on any supported
@@ -14,7 +13,6 @@ Python, numpy installed or not: PYTHONPATH=src python tests/test_cli_golden.py""
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -26,10 +24,6 @@ from pathlib import Path
 CORPUS = Path(__file__).with_name("cli_golden.json")
 # what each argv may write through --out, relative to the scratch directory
 OUT = "out.txt"
-
-
-def needs_numpy(argv) -> bool:
-    return "--scan" in argv
 
 
 def _sha(data: bytes) -> str:
@@ -52,33 +46,22 @@ def run_case(argv) -> dict:
 
 
 def run_corpus(argvs, files) -> dict:
-    """{argv joined by spaces: run_case's entry, or None for a --scan argv
-    when numpy is not installed}, each argv run in a scratch directory that
-    holds the files ({name: text}).  Must start before numpy is imported:
-    the argvs without --scan run first, with numpy blocked."""
+    """{argv joined by spaces: run_case's entry}, each argv run with numpy
+    blocked in a scratch directory that holds the files ({name: text}).
+    Must start before numpy is imported."""
     if "numpy" in sys.modules:
         raise RuntimeError("numpy is imported already, so it cannot be blocked")
-    results = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         for name, text in files.items():
             Path(scratch, name).write_text(text)
         os.chdir(scratch)
+        sys.modules["numpy"] = None
         try:
-            sys.modules["numpy"] = None
-            try:
-                for argv in argvs:
-                    if not needs_numpy(argv):
-                        results[" ".join(argv)] = _guarded(argv)
-            finally:
-                del sys.modules["numpy"]
-            have_numpy = importlib.util.find_spec("numpy") is not None
-            for argv in argvs:
-                if needs_numpy(argv):
-                    results[" ".join(argv)] = _guarded(argv) if have_numpy else None
+            return {" ".join(argv): _guarded(argv) for argv in argvs}
         finally:
+            del sys.modules["numpy"]
             os.chdir(home)
-    return {" ".join(argv): results[" ".join(argv)] for argv in argvs}
 
 
 def _guarded(argv) -> dict:
@@ -90,15 +73,12 @@ def _guarded(argv) -> dict:
         return {"exit": f"{type(exc).__name__}: {exc}"}
 
 
-def replay() -> tuple:
-    """(argvs whose entry moved, each with its recorded and replayed entry;
-    number of --scan argvs skipped for want of numpy)."""
+def replay() -> list:
+    """The argvs whose entry moved, each with its recorded and replayed entry."""
     corpus = json.loads(CORPUS.read_text())
     argvs = [key.split(" ") for key in corpus["cases"]]
     got = run_corpus(argvs, corpus["files"])
-    moved = [(key, want, got[key]) for key, want in corpus["cases"].items()
-             if got[key] is not None and got[key] != want]
-    return moved, sum(entry is None for entry in got.values())
+    return [(key, want, got[key]) for key, want in corpus["cases"].items() if got[key] != want]
 
 
 def test_corpus_replays_byte_identical():
@@ -107,20 +87,20 @@ def test_corpus_replays_byte_identical():
     proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.endswith(", 0 scan argvs skipped\n"), proc.stdout
+    assert proc.stdout == "0 argvs moved\n", proc.stdout
 
 
 def test_corpus_covers_every_exit_code():
     cases = json.loads(CORPUS.read_text())["cases"]
     assert len(cases) >= 450
     assert {entry["exit"] for entry in cases.values()} == {0, 1, 2, 3}
-    assert sum(needs_numpy(key.split(" ")) for key in cases) >= 2
+    assert sum("--scan" in key.split(" ") for key in cases) >= 2
     assert any(entry["out"] is not None for entry in cases.values())
 
 
 if __name__ == "__main__":
-    moved, skipped = replay()
+    moved = replay()
     for key, want, got in moved:
         print(f"moved: {key}\n  recorded {want}\n  replayed {got}")
-    print(f"{len(moved)} argvs moved, {skipped} scan argvs skipped")
+    print(f"{len(moved)} argvs moved")
     sys.exit(1 if moved else 0)

@@ -4,11 +4,11 @@ from math import tau as TWO_PI
 import numpy as np
 import pytest
 
-from cpulse.analysis import fit_error_scaling, infidelity
-from cpulse.design import (DERIVATIVE_TOL, InfeasibleDesign, _validated, derivative_residual,
-                           design_five_pulse, design_wm, design_wn,
-                           error_derivative, identity_residual,
-                           three_pulse_scan)
+from cpulse.analysis import _lin_grid, fit_error_scaling, infidelity
+from cpulse.design import (DERIVATIVE_TOL, InfeasibleDesign, _at, _der, _pieces,
+                           _split_residual, _times, _validated, derivative_residual,
+                           design_five_pulse, design_wm, design_wn, error_derivative,
+                           identity_residual, three_pulse_scan)
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target, reduce_angle)
 from cpulse.su2 import rotation
@@ -390,10 +390,41 @@ class TestScan:
     @pytest.mark.parametrize("m", [1, 2, 3, 10, 40])
     @pytest.mark.parametrize("theta, alpha", [(0.3, 0.7), (PI, 0.0), (3 * PI, 2.0)])
     def test_default_grid_is_flat_only_at_its_midpoint(self, theta, alpha, m):
-        # the rounding left at gamma = m pi grows with m; from about m = 180 on
-        # it can exceed DERIVATIVE_TOL at small theta, leaving no flat row
         rows = three_pulse_scan(TargetRotation(theta, alpha), m=m)
         assert np.flatnonzero(rows[:, 1] < DERIVATIVE_TOL).tolist() == [30]
+
+    @pytest.mark.parametrize("m, theta", [(191, 0.047), (180, 0.0438), (1000, 0.01)])
+    def test_midpoint_stays_flat_at_large_m_and_small_theta(self, m, theta):
+        # the flat minimum sits at 1 + cos(phi2 - phi1) = theta^2 / (8 m^2 pi^2),
+        # 1.3e-12 at m = 1000; floats near cos(phi2 - phi1) = -1 are 1.1e-16
+        # apart, too coarse to hold it within DERIVATIVE_TOL
+        rows = three_pulse_scan(TargetRotation(theta, 0.0), m=m)
+        assert np.flatnonzero(rows[:, 1] < DERIVATIVE_TOL).tolist() == [30]
+        assert rows[30, 1] < 1e-13
+
+    def test_midpoint_flat_for_m_up_to_1000(self):
+        rng = np.random.default_rng(191)
+        for i in range(16):
+            m = int(rng.integers(1, 1001))
+            theta = rng.uniform(0.01, 0.1) if i % 2 else rng.uniform(0.01, 4 * PI - 0.01)
+            rows = three_pulse_scan(TargetRotation(theta, rng.uniform(0, 2 * PI)), m=m)
+            assert np.flatnonzero(rows[:, 1] < DERIVATIVE_TOL).tolist() == [30], (m, theta)
+
+    def test_matches_a_50_digit_minimum(self):
+        # 156 rows, m = 1-3, half at theta < 0.1; numpy's roots of the squared
+        # sextic in cos(phi2 - phi1) were up to 4.4e-12 off on these rows
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(28)
+        worst = 0.0
+        for i in range(156):
+            m = 1 + i % 3
+            theta = rng.uniform(1e-3, 0.1) if i % 2 else rng.uniform(1e-3, 4 * PI - 1e-3)
+            grid = list(_lin_grid(0.12, 2 * m * PI - 0.12, 61))
+            gamma = [grid[30], grid[35], grid[int(rng.integers(61))],
+                     rng.uniform(0.0, 2 * m * PI)][i // 3 % 4]
+            want = float(mpmath.sqrt(least_v2_50_digits(mpmath, theta, gamma, m) / 2))
+            worst = max(worst, abs(_split_residual(theta, gamma, m)[1] - want))
+        assert worst <= 1e-13
 
     def test_default_grid_at_m_1(self):
         rows = three_pulse_scan(TargetRotation(PI, 0.0))
@@ -409,6 +440,66 @@ class TestScan:
     def test_non_finite_gamma_named(self, gamma):
         with pytest.raises(ValueError, match="^scan angle gamma must be finite$"):
             three_pulse_scan(TargetRotation(PI, 0.0), [1.0, gamma])
+
+
+def test_pieces_brackets_every_root_by_adjacent_floats():
+    # dyadic roots k / 64 keep every coefficient exact, so the seeded roots
+    # are the polynomial's own; each is bisected to a float x whose neighbour
+    # up reads the other sign, so |x - root| is within an ulp plus Horner's
+    # error bound, 2 deg u sum |c_i| root^i, over the slope there
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        roots = sorted(rng.choice(np.arange(1, 128), int(rng.integers(0, 7)), replace=False) / 64)
+        p = [float(rng.choice([-2.0, -1.0, 0.5, 4.0]))]
+        for r in roots:
+            p = _times(p, [-r, 1.0])
+        ends = _pieces(p, 0.0, 2.0)
+        assert ends[0] == 0.0 and ends[-1] == 2.0 and len(ends) == len(roots) + 2
+        for x, r in zip(ends[1:-1], roots):
+            assert (_at(p, x) < 0.0) != (_at(p, math.nextafter(x, 3.0)) < 0.0)
+            horner = 2 * len(p) * 2.0 ** -53 * sum(abs(c) * r ** i for i, c in enumerate(p))
+            assert abs(x - r) <= math.ulp(r) + horner / abs(_at(_der(p), r))
+
+
+def least_v2_50_digits(mpmath, theta, gamma, m, n=100):
+    """min over phi2 - phi1 = psi in [0, pi] of _split_residual's |v|^2, at
+    50 digits from B in c = cos psi: an n-step float grid brackets each local
+    minimum, which golden-section search narrows in mpmath to 1e-20."""
+    def v2_of(th, g, pi, cos, sin, sqrt):
+        eta = 2 * (2 * m * pi - g)
+        k, cg, sg, se = 1 - cos(eta), cos(g), sin(g), sin(eta)
+
+        def v2(psi):
+            c, s = cos(psi), sin(psi)
+            bx, by, bz = g * (2 - k) + eta * c + g * k * c * c, s * (eta + g * k * c), g * se * s
+            return ((th - sqrt(bx ** 2 + (by * cg + bz * sg) ** 2)) ** 2
+                    + (bz * cg - by * sg) ** 2)
+        return v2
+
+    with mpmath.workdps(50):
+        coarse = v2_of(theta, gamma, math.pi, math.cos, math.sin, math.sqrt)
+        fine = v2_of(mpmath.mpf(theta), mpmath.mpf(gamma), mpmath.pi, mpmath.cos, mpmath.sin,
+                     mpmath.sqrt)
+        vals = [coarse(math.pi * i / n) for i in range(n + 1)]
+        r = (mpmath.sqrt(5) - 1) / 2
+        best = mpmath.inf
+        for i in range(n + 1):
+            if vals[i] > min(vals[max(i - 1, 0)], vals[min(i + 1, n)]):
+                continue
+            a, b = mpmath.pi * max(i - 1, 0) / n, mpmath.pi * min(i + 1, n) / n
+            x1, x2 = b - r * (b - a), a + r * (b - a)
+            f1, f2 = fine(x1), fine(x2)
+            while b - a > 1e-20:
+                if f1 < f2:
+                    b, x2, f2 = x2, x1, f1
+                    x1 = b - r * (b - a)
+                    f1 = fine(x1)
+                else:
+                    a, x1, f1 = x1, x2, f2
+                    x2 = a + r * (b - a)
+                    f2 = fine(x2)
+            best = min(best, f1, f2, fine(a), fine(b))
+        return best
 
 
 def brute_force_minimum(theta, alpha, m, gamma, n=512):

@@ -1,8 +1,7 @@
 """Where numpy gets imported.  cpulse imports numpy on the first read of one
-of its names, so design, simulate, sweep, coeff, verify (without --scan),
-table1 and the library quick start run on math and Python complexes alone,
-with numpy absent too; only verify --scan, whose scan finds polynomial roots
-with numpy, imports it.
+of its names, so every CLI command (design, simulate, sweep, coeff, verify
+with or without --scan, table1) and the library quick start run on math and
+Python complexes alone, with numpy absent too.
 The value records need no dataclasses either, so these jobs start without
 it and the inspect/ast machinery it pulls in, and json is imported only for
 JSON input or output.
@@ -85,13 +84,6 @@ def test_table1_never_loads_numpy():
     code, loaded, out = fresh_main(["table1"])
     assert (code, loaded) == (0, False), out
     assert len(out.splitlines()) == 7
-
-
-@pytest.mark.parametrize("argv", [["verify", "--scan"]], ids=["verify-scan"])
-def test_array_commands_load_numpy(argv):
-    # documented: the scan's polynomial roots are numpy arrays
-    code, loaded, _ = fresh_main(argv)
-    assert (code, loaded) == (0, True)
 
 
 @pytest.mark.parametrize("argv", [
@@ -250,8 +242,8 @@ print(cpulse._numpy.ndarray is numpy.ndarray, sys.modules["numpy"] is numpy)
 
 def test_runs_with_numpy_blocked(five_pulse_file):
     # None in sys.modules makes `import numpy` raise ModuleNotFoundError, on
-    # any numpy version: every job but verify --scan runs without numpy, and
-    # the first array call raises
+    # any numpy version: every job runs without numpy, and the first array
+    # call raises
     argvs = [["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"],
              ["design", "--family", "wm", "--m", "2", "--format", "json"],
              ["simulate", "--family", "wn", "--n", "2", "--eps", "0.1"],
@@ -262,6 +254,8 @@ def test_runs_with_numpy_blocked(five_pulse_file):
              ["coeff", "--seq", five_pulse_file, "--window", "coeff", "--format", "json"],
              ["verify", "--family", "wn", "--n", "3", "--theta", "2.0"],
              ["verify", "--seq", five_pulse_file],
+             ["verify", "--scan"],
+             ["verify", "--scan", "--theta", "0.3", "--alpha", "-pi/2"],
              ["table1"]]
     expected = []
     for argv in argvs:
