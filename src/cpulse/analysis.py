@@ -103,6 +103,24 @@ def _lin_grid(lo: float, hi: float, n: int):
     yield hi
 
 
+def _roots(f, points):
+    """Each root of f where its sign (f < 0 or not) changes between
+    consecutive points of an increasing sequence of two or more, in order,
+    one at a time.  f is evaluated once per point; each changing pair [a, b]
+    is halved down to adjacent floats, keeping f's sign at a on the left,
+    and its left end is the root."""
+    points = iter(points)
+    a = next(points)
+    left = f(a) < 0.0
+    for b in points:
+        if (right := f(b) < 0.0) != left:
+            lo, hi = a, b
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if (f(mid) < 0.0) == left else (lo, mid)
+            yield lo
+        a, left = b, right
+
+
 def _log_grid(window, n: int) -> list:
     """n log-spaced errors over the window as Python floats: np.logspace's
     exponents exactly (_lin_grid of the window's log10 bounds), each raised
@@ -183,36 +201,22 @@ def crossover(seq: PulseSequence, target: TargetRotation) -> float:
     """Smallest error where the composite stops beating the bare pulse.
 
     Both the composite (target embedded) and the bare pulse suffer the same
-    fractional error.  Marches from 0.01 in steps of 1e-3 and bisects the
-    first sign change of the fidelity gap to within 1e-6; returns +inf when
-    the composite stays superior over (0, 0.99].  The composite's fidelity
-    comes from _overlap_at without building an array; the bare pulse leaves
-    g = R(theta e, alpha), so its fidelity is |cos(theta e / 2)|.  Where the
-    corrector composes to the identity (W2's at e = 1/2: 3 pi, 6 pi, 3 pi) the
-    gap vanishes identically, and a root there may land a step either side.
+    fractional error.  The composite stops beating the bare pulse where the
+    gap behind(e) = bare - composite fidelity turns from negative to >= 0:
+    the first such change on the 981-point grid 0.01, 0.011, ..., 0.99 is
+    bisected to adjacent floats (_roots), and the left one, the last error
+    still ahead, is returned; +inf when the composite stays ahead at every
+    grid point.  The composite's fidelity comes from _overlap_at without
+    building an array; the bare pulse leaves g = R(theta e, alpha), so its
+    fidelity is |cos(theta e / 2)|.  Where the corrector composes to the
+    identity (W2's at e = 1/2: 3 pi, 6 pi, 3 pi) the gap vanishes
+    identically, and the root lands within 5e-13 of 1/2, either side.
     """
     full = _overlap_at(embed_target(seq, target), target)
 
-    def gap(e: float) -> float:
-        return full(e)[0] - abs(math.cos(0.5 * target.theta * e))
+    def behind(e: float) -> float:
+        return abs(math.cos(0.5 * target.theta * e)) - full(e)[0]
 
-    if gap(0.01) <= 0:
+    if behind(0.01) >= 0:
         raise NotSuperior("sequence does not beat the bare pulse at epsilon = 0.01")
-    lo = 0.01
-    hi = None
-    e = 0.01 + 1e-3
-    while e <= 0.99 + 1e-15:
-        if gap(e) <= 0:
-            hi = e
-            break
-        lo = e
-        e += 1e-3
-    if hi is None:
-        return math.inf
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return next(_roots(behind, _lin_grid(0.01, 0.99, 981)), math.inf)

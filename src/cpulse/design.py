@@ -5,8 +5,9 @@ wrapped around the target): it must compile to the identity-composed-target
 at zero error, and its first derivative with respect to the fractional error
 must vanish there.  The 3-pulse and five-pulse designs are solved in closed
 form (the five-pulse branches by the law of cosines, at most two per pinned
-azimuth), the 3-pulse exhaustiveness scan by bisection to adjacent floats;
-every returned result is re-validated against the matrix-level residuals.
+azimuth), the 3-pulse exhaustiveness scan by the root finder the crossover
+search shares (analysis._roots, bisection to adjacent floats); every
+returned result is re-validated against the matrix-level residuals.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import partial, reduce
-from itertools import pairwise, zip_longest
+from itertools import zip_longest
 
 from . import _numpy as np
-from .analysis import _lin_grid
+from .analysis import _lin_grid, _roots
 from .pulses import (PulseSequence, TargetRotation, _count, _entry_overlap, _jet,
                      embed_target, reduce_angle, repeated)
-from .su2 import _finite
 
 IDENTITY_TOL = 1e-12
 DERIVATIVE_TOL = 1e-9
@@ -233,23 +233,12 @@ def _at(p, x):
     return reduce(lambda acc, c: acc * x + c, reversed(p), 0.0)
 
 
-def _bisect(f, a, b):
-    """[a, b] halved down to adjacent floats, keeping f's sign at a on the
-    left; returns the left end, a root of f when its sign changes on [a, b]."""
-    left = f(a) < 0.0
-    while a < (mid := 0.5 * (a + b)) < b:
-        a, b = (mid, b) if (f(mid) < 0.0) == left else (a, mid)
-    return a
-
-
 def _pieces(p, lo, hi):
     """[lo, the roots where p changes sign in (lo, hi), hi]: each lies in a
     piece of its derivative's, on which p is monotone."""
     if len(p) < 2:
         return [lo, hi]
-    at = partial(_at, p)
-    return [lo, *(_bisect(at, a, b) for a, b in pairwise(_pieces(_der(p), lo, hi))
-                  if (at(a) < 0.0) != (at(b) < 0.0)), hi]
+    return [lo, *_roots(partial(_at, p), _pieces(_der(p), lo, hi)), hi]
 
 
 def _split_residual(theta, gamma, m):
@@ -267,12 +256,15 @@ def _split_residual(theta, gamma, m):
     rho^2 = P = S - u (2 - u) bh^2 and S = |B|^2 quadratic in u (as K^2 +
     sin^2 eta = 2K).  The slope of |v|^2 = theta^2 + S - 2 theta rho has the
     sign of S' rho - theta P', whose roots are roots of the sextic S'^2 P -
-    theta^2 P'^2: each monotone piece of the sextic holds at most one, and
-    u = 0 and 2 are the other candidates.  The flat minimum lies at u =
-    theta^2 / (8 m^2 pi^2), which u resolves and cos psi, near -1, does not.
+    theta^2 P'^2: each monotone piece of the sextic holds at most one.  The
+    candidates are the ends of the pieces, u = 0 and 2 among them, and the
+    slope's root on each piece where its sign changes (_roots).  The flat
+    minimum lies at u = theta^2 / (8 m^2 pi^2), which u resolves and cos psi,
+    near -1, does not.  gamma must lie in [0, 2 m pi], the corrector's
+    domain, where every pulse angle is >= 0.
     """
-    if not _finite(gamma):
-        raise ValueError("scan angle gamma must be finite")
+    if not 0.0 <= gamma <= 2.0 * m * math.pi:   # NaN and 10**400 fail too
+        raise ValueError("scan angle gamma must lie in [0, 2 m pi]")
     gamma = float(gamma)
     eta = 2.0 * (2.0 * m * math.pi - gamma)
     cg, sg, se = math.cos(gamma), math.sin(gamma), math.sin(eta)
@@ -298,7 +290,7 @@ def _split_residual(theta, gamma, m):
     # sums of squares: theta^2 + S - 2 theta rho cancels to ~1e-8 when flat
     return gamma, math.sqrt(min(
         (theta - rho(u)) ** 2 + u * (2.0 - u) * _at(bh, u) ** 2
-        for u in (0.0, 2.0, *(_bisect(slope, a, b) for a, b in pairwise(ends)))) / 2.0)
+        for u in (*ends, *_roots(slope, ends))) / 2.0)
 
 
 def _scan(target: TargetRotation, gammas=None, m: int = 1) -> list:

@@ -8,7 +8,7 @@ import pytest
 
 from cpulse.analysis import (COEFF_WINDOW, INFIDELITY_FLOOR, ORDER_WINDOW,
                              FitWindowError, NotSuperior, SweepTable, _lin_grid,
-                             crossover, fidelity,
+                             _roots, crossover, fidelity,
                              fit_error_scaling, fit_scaling,
                              infidelity, sweep)
 from cpulse.design import design_five_pulse, design_wm, design_wn
@@ -179,6 +179,53 @@ class TestLinGrid:
                 (lo, hi, n)
 
 
+class TestRoots:
+    """_roots, the one root finder of crossover, _pieces and the scan."""
+
+    @staticmethod
+    def case(rng):
+        """A grid of 2-59 points and a product of 0-6 linear factors, each
+        root strictly inside its own grid interval, and those intervals."""
+        n = int(rng.integers(2, 60))
+        points = list(_lin_grid(rng.uniform(-3.0, 0.0), rng.uniform(0.5, 3.0), n))
+        cells = sorted(rng.choice(n - 1, int(rng.integers(0, min(n - 1, 6) + 1)),
+                                  replace=False).tolist())
+        roots = [points[i] + rng.uniform(0.1, 0.9) * (points[i + 1] - points[i])
+                 for i in cells]
+        sign = float(rng.choice([-1.0, 1.0]))
+        return points, cells, roots, lambda x: sign * math.prod(x - r for r in roots)
+
+    def test_yields_every_root_in_order_to_adjacent_floats(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            points, cells, roots, f = self.case(rng)
+            calls = []
+            got = list(_roots(lambda x: calls.append(x) or f(x), points))
+            assert len(got) == len(roots)
+            for x, r, i in zip(got, roots, cells):
+                # f's sign changes exactly at r: x - r is exact near it
+                assert r in (x, math.nextafter(x, math.inf)), (x, r)
+                assert points[i] <= x < points[i + 1]
+            # once per point, in order; every other call bisects a changing pair
+            on_grid = set(points)
+            assert [x for x in calls if x in on_grid] == points
+            assert all(any(points[i] < x < points[i + 1] for i in cells)
+                       for x in calls if x not in on_grid)
+
+    def test_stops_at_the_first_root(self):
+        rng = np.random.default_rng(30)
+        checked = 0
+        while checked < 100:
+            points, cells, roots, f = self.case(rng)
+            if not roots:
+                continue
+            calls = []
+            first = next(_roots(lambda x: calls.append(x) or f(x), points))
+            assert roots[0] in (first, math.nextafter(first, math.inf))
+            assert max(calls) == points[cells[0] + 1]
+            checked += 1
+
+
 class TestFit:
     def test_plain_pulse_quadratic(self):
         target = TargetRotation(PI, 0.0)
@@ -335,13 +382,12 @@ class TestCrossover:
 
 
 
-# crossover values recorded while its fidelities came from compile_sequence
-# and 2x2 arrays: the scalar kernel gives the same fidelities to the last
-# bit, so every bisection step and the value are unchanged
+# crossover values bisected to adjacent floats (_roots); the 1e-3 march with
+# a 1e-6 bisection, which these replaced, returned each within 4.3e-7
 W222_CROSSOVERS_PI_PI = [
-    0.21130126953125017, 0.21130126953125017, 0.20459228515625016, 0.18315869140625013,
-    0.1475834960937501, 0.17554833984375012, 0.1477104492187501, 0.1477104492187501,
-    0.1475834960937501, 0.17554833984375012, 0.18315869140625013, 0.20459228515625016]
+    0.2113016601272465, 0.21130166012724624, 0.20459252536347425, 0.18315898065437797,
+    0.1475836176504329, 0.1755487675985806, 0.14771080207290066, 0.14771080207290085,
+    0.1475836176504329, 0.1755487675985806, 0.18315898065437797, 0.20459252536347425]
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 
@@ -387,12 +433,15 @@ class TestScalarFitPath:
                 for b in design_five_pulse(2, 2, 2, target)] == W222_CROSSOVERS_PI_PI
 
     def test_crossover_bits_at_the_quick_start_targets(self):
+        # expected.json holds the midpoints of the old 1e-6 brackets, so each
+        # lies within 5e-7 of the root; inf only equals inf
         for case in json.loads(EXPECTED.read_text())["quickstart"]:
             target = TargetRotation(case["theta"], case["alpha"])
             bb1 = design_wm(1, target).sequence
             w121 = design_five_pulse(1, 2, 1, target)[0].sequence
-            assert repr(crossover(bb1, target)) == case["crossover_bb1"]
-            assert repr(crossover(w121, target)) == case["crossover_w121"]
+            for seq, key in ((bb1, "crossover_bb1"), (w121, "crossover_w121")):
+                got, want = crossover(seq, target), float(case[key])
+                assert got == want or abs(got - want) <= 5e-7, (case, key, got)
 
 def oracle_infidelity(mp, pulses, target, eps):
     """1 - |Tr(V U-dagger)| / 2 from a quaternion product in mpmath.
@@ -471,3 +520,34 @@ class TestPrecisionOracle:
                                           for a, b in zip(qv.tolist(), qu.tolist())))
                 worst = max(worst, abs(float(infidelity(v, u) - ref)))
         assert worst <= 2e-15, worst
+
+    def test_crossover_is_within_1e_12_of_a_50_digit_root(self):
+        # the 50-digit gap, composite minus bare fidelity, changes sign within
+        # 1e-12 either side of each returned error, so one of its roots lies
+        # that close.  The set holds crossovers a few ulp from eps = 1/2,
+        # where W2's corrector composes to the identity and the gap vanishes
+        mpmath = pytest.importorskip("mpmath")
+        cases = [(TargetRotation(PI, PI), b.sequence)
+                 for b in design_five_pulse(2, 2, 2, TargetRotation(PI, PI))]
+        for case in json.loads(EXPECTED.read_text())["quickstart"]:
+            target = TargetRotation(case["theta"], case["alpha"])
+            cases += [(target, design_wm(1, target).sequence),
+                      (target, design_wm(2, target).sequence),
+                      (target, design_five_pulse(1, 2, 1, target)[0].sequence)]
+        checked = 0
+        for target, seq in cases:
+            try:
+                e = crossover(seq, target)
+            except NotSuperior:
+                continue
+            if e == math.inf:
+                continue
+            full = embed_target(seq, target)
+            with mpmath.workdps(50):
+                def gap(x):
+                    return (1 - oracle_infidelity(mpmath, full, target, x)
+                            - abs(mpmath.cos(mpmath.mpf(target.theta) * x / 2)))
+                step = mpmath.mpf(1e-12)
+                assert gap(mpmath.mpf(e) - step) > 0 > gap(mpmath.mpf(e) + step), (target, e)
+            checked += 1
+        assert checked >= 40

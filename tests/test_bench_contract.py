@@ -102,8 +102,9 @@ def test_three_pulse_design_passes_checker(capsys, family, k, fmt_):
 
 
 def test_quickstart_passes_checker():
-    case = json.loads(workloads.EXPECTED.read_text())["quickstart"][0]
-    job = workloads.Job("quickstart", [], {"theta": case["theta"], "alpha": case["alpha"],
-                                           "expected": case})
-    out = json.dumps(quickstart.run(case["theta"], case["alpha"]))
-    assert check.check(job, 0, out) == []
+    # every recorded case: a crossover that moves past CROSSOVER_TOL fails here
+    for case in json.loads(workloads.EXPECTED.read_text())["quickstart"]:
+        job = workloads.Job("quickstart", [], {"theta": case["theta"], "alpha": case["alpha"],
+                                               "expected": case})
+        out = json.dumps(quickstart.run(case["theta"], case["alpha"]))
+        assert check.check(job, 0, out) == [], case

@@ -436,9 +436,14 @@ class TestScan:
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf,
                                        pytest.param(10 ** 400, id="huge-int"),
-                                       pytest.param(-10 ** 400, id="huge-negative-int")])
+                                       pytest.param(-10 ** 400, id="huge-negative-int"),
+                                       pytest.param(1e160, id="huge-float"),
+                                       pytest.param(-0.1, id="negative"),
+                                       pytest.param(TWO_PI + 0.1, id="past-2m-pi")])
     def test_non_finite_gamma_named(self, gamma):
-        with pytest.raises(ValueError, match="^scan angle gamma must be finite$"):
+        # [0, 2 m pi] is the corrector's domain: every pulse angle is >= 0
+        # there; 2 m pi itself is scanned by test_flat_only_at_pi_multiples
+        with pytest.raises(ValueError, match=r"^scan angle gamma must lie in \[0, 2 m pi\]$"):
             three_pulse_scan(TargetRotation(PI, 0.0), [1.0, gamma])
 
 
