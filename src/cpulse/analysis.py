@@ -95,11 +95,11 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
 
 def _lin_grid(lo: float, hi: float, n: int):
     """n >= 2 evenly spaced Python floats from lo to hi, one at a time:
-    numpy.linspace's values bit for bit.  That is k * step + lo with the last
-    point hi itself, and (k / (n - 1)) * (hi - lo) + lo when the step underflows."""
+    k * step + lo, the last point hi itself.  That is numpy.linspace's values
+    bit for bit unless the step underflows, where both repeat a point."""
     step = (hi - lo) / (n - 1)
     for k in range(n - 1):
-        yield (k * step if step else k / (n - 1) * (hi - lo)) + lo
+        yield k * step + lo
     yield hi
 
 

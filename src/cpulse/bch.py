@@ -76,10 +76,8 @@ def sixth_order_coefficient(series) -> float:
 def analytic_c(delta: float) -> float:
     """Closed-form sixth-order coefficient for the (pi, 2*pi, pi) family.
 
-    delta is the azimuth gap between the two corrector axes; the bracket
-    (pi^6/144) [5 + 2 cos(d) - 5 cos(2d) - 2 cos(3d)] is nonnegative and
-    vanishes only at aligned or antipodal axes.
+    delta is the azimuth gap between the two corrector axes; the paper's
+    bracket as one product, (pi^6/72) sin^2(d) (5 + 4 cos(d)), is
+    nonnegative and vanishes only at aligned or antipodal axes.
     """
-    bracket = (5.0 + 2.0 * math.cos(delta) - 5.0 * math.cos(2.0 * delta)
-               - 2.0 * math.cos(3.0 * delta))
-    return (math.pi ** 6 / 144.0) * bracket
+    return (math.pi ** 6 / 72.0) * math.sin(delta) ** 2 * (5.0 + 4.0 * math.cos(delta))

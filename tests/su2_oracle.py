@@ -1,7 +1,8 @@
 """Test-side SU(2) references: Pauli matrices, XY-plane axes as arrays, the
 general closed-form exponential, the symmetric BCH series and its error-log
-rows by the array route, fit grids as arrays and the bare-pulse sweep
-baseline.
+rows by the array route, fit grids as arrays, the bare-pulse sweep
+baseline, a high-precision infidelity and the exact C of every designed
+three-pulse family.
 
 The package needs none of these; the tests use them as independent
 matrix-level references for the scalar routines in cpulse.
@@ -94,3 +95,43 @@ def plain_sweep(target: TargetRotation, eps_grid) -> SweepTable:
     """Baseline sweep of the bare error-prone pulse for the same target."""
     bare = PulseSequence((Pulse(target.theta, target.alpha),))
     return sweep(bare, target, eps_grid, embed=False, label="plain")
+
+
+def oracle_infidelity(mp, pulses, target, eps):
+    """1 - |Tr(V U-dagger)| / 2 from a quaternion product in mpmath.
+
+    V = w I - i v.sigma composes the pulses in time order at angles scaled
+    by (1 + eps); the trace overlap with the ideal target is the quaternion
+    dot product.
+    """
+    def quat(angle, phase, scale):
+        half = mp.mpf(angle) * scale / 2
+        s = mp.sin(half)
+        return (mp.cos(half), s * mp.cos(mp.mpf(phase)),
+                s * mp.sin(mp.mpf(phase)), mp.mpf(0))
+
+    w, x, y, z = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+    scale = 1 + mp.mpf(eps)
+    for p in pulses:
+        a, b, c, d = quat(p.angle, p.phase, scale)
+        # later pulse on the left: (a, b, c, d)(w, x, y, z)
+        w, x, y, z = (a * w - b * x - c * y - d * z,
+                      a * x + w * b + c * z - d * y,
+                      a * y + w * c + d * x - b * z,
+                      a * z + w * d + b * y - c * x)
+    tw, tx, ty, tz = quat(target.theta, target.alpha, 1)
+    return 1 - abs(w * tw + x * tx + y * ty + z * tz)
+
+
+def three_pulse_c(m: int, n: int, theta: float) -> float:
+    """Exact sixth-order coefficient of the designed (m pi, 2 m pi, m pi)
+    block repeated n times, for target angle theta:
+    (pi^6/18) m^6 n^2 x^2 (1 - x^2) (1 + 8 x^2) with x = theta / (4 m n pi).
+
+    For m = n = 1 it is analytic_c at cos(delta) = 2 x^2 - 1; for m or n > 1
+    it was found numerically, and the tests hold it to an 80-digit product.
+    It is positive for every theta in (0, 4 m n pi) and vanishes only at the
+    ends.
+    """
+    x = theta / (4.0 * m * n * math.pi)
+    return (math.pi ** 6 / 18.0) * m ** 6 * n ** 2 * x * x * (1.0 - x * x) * (1.0 + 8.0 * x * x)

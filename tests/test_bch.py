@@ -1,15 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cpulse.analysis import COEFF_WINDOW, fit_error_scaling
 from cpulse.bch import (analytic_c, commutator, corrector_generators,
                         p_epsilon, sixth_order_coefficient)
-from cpulse.design import design_wm, design_wn
-from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
+from cpulse.design import _three_pulse, design_wm, design_wn
+from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
 from cpulse.su2 import rotation, su2_parts
-from su2_oracle import axis_vector, dagger, exp_pauli, p_epsilon_array, pauli_sum, sbch
+from su2_oracle import (axis_vector, dagger, exp_pauli, oracle_infidelity, p_epsilon_array,
+                        pauli_sum, sbch, three_pulse_c)
 
 PI = np.pi
 EX = np.array([1.0, 0.0, 0.0])
@@ -211,13 +214,32 @@ class TestAnalyticCoefficient:
         assert analytic_c(delta) == pytest.approx(5 * PI ** 6 / 1024, rel=1e-12)
 
     def test_degenerate_axes_give_zero(self):
-        assert analytic_c(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert analytic_c(PI) == pytest.approx(0.0, abs=1e-12)
+        assert analytic_c(0.0) == 0.0
+        assert 0.0 <= analytic_c(PI) < 1e-30
 
     def test_nonnegative_on_grid(self):
         deltas = np.linspace(0, 2 * PI, 1000)
         values = np.array([analytic_c(d) for d in deltas])
-        assert np.all(values >= -1e-12)
+        assert np.all(values >= 0.0)
+
+    def test_matches_50_digit_bracket(self):
+        # the paper's cosine sum at 50 digits; in doubles that sum cancels
+        # where C is small, and was 10x off within 1e-9 of 0, pi and 2 pi
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(30)
+        deltas = rng.uniform(-2 * PI, 4 * PI, 600).tolist()
+        for centre in (0.0, PI, 2 * PI):
+            deltas += (centre + rng.uniform(-1e-9, 1e-9, 300)).tolist()
+            deltas += (centre + rng.choice([-1.0, 1.0], 300)
+                       * 10.0 ** rng.uniform(-16, -9, 300)).tolist()
+        worst = 0.0
+        with mpmath.workdps(50):
+            for delta in deltas:
+                d = mpmath.mpf(delta)
+                want = (mpmath.pi ** 6 / 144) * (5 + 2 * mpmath.cos(d) - 5 * mpmath.cos(2 * d)
+                                                 - 2 * mpmath.cos(3 * d))
+                worst = max(worst, float(abs(analytic_c(delta) - want) / want))
+        assert worst <= 2e-15
 
     def test_matches_series_coefficient(self):
         for theta in (0.8, PI, 2.2):
@@ -226,7 +248,29 @@ class TestAnalyticCoefficient:
             series = p_epsilon(corrector, target)
             delta = corrector.pulses[1].phase - corrector.pulses[0].phase
             assert sixth_order_coefficient(series) == pytest.approx(
-                analytic_c(delta), rel=1e-10)
+                analytic_c(delta), rel=1e-12)
+
+    @staticmethod
+    def w1_agreement(theta, alpha):
+        """Relative gap between p_epsilon's C and analytic_c on designed W1."""
+        target = TargetRotation(theta, alpha)
+        seq = design_wn(1, target).sequence
+        delta = seq.pulses[1].phase - seq.pulses[0].phase
+        return abs(sixth_order_coefficient(p_epsilon(seq, target)) / analytic_c(delta) - 1.0)
+
+    def test_matches_series_on_seeded_w1_targets(self):
+        rng = np.random.default_rng(17)
+        assert max(self.w1_agreement(rng.uniform(0.17, 4 * PI - 0.17), rng.uniform(0, 2 * PI))
+                   for _ in range(500)) <= 1e-12
+
+    def test_matches_series_near_aligned_or_antipodal_axes(self):
+        # theta within 0.17 of 0 or 4 pi puts the axes near antipodal or
+        # aligned, where C is small.  Near 0 the designed gap delta, rounded
+        # to about 1e-15, limits any C from it to about 4e-15 / theta relative
+        rng = np.random.default_rng(18)
+        for gap in 10.0 ** rng.uniform(-6.0, math.log10(0.17), 250):
+            assert self.w1_agreement(gap, rng.uniform(0, 2 * PI)) <= 1e-14 / gap
+            assert self.w1_agreement(4 * PI - gap, rng.uniform(0, 2 * PI)) <= 1e-10
 
     def test_trace_identity_series_vs_matrices(self):
         # Tr([R+2S,[R,S]]^2) from vectors equals the matrix-level trace
@@ -244,3 +288,57 @@ class TestAnalyticCoefficient:
             matrix_trace = np.trace(outer @ outer)
             assert matrix_trace.imag == pytest.approx(0.0, abs=1e-9)
             assert series_trace == pytest.approx(matrix_trace.real, abs=1e-10 * max(1, abs(series_trace)))
+
+
+def product_c_80_digits(mpmath, m, n, theta, alpha):
+    """(1 - F) / eps^6 at eps = 1e-8 of the designed (m pi, 2 m pi, m pi)
+    block repeated n times after the target pulse, its phases built and the
+    product taken at 80 digits; the eps^8 term moves it by about 1e-16
+    relative."""
+    with mpmath.workdps(80):
+        a, eps = mpmath.mpf(alpha), mpmath.mpf("1e-8")
+        phi1 = a + mpmath.acos(-mpmath.mpf(theta) / (4 * m * n * mpmath.pi))
+        phi2 = 3 * phi1 - 2 * a if m % 2 else 2 * a - phi1
+        block = [SimpleNamespace(angle=k * mpmath.pi, phase=phi)
+                 for k, phi in ((m, phi1), (2 * m, phi2), (m, phi1))]
+        full = [Pulse(theta, alpha)] + block * n
+        return oracle_infidelity(mpmath, full, TargetRotation(theta, alpha), eps) / eps ** 6
+
+
+class TestThreePulseClosedForm:
+    """three_pulse_c, the exact C of every designed three-pulse family."""
+
+    def test_matches_80_digit_product(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(80)
+        for _ in range(40):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            theta, alpha = rng.uniform(0.05, 4 * PI - 0.05), rng.uniform(0, 2 * PI)
+            want = float(product_c_80_digits(mpmath, m, n, theta, alpha))
+            assert three_pulse_c(m, n, theta) == pytest.approx(want, rel=1e-12), (m, n, theta)
+
+    @pytest.mark.parametrize("m,n,c6", [(1, 1, "4.694283"), (2, 1, "59.14797"),
+                                        (3, 1, "283.4304"), (1, 2, "3.696748")],
+                             ids=["W1", "W2", "W3", "W1x2"])
+    def test_paper_target_values(self, m, n, c6):
+        assert "%.7g" % three_pulse_c(m, n, PI) == c6
+
+    def test_coefficient_fits_within_one_percent(self):
+        rng = np.random.default_rng(18)
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                for _ in range(4):
+                    target = TargetRotation(rng.uniform(0.3, 4 * PI - 0.3), rng.uniform(0, 2 * PI))
+                    fit = fit_error_scaling(_three_pulse(m, n, target).sequence, target,
+                                            COEFF_WINDOW)
+                    assert fit.coefficient == pytest.approx(
+                        three_pulse_c(m, n, target.theta), rel=0.01), (m, n, target)
+
+    def test_analytic_c_is_its_w1_case(self):
+        rng = np.random.default_rng(19)
+        for _ in range(500):
+            target = TargetRotation(rng.uniform(0.17, 4 * PI - 0.17), rng.uniform(0, 2 * PI))
+            seq = design_wn(1, target).sequence
+            delta = seq.pulses[1].phase - seq.pulses[0].phase
+            assert analytic_c(delta) == pytest.approx(
+                three_pulse_c(1, 1, target.theta), rel=1e-12), target

@@ -205,6 +205,23 @@ class TestSweep:
         assert out.read_bytes() == b"kept\n"
         assert capsys.readouterr() == ("", message + "\n")
 
+    @pytest.mark.parametrize("bounds", [
+        ["--eps-min", "0", "--eps-max", "5e-324", "--eps-count", "3"],
+        ["--eps-min=-5e-324", "--eps-max", "5e-324", "--eps-count", "7"],
+        ["--eps-min", "1e-320", "--eps-max", "1.005e-320", "--eps-count", "10000"]])
+    def test_underflowing_grid_exits_2_before_any_output(self, capsys, tmp_path, bounds):
+        # a step that underflows to 0 takes more points than the span holds
+        # floats, so the grid repeats a point
+        argv = ["sweep", "--family", "plain"] + bounds
+        assert main(argv) == 2
+        message = "error: epsilon grid must be nonempty and strictly increasing\n"
+        assert capsys.readouterr() == ("", message)
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"kept\n")
+        assert main(argv + ["--out", str(out)]) == 2
+        assert out.read_bytes() == b"kept\n"
+        assert capsys.readouterr() == ("", message)
+
     def test_grid_released_before_write(self, tmp_path):
         # the grid is a generator, never a list or an array: the peak of a
         # 20k-point sweep stays within half a grid-sized float array (80 kB)
