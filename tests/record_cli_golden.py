@@ -151,7 +151,21 @@ def argvs(names) -> list:
         ["verify", "--scan", "--theta", "0.3", "--alpha", "-pi/2"],
         ["verify", "--scan", "--theta", repr(4 * PI - 1e-9)],
         ["verify", "--scan", "--seq", "w1.txt"],
-        ["table1"]]
+        ["table1"],
+        # sweeps long enough to cross the output's block boundaries, at a
+        # 256- and a 1,024-row block, and one row past each
+        ["sweep", "--family", "plain", "--eps-count", "256", "--format", "json"],
+        ["sweep", "--family", "plain", "--eps-count", "257"],
+        ["sweep", "--family", "plain", "--eps-min", "-0.5", "--eps-count", "2049",
+         "--format", "json"],
+        ["sweep", "--family", "wm", "--m", "1", "--eps-count", "513", "--format", "json"],
+        ["sweep", "--family", "wm", "--m", "2", "--eps-min", "-0.2", "--eps-count", "1024"],
+        ["sweep", "--family", "wm", "--m", "3", "--theta", "1.3", "--eps-count", "1025"],
+        ["sweep", "--seq", "w1.txt", "--eps-count", "2049"],
+        ["sweep", "--seq", "w121.json", "--eps-count", "1025", "--format", "json"],
+        ["sweep", "--seq", "w222_design.json", "--branch", "5", "--eps-count", "513"],
+        ["sweep", "--family", "wn", "--n", "2", "--eps-count", "2049", "--format", "json",
+         "--out", OUT]]
     return cases
 
 
