@@ -103,15 +103,15 @@ def _lin_grid(lo: float, hi: float, n: int):
     yield hi
 
 
-def _roots(f, points):
+def _roots(f, points, left=None):
     """Each root of f where its sign (f < 0 or not) changes between
     consecutive points of an increasing sequence of two or more, in order,
-    one at a time.  f is evaluated once per point; each changing pair [a, b]
-    is halved down to adjacent floats, keeping f's sign at a on the left,
-    and its left end is the root."""
+    one at a time.  f is evaluated once per point, the first skipped when
+    left gives its sign; each changing pair [a, b] is halved down to adjacent
+    floats, keeping f's sign at a on the left, and its left end is the root."""
     points = iter(points)
     a = next(points)
-    left = f(a) < 0.0
+    left = f(a) < 0.0 if left is None else left
     for b in points:
         if (right := f(b) < 0.0) != left:
             lo, hi = a, b
@@ -203,7 +203,8 @@ def crossover(seq: PulseSequence, target: TargetRotation) -> float:
     Both the composite (target embedded) and the bare pulse suffer the same
     fractional error.  The composite stops beating the bare pulse where the
     gap behind(e) = bare - composite fidelity turns from negative to >= 0:
-    the first such change on the 981-point grid 0.01, 0.011, ..., 0.99 is
+    the first such change on the 981-point grid 0.01, 0.011, ..., 0.99 (its
+    sign at 0.01 is the NotSuperior check's, so 0.01 is evaluated once) is
     bisected to adjacent floats (_roots), and the left one, the last error
     still ahead, is returned; +inf when the composite stays ahead at every
     grid point.  The composite's fidelity comes from _overlap_at without
@@ -219,4 +220,4 @@ def crossover(seq: PulseSequence, target: TargetRotation) -> float:
 
     if behind(0.01) >= 0:
         raise NotSuperior("sequence does not beat the bare pulse at epsilon = 0.01")
-    return next(_roots(behind, _lin_grid(0.01, 0.99, 981)), math.inf)
+    return next(_roots(behind, _lin_grid(0.01, 0.99, 981), left=True), math.inf)

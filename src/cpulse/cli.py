@@ -9,8 +9,8 @@ simulate makes one pass of the one-point kernel, pulses._jet: it prints the
 matrix (compile_sequence's bit for bit) and its pulses._entry_overlap.  sweep
 builds the many-point kernel, pulses._overlap_at, once and streams the library
 sweep's rows from it bit for bit, over a grid generated point by point and
-walked once.  No command imports numpy, and only JSON input or output loads
-json.
+walked once, rendered SWEEP_BLOCK rows at a time by one %-format.  No command
+imports numpy, and only JSON input or output loads json.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible design or bad
 input, 3 I/O error.  CSV output is byte-stable for a fixed invocation
@@ -21,7 +21,7 @@ import argparse
 import math
 import re
 import sys
-from itertools import islice, pairwise
+from itertools import chain, islice, pairwise
 
 from .analysis import COEFF_WINDOW, ORDER_WINDOW, _lin_grid, fit_error_scaling
 from .bch import analytic_c
@@ -46,8 +46,9 @@ TABLE1_ROWS = [("wm", (1,), 0, 4.7), ("wm", (2,), 0, 59.1), ("wm", (3,), 0, 283.
                ("fivepulse", (2, 2, 2), 0, 877.8)]
 TABLE1_TOL = 0.01
 # sweep rows per write: a write per row is a syscall each on unbuffered
-# stdout, one string for the whole sweep costs its size in memory
-SWEEP_BLOCK = 1024
+# stdout, one string for the whole sweep costs its size in memory.  A block
+# in flight is its floats in one tuple, its template and text (~34 kB in JSON)
+SWEEP_BLOCK = 256
 # Upper bounds on the integer flags, checked before any work and on flags the
 # family ignores: a job's time and memory grow linearly with --n and
 # --eps-count, so one unbounded argument can ask for days or all memory.
@@ -257,8 +258,9 @@ def _sweep_rows(at, grid):
 
 def _sweep_blocks(label, rows, as_json: bool):
     """Sweep output from (epsilon, fidelity, infidelity) float rows, rendered
-    lazily in blocks of SWEEP_BLOCK rows; for the finite floats of a sweep,
-    %r is json's float repr."""
+    lazily, one %-format per block of SWEEP_BLOCK rows: their floats as one
+    flat tuple into a template of as many rows, each led by the separator
+    but the sweep's first.  For a sweep's finite floats, %r is json's repr."""
     if as_json:
         import json
     head, row, sep, tail = (
@@ -267,10 +269,10 @@ def _sweep_blocks(label, rows, as_json: bool):
          ",\n", "\n  ]\n}\n") if as_json else
         ("epsilon,fidelity,infidelity\n", "%.17g,%.17g,%.17g", "\n", "\n"))
     yield head
-    rows, lead = iter(rows), ""
-    while block := list(islice(rows, SWEEP_BLOCK)):
-        yield lead + sep.join(row % r for r in block)
-        lead = sep
+    rows, skip = iter(rows), len(sep)
+    while flat := tuple(chain.from_iterable(islice(rows, SWEEP_BLOCK))):
+        yield ((sep + row) * (len(flat) // 3))[skip:] % flat
+        skip = 0
     yield tail
 
 

@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cpulse import analysis
 from cpulse.analysis import (COEFF_WINDOW, INFIDELITY_FLOOR, ORDER_WINDOW,
                              FitWindowError, NotSuperior, SweepTable, _lin_grid,
                              _roots, crossover, fidelity,
                              fit_error_scaling, fit_scaling,
                              infidelity, sweep)
 from cpulse.design import design_five_pulse, design_wm, design_wn
-from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
+from cpulse.pulses import (PulseSequence, TargetRotation, _overlap_at, compile_sequence,
                            embed_target)
 from cpulse.su2 import rotation
 from su2_oracle import EZ, exp_pauli, fit_grid, oracle_infidelity, plain_sweep
@@ -231,6 +232,15 @@ class TestRoots:
             assert max(calls) == points[cells[0] + 1]
             checked += 1
 
+    def test_a_given_first_sign_skips_only_the_first_evaluation(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            points, cells, roots, f = self.case(rng)
+            calls, given = [], []
+            want = list(_roots(lambda x: calls.append(x) or f(x), points))
+            got = list(_roots(lambda x: given.append(x) or f(x), points, f(points[0]) < 0.0))
+            assert got == want and given == calls[1:]
+
 
 class TestFit:
     def test_plain_pulse_quadratic(self):
@@ -378,6 +388,37 @@ class TestCrossover:
         seq = design_five_pulse(2, 2, 2, target)[0].sequence
         value = crossover(seq, target)
         assert 0.12 <= value <= 0.35
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The errors at which crossover's composite is evaluated, in order."""
+        calls = []
+
+        def counted(*args):
+            at = _overlap_at(*args)
+            return lambda e: calls.append(e) or at(e)
+
+        monkeypatch.setattr(analysis, "_overlap_at", counted)
+        return calls
+
+    def test_ahead_everywhere_evaluates_each_grid_point_once(self, evaluated):
+        target = TargetRotation(PI, PI)
+        assert crossover(design_wm(1, target).sequence, target) == math.inf
+        assert evaluated == list(_lin_grid(0.01, 0.99, 981))
+
+    def test_no_error_is_evaluated_twice(self, evaluated):
+        # the NotSuperior check's value at 0.01 starts the march, which
+        # evaluated 0.01 a second time before (360 to 983 calls per search
+        # at the quick-start targets, one of them that repeat)
+        first_two = list(_lin_grid(0.01, 0.99, 981))[:2]
+        for case in json.loads(EXPECTED.read_text())["quickstart"][:4]:
+            target = TargetRotation(case["theta"], case["alpha"])
+            for seq in (design_wm(1, target).sequence,
+                        design_five_pulse(1, 2, 1, target)[0].sequence):
+                evaluated.clear()
+                crossover(seq, target)
+                assert evaluated[:2] == first_two
+                assert len(set(evaluated)) == len(evaluated), case
 
     def test_plain_vs_itself_not_superior(self):
         # a null corrector makes the composite identical to the bare pulse

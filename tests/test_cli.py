@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import itertools
@@ -160,7 +161,7 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_sweep_memory_is_arrays(self, tmp_path, fmt):
         # no grid-sized list or array: a 20k-point sweep holds one block of
-        # rows as floats and text (~0.5 MB in all)
+        # rows as floats and text (~0.2 MB in all, the parser's included)
         tracemalloc.start()
         try:
             assert main(["sweep", "--family", "plain", "--eps-count", "20000",
@@ -168,7 +169,7 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.75e6, peak
+        assert peak < 0.3e6, peak
 
     @pytest.mark.parametrize("bound", [["--eps-max", "inf"], ["--eps-min", "-inf"],
                                        ["--eps-max", "nan"], ["--eps-min=nan"]])
@@ -321,7 +322,7 @@ class TestSweepRenderer:
             lines.append(",".join(("%.17g" % e, "%.17g" % f, "%.17g" % i)))
         return "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 2 * B, 3 * B + 5])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bytes_match_reference(self, capsys, tmp_path, monkeypatch, n, fmt):
         t = self.table(n)
@@ -349,6 +350,30 @@ class TestSweepRenderer:
         blocks = cli._sweep_blocks("x", rows(), False)
         next(blocks), next(blocks)
         assert len(taken) == self.B
+
+    def test_one_block_in_flight(self):
+        # a 20k-row JSON sweep, each block dropped as it comes: in flight are
+        # one rendered block of L characters, at most L more for its template
+        # (about 0.6 L) and the format's growth slack (up to L / 4), and the
+        # block's floats in one flat tuple, 96 bytes a row (per float an
+        # 8-byte slot and a 24-byte float).  Row tuples with row strings, or
+        # a second copy of the block, do not fit
+        target = TargetRotation(PI, 0.0)
+        at = _overlap_at(PulseSequence((Pulse(PI, 0.0),)), target)
+
+        def blocks():
+            return cli._sweep_blocks("plain", cli._sweep_rows(at, cli._lin_grid(0.0, 0.3, 20000)),
+                                     True)
+
+        longest = max(map(len, blocks()))
+        stream = blocks()
+        tracemalloc.start()
+        try:
+            collections.deque(stream, maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * longest + 96 * self.B, (peak, longest)
 
 
 class TestSweepMatchesLibrary:
