@@ -146,6 +146,10 @@ def argvs(names) -> list:
         ["design", "--family", "fivepulse", "--p", "1", "--q", "1", "--r", "1"],
         ["design", "--family", "fivepulse", "--p", "1", "--q", "1", "--r", "4", "--theta", "pi"],
         ["design", "--family", "wm", "--m", "1000", "--alph", "-pi/2"],
+        # 4 pi - 1e-6: pins where two equal links face a right-hand side near 0
+        *(["design", "--family", "fivepulse", "--p", p, "--q", q, "--r", r,
+           "--theta", "12.566369614359172"] + fmt
+          for p, q, r in ("222", "121") for fmt in ([], ["--format", "json"])),
         # the scan: it passes, reads the target flags, fails near 4 pi, refuses a source
         ["verify", "--scan"],
         ["verify", "--scan", "--theta", "0.3", "--alpha", "-pi/2"],
