@@ -3,11 +3,14 @@
 Every family is derived from two constraints on the full sequence (corrector
 wrapped around the target): it must compile to the identity-composed-target
 at zero error, and its first derivative with respect to the fractional error
-must vanish there.  The 3-pulse and five-pulse designs are solved in closed
-form (the five-pulse branches by the law of cosines, at most two per pinned
-azimuth), the 3-pulse exhaustiveness scan by the root finder the crossover
-search shares (analysis._roots, bisection to adjacent floats); every
-returned result is re-validated against the matrix-level residuals.
+must vanish there.  For correctors of pi-multiple angles the derivative
+condition is a closed polygon in conjugated azimuths, sum_j w_j e^{i z_j} =
+theta / (2 pi): every family pins all but two links on the frame axis,
+solves those two by the law of cosines (_triangle) and maps the azimuths to
+pulse phases by one reflection chain (_chain).  The 3-pulse exhaustiveness
+scan uses the root finder the crossover search shares (analysis._roots,
+bisection to adjacent floats); every returned result is re-validated
+against the matrix-level residuals.
 """
 
 from __future__ import annotations
@@ -79,15 +82,43 @@ def _validated(label, seq, phases, target, mirror=None) -> DesignResult:
                         None if mirror is None else tuple(reduce_angle(p) for p in mirror))
 
 
+def _triangle(wa, wb, rhs):
+    """Law-of-cosines roots (za, zb) of wa e^{i za} + wb e^{i zb} = rhs for a
+    real rhs, the +za root first; none where rhs is 0 or |rhs| lies outside
+    [|wa - wb|, wa + wb]."""
+    if rhs == 0.0:
+        return []
+    # exact for integer weights, where wa^2 - wb^2 would round a small rhs^2 away
+    cos_za = (rhs * rhs + (wa - wb) * (wa + wb)) / (2.0 * wa * rhs)
+    if abs(cos_za) > 1.0:
+        return []
+    return [(reduce_angle(za), reduce_angle(math.atan2(-wa * math.sin(za),
+                                                       rhs - wa * math.cos(za))))
+            for za in (math.acos(cos_za), -math.acos(cos_za))]
+
+
+def _chain(z, multiples, target):
+    """Pulse phases of conjugated azimuths z, pulse j's angle multiples[j] pi:
+    link j, shifted by the frame alpha + pi, is reflected through the phase
+    of each earlier pulse whose angle is an odd multiple of pi."""
+    frame = target.alpha + math.pi
+    phases = []
+    for zj in z:
+        phi = zj + frame
+        for k, prev in zip(multiples, phases):
+            phi = 2.0 * prev - phi if k % 2 else phi
+        phases.append(phi)
+    return tuple(map(reduce_angle, phases))
+
+
 def _three_pulse(m: int, repeats: int, target: TargetRotation) -> DesignResult:
-    """The (m pi, 2 m pi, m pi) block repeated, phased by the closed form
-    cos(phi1 - alpha) = -theta / (4 m repeats pi) (Cummins et al., PRA 67, 042308)."""
-    a = target.alpha
-    # acos is defined: TargetRotation keeps theta below 4 pi, and m * repeats >= 1
-    spread = math.acos(-target.theta / (4.0 * (m * repeats) * math.pi))
-    # the branch at +spread, then its mirror at -spread
-    (phi1, phi2), mirror = ((phi, 3.0 * phi - 2.0 * a if m % 2 else 2.0 * a - phi)
-                            for phi in (a + spread, a - spread))
+    """The (m pi, 2 m pi, m pi) block repeated, phased by the polygon of two
+    equal links, k e^{i z1} + k e^{i z2} = theta / (2 pi) with k = m repeats
+    (Cummins et al., PRA 67, 042308): z2 = -z1 and cos z1 = theta / (4 k pi)."""
+    k = m * repeats
+    # two roots: theta / (2 pi) lies in (0, 2 k); the branch is the -za root
+    mirror, (phi1, phi2) = (_chain(z, (m, 2 * m), target)
+                            for z in _triangle(k, k, target.theta / math.tau))
     seq = repeated(PulseSequence.from_pairs(
         [(m * math.pi, phi1), (2 * m * math.pi, phi2), (m * math.pi, phi1)]), repeats)
     label = f"W{m}x{repeats}" if repeats > 1 else f"W{m}"
@@ -97,9 +128,9 @@ def _three_pulse(m: int, repeats: int, target: TargetRotation) -> DesignResult:
 def design_wn(n: int, target: TargetRotation) -> DesignResult:
     """n-fold repeat of the (pi, 2*pi, pi) corrector.
 
-    Phases come from the n-scaled first-derivative condition
-    cos(phi1 - alpha) = -theta / (4 n pi), phi2 = 3 phi1 - 2 alpha; the
-    corrector is the single 3-pulse block repeated n times.  n = 1 is the
+    The phases solve the polygon n e^{i z1} + n e^{i z2} = theta / (2 pi):
+    cos(phi1 - alpha) = -theta / (4 n pi), and the reflection through the
+    first pulse, of odd angle, gives phi2 = 3 phi1 - 2 alpha.  n = 1 is the
     broadband Wimperis sequence.
     """
     return _three_pulse(1, _count(n, "n"), target)
@@ -108,9 +139,11 @@ def design_wn(n: int, target: TargetRotation) -> DesignResult:
 def design_wm(m: int, target: TargetRotation) -> DesignResult:
     """Single 3-pulse corrector with angles (m pi, 2 m pi, m pi).
 
-    cos(phi1 - alpha) = -theta / (4 m pi); the second phase is
-    3 phi1 - 2 alpha for odd m and 2 alpha - phi1 for even m.  m = 1 is the
-    broadband and m = 2 the passband Wimperis sequence.
+    The phases solve the polygon m e^{i z1} + m e^{i z2} = theta / (2 pi):
+    cos(phi1 - alpha) = -theta / (4 m pi), and the reflection through the
+    first pulse, taken for odd m only, gives phi2 = 3 phi1 - 2 alpha for odd
+    m and 2 alpha - phi1 for even m.  m = 1 is the broadband and m = 2 the
+    passband Wimperis sequence.
     """
     return _three_pulse(_count(m, "m"), 1, target)
 
@@ -119,48 +152,10 @@ def design_wm(m: int, target: TargetRotation) -> DesignResult:
 # Five-pulse family
 # ---------------------------------------------------------------------------
 #
-# The derivative condition for angles (p pi, q pi, 2 r pi, q pi, p pi)
-# reduces to two real equations for three conjugated axis azimuths:
-#
-#     p e^{i z1} + q e^{i z2} + r e^{i z3} = theta / (2 pi)
-#
-# in the frame rotated so the right-hand side is real positive.  The
-# solution set is one-dimensional, so one azimuth is pinned to the frame
-# axis (0 or pi) per symmetry class; what remains is a two-link triangle
-# with a real base, solved by the law of cosines (at most two roots).
-
-
-def _pinned_triangle(weights, t, pin_idx, pin_val):
-    """Law-of-cosines roots of wa e^{i za} + wb e^{i zb} = rhs, the third
-    azimuth pinned on-axis; returns (azimuth triples, distance from |rhs| to
-    the reachable interval [|wa - wb|, wa + wb])."""
-    a, b = [i for i in range(3) if i != pin_idx]
-    wa, wb = weights[a], weights[b]
-    rhs = t - weights[pin_idx] * math.cos(pin_val)
-    gap = max(0.0, abs(rhs) - (wa + wb), abs(wa - wb) - abs(rhs))
-    if rhs == 0.0:
-        return [], gap
-    cos_za = (rhs * rhs + wa * wa - wb * wb) / (2.0 * wa * rhs)
-    if abs(cos_za) > 1.0:
-        return [], gap
-    out = []
-    for za in (math.acos(cos_za), -math.acos(cos_za)):
-        zb = math.atan2(-wa * math.sin(za), rhs - wa * math.cos(za))
-        z = [pin_val] * 3
-        z[a], z[b] = reduce_angle(za), reduce_angle(zb)
-        out.append(tuple(z))
-    return out, gap
-
-
-def _conjugated_to_phases(z, p, q, target):
-    """Invert the conjugated azimuths back to raw pulse phases."""
-    frame = target.alpha + math.pi
-    c1, c2, c3 = (zi + frame for zi in z)
-    phi1 = c1
-    phi2 = 2.0 * phi1 - c2 if p % 2 else c2
-    inner = 2.0 * phi1 - c3 if p % 2 else c3
-    phi3 = 2.0 * phi2 - inner if q % 2 else inner
-    return reduce_angle(phi1), reduce_angle(phi2), reduce_angle(phi3)
+# For angles (p pi, q pi, 2 r pi, q pi, p pi) the polygon is
+# p e^{i z1} + q e^{i z2} + r e^{i z3} = theta / (2 pi), a one-dimensional
+# solution set: one azimuth is pinned to the frame axis (0 or pi) per
+# symmetry class, leaving a two-link triangle with a real base.
 
 
 def design_five_pulse(p: int, q: int, r: int,
@@ -182,16 +177,19 @@ def design_five_pulse(p: int, q: int, r: int,
     p, q, r = _count(p, "p"), _count(q, "q"), _count(r, "r")
     if (p + q + r) % 2:
         raise ValueError("p + q + r must be even")
-    weights = (float(p), float(q), float(r))
+    weights = (p, q, r)
     t = target.theta / math.tau
 
     phase_sets = []
     best = math.inf
-    for pin_idx in range(3):
+    for pin in range(3):
+        wa, wb = (w for i, w in enumerate(weights) if i != pin)
         for pin_val in (0.0, math.pi):
-            sols, gap = _pinned_triangle(weights, t, pin_idx, pin_val)
-            best = min(best, gap)
-            phase_sets.extend(_conjugated_to_phases(z, p, q, target) for z in sols)
+            rhs = t - weights[pin] * math.cos(pin_val)
+            # distance from |rhs| to the reachable interval [|wa - wb|, wa + wb]
+            best = min(best, max(0.0, abs(rhs) - (wa + wb), abs(wa - wb) - abs(rhs)))
+            phase_sets.extend(_chain((*z[:pin], pin_val, *z[pin:]), (p, q, 2 * r), target)
+                              for z in _triangle(wa, wb, rhs))
 
     results = []
     for phases in sorted(phase_sets):

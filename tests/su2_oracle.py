@@ -1,8 +1,9 @@
 """Test-side SU(2) references: Pauli matrices, XY-plane axes as arrays, the
 general closed-form exponential, the symmetric BCH series and its error-log
 rows by the array route, fit grids as arrays, the bare-pulse sweep
-baseline, a high-precision infidelity and the exact C of every designed
-three-pulse family.
+baseline, a high-precision infidelity, the paper's closed-form phases and
+the exact C6 and C8 of every designed three-pulse family, and the
+five-pulse branches at high precision.
 
 The package needs none of these; the tests use them as independent
 matrix-level references for the scalar routines in cpulse.
@@ -135,3 +136,60 @@ def three_pulse_c(m: int, n: int, theta: float) -> float:
     """
     x = theta / (4.0 * m * n * math.pi)
     return (math.pi ** 6 / 18.0) * m ** 6 * n ** 2 * x * x * (1.0 - x * x) * (1.0 + 8.0 * x * x)
+
+
+def three_pulse_c8(m: int, n: int, theta: float) -> float:
+    """Exact eighth-order coefficient of the same designed family:
+    -(pi^8/180) m^8 n^2 x^2 (1 - x^2) (1 + 20 x^2 + (120 n^2 - 96) x^4) with
+    x = theta / (4 m n pi).
+
+    It was identified from a 60-digit power series of the compiled sequence,
+    and the tests hold it to a 120-digit product.  It is negative for every
+    theta in (0, 4 m n pi), so the eps^6 law always bends down, and the
+    factor x^2 (1 - x^2) cancels from C6 / |C8|: the sixth-order regime's
+    upper edge sqrt(C6 / |C8|) never vanishes.
+    """
+    x = theta / (4.0 * m * n * math.pi)
+    return (-(math.pi ** 8 / 180.0) * m ** 8 * n ** 2 * x * x * (1.0 - x * x)
+            * (1.0 + 20.0 * x * x + (120.0 * n * n - 96.0) * x ** 4))
+
+
+def three_pulse_phases(mp, m: int, n: int, theta: float, alpha: float, dps: int = 50):
+    """(branch, mirror) phase pairs (phi1, phi2) of the designed (m pi,
+    2 m pi, m pi) block repeated n times, at dps digits, by the paper's
+    closed form (Cummins et al., PRA 67, 042308): cos(phi1 - alpha) =
+    -theta / (4 m n pi), the branch at phi1 - alpha in (0, pi), and
+    phi2 = 3 phi1 - 2 alpha for odd m, 2 alpha - phi1 for even m."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        spread = mp.acos(-mp.mpf(theta) / (4 * m * n * mp.pi))
+        return tuple((phi, 3 * phi - 2 * a if m % 2 else 2 * a - phi)
+                     for phi in (a + spread, a - spread))
+
+
+def five_pulse_phases(mp, p: int, q: int, r: int, theta: float, alpha: float,
+                      dps: int = 40) -> list:
+    """Every branch (phi1, phi2, phi3) of the (p pi, q pi, 2 r pi, q pi, p pi)
+    corrector at dps digits, unsorted: per pin of one conjugated azimuth at
+    0 or pi, the two law-of-cosines roots of the other two links of
+    p e^{i z1} + q e^{i z2} + r e^{i z3} = theta / (2 pi), each mapped to
+    phases through the pulses of odd angle written out."""
+    with mp.workdps(dps):
+        weights = [mp.mpf(p), mp.mpf(q), mp.mpf(r)]
+        t, frame = mp.mpf(theta) / (2 * mp.pi), mp.mpf(alpha) + mp.pi
+        out = []
+        for pin in range(3):
+            wa, wb = (w for i, w in enumerate(weights) if i != pin)
+            for pin_val in (mp.mpf(0), +mp.pi):
+                rhs = t - weights[pin] * mp.cos(pin_val)
+                cos_za = (rhs ** 2 + wa ** 2 - wb ** 2) / (2 * wa * rhs) if rhs else 2
+                if abs(cos_za) > 1:
+                    continue
+                for za in (mp.acos(cos_za), -mp.acos(cos_za)):
+                    z = [za, mp.atan2(-wa * mp.sin(za), rhs - wa * mp.cos(za))]
+                    z.insert(pin, pin_val)
+                    c1, c2, c3 = (zi + frame for zi in z)
+                    phi2 = 2 * c1 - c2 if p % 2 else c2
+                    inner = 2 * c1 - c3 if p % 2 else c3
+                    out.append((c1, phi2, 2 * phi2 - inner if q % 2 else inner))
+        return out

@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cpulse.analysis import COEFF_WINDOW, fit_error_scaling
+from cpulse.analysis import (COEFF_WINDOW, FIT_POINTS, _fit_power_law, _log_grid,
+                             fit_error_scaling)
 from cpulse.bch import (analytic_c, commutator, corrector_generators,
                         p_epsilon, sixth_order_coefficient)
 from cpulse.design import _three_pulse, design_wm, design_wn
@@ -12,7 +13,7 @@ from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, compile_sequenc
                            embed_target)
 from cpulse.su2 import rotation, su2_parts
 from su2_oracle import (axis_vector, dagger, exp_pauli, oracle_infidelity, p_epsilon_array,
-                        pauli_sum, sbch, three_pulse_c)
+                        pauli_sum, sbch, three_pulse_c, three_pulse_c8, three_pulse_phases)
 
 PI = np.pi
 EX = np.array([1.0, 0.0, 0.0])
@@ -290,15 +291,14 @@ class TestAnalyticCoefficient:
             assert series_trace == pytest.approx(matrix_trace.real, abs=1e-10 * max(1, abs(series_trace)))
 
 
-def product_c_80_digits(mpmath, m, n, theta, alpha):
-    """(1 - F) / eps^6 at eps = 1e-8 of the designed (m pi, 2 m pi, m pi)
-    block repeated n times after the target pulse, its phases built and the
-    product taken at 80 digits; the eps^8 term moves it by about 1e-16
-    relative."""
-    with mpmath.workdps(80):
-        a, eps = mpmath.mpf(alpha), mpmath.mpf("1e-8")
-        phi1 = a + mpmath.acos(-mpmath.mpf(theta) / (4 * m * n * mpmath.pi))
-        phi2 = 3 * phi1 - 2 * a if m % 2 else 2 * a - phi1
+def product_c(mpmath, m, n, theta, alpha, eps="1e-8", dps=80):
+    """(1 - F) / eps^6 of the designed (m pi, 2 m pi, m pi) block repeated n
+    times after the target pulse, its phases built by the paper's closed
+    form and the product taken at dps digits; at eps = 1e-8 the eps^8 term
+    moves it by about 1e-16 relative."""
+    (phi1, phi2), _ = three_pulse_phases(mpmath, m, n, theta, alpha, dps)
+    with mpmath.workdps(dps):
+        eps = mpmath.mpf(eps)
         block = [SimpleNamespace(angle=k * mpmath.pi, phase=phi)
                  for k, phi in ((m, phi1), (2 * m, phi2), (m, phi1))]
         full = [Pulse(theta, alpha)] + block * n
@@ -314,8 +314,22 @@ class TestThreePulseClosedForm:
         for _ in range(40):
             m, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
             theta, alpha = rng.uniform(0.05, 4 * PI - 0.05), rng.uniform(0, 2 * PI)
-            want = float(product_c_80_digits(mpmath, m, n, theta, alpha))
+            want = float(product_c(mpmath, m, n, theta, alpha))
             assert three_pulse_c(m, n, theta) == pytest.approx(want, rel=1e-12), (m, n, theta)
+
+    def test_c8_matches_120_digit_product(self):
+        # Richardson on (1 - F) / eps^6 = C6 + C8 eps^2 + C10 eps^4: the
+        # difference at 2 eps and eps over 3 eps^2 leaves 5 C10 eps^2 ~ 1e-18
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(88)
+        for _ in range(40):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            theta, alpha = rng.uniform(0.05, 4 * PI - 0.05), rng.uniform(0, 2 * PI)
+            with mpmath.workdps(120):
+                lo, hi = (product_c(mpmath, m, n, theta, alpha, e, 120)
+                          for e in ("1e-10", "2e-10"))
+                want = float((hi - lo) / (3 * mpmath.mpf("1e-10") ** 2))
+            assert three_pulse_c8(m, n, theta) == pytest.approx(want, rel=1e-12), (m, n, theta)
 
     @pytest.mark.parametrize("m,n,c6", [(1, 1, "4.694283"), (2, 1, "59.14797"),
                                         (3, 1, "283.4304"), (1, 2, "3.696748")],
@@ -333,6 +347,22 @@ class TestThreePulseClosedForm:
                                             COEFF_WINDOW)
                     assert fit.coefficient == pytest.approx(
                         three_pulse_c(m, n, target.theta), rel=0.01), (m, n, target)
+
+    def test_coefficient_fit_is_the_two_term_law(self):
+        # the COEFF_WINDOW fit equals the fit of C6 eps^6 + C8 eps^8 on the
+        # same points: the eps^8 term is all of the fit's bias (C6 alone is
+        # about 3.5e-3 off)
+        rng = np.random.default_rng(204)
+        cases = [(m, n, TargetRotation(PI, PI)) for m, n in ((1, 1), (2, 1), (3, 1), (1, 2))]
+        cases += [(int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                   TargetRotation(rng.uniform(0.3, 4 * PI - 0.3), rng.uniform(0, 2 * PI)))
+                  for _ in range(200)]
+        eps = _log_grid(COEFF_WINDOW, FIT_POINTS)
+        for m, n, target in cases:
+            c6, c8 = three_pulse_c(m, n, target.theta), three_pulse_c8(m, n, target.theta)
+            law = _fit_power_law(eps, [c6 * e ** 6 + c8 * e ** 8 for e in eps], COEFF_WINDOW)
+            fit = fit_error_scaling(_three_pulse(m, n, target).sequence, target, COEFF_WINDOW)
+            assert fit.coefficient == pytest.approx(law.coefficient, rel=1e-5), (m, n, target)
 
     def test_analytic_c_is_its_w1_case(self):
         rng = np.random.default_rng(19)

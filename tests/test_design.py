@@ -12,7 +12,7 @@ from cpulse.design import (DERIVATIVE_TOL, InfeasibleDesign, _at, _der, _pieces,
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target, reduce_angle)
 from cpulse.su2 import rotation
-from su2_oracle import IDENTITY, xy_axis
+from su2_oracle import IDENTITY, five_pulse_phases, three_pulse_phases, xy_axis
 
 PI = np.pi
 
@@ -24,6 +24,13 @@ def angdist(a, b):
 
 def phases_match(got, expected, tol=1e-9):
     return all(angdist(g, e) < tol for g, e in zip(got, expected))
+
+
+def circle_gaps(mp, got, exact):
+    """|got - exact| on the circle per phase, taken at 50 digits."""
+    with mp.workdps(50):
+        diffs = (mp.mpf(g) - e for g, e in zip(got, exact))
+        return [float(abs(d - 2 * mp.pi * mp.nint(d / (2 * mp.pi)))) for d in diffs]
 
 
 # Branch lists, in output order, as recorded from the grid-seeded Newton
@@ -131,6 +138,22 @@ class TestWm:
                                 [p + alpha for p in base.phases], tol=1e-12)
 
 
+class TestThreePulseOracle:
+    def test_phases_match_paper_closed_form(self):
+        # the polygon's roots against cos(phi1 - alpha) = -theta / (4 m n pi)
+        # and the odd/even phi2 rule at 50 digits, branch and mirror
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(32)
+        families = [(m, 1) for m in range(1, 5)] + [(1, n) for n in (2, 3)]
+        for theta in (1e-6, 4 * PI - 1e-6, *rng.uniform(1e-6, 4 * PI - 1e-6, 60)):
+            for m, n in families:
+                target = TargetRotation(theta, rng.uniform(-20.0, 20.0))
+                res = design_wm(m, target) if n == 1 else design_wn(n, target)
+                branch, mirror = three_pulse_phases(mp, m, n, target.theta, target.alpha)
+                gaps = circle_gaps(mp, res.phases + res.mirror_phases, branch + mirror)
+                assert max(gaps) < 2e-13, (m, n, target)
+
+
 class TestFivePulse:
     def test_positive_multiples_required(self):
         with pytest.raises(ValueError, match="p must be a positive integer"):
@@ -211,6 +234,23 @@ class TestFivePulse:
         assert len(results) == len(golden)
         for res, expected in zip(results, golden):
             assert phases_match(res.phases, expected, tol=1e-9)
+
+    @pytest.mark.parametrize("pqr", [(2, 2, 2), (1, 1, 2), (1, 2, 1)],
+                             ids=["W222", "W112", "W121"])
+    def test_branches_near_4pi_match_40_digit_design(self, pqr):
+        # at 4 pi - 1e-6 some pins leave two equal links facing a right-hand
+        # side near 0, where wa^2 - wb^2 + rhs^2 would round rhs^2 away
+        mp = pytest.importorskip("mpmath")
+        target = TargetRotation(4 * PI - 1e-6, 0.4)
+        got = [res.phases for res in design_five_pulse(*pqr, target)]
+        want = five_pulse_phases(mp, *pqr, target.theta, target.alpha)
+        assert len(got) == len(want)
+        nearest = []
+        for phases in got:
+            gap, index = min((max(circle_gaps(mp, phases, w)), i) for i, w in enumerate(want))
+            assert gap < 1e-12, phases
+            nearest.append(index)
+        assert sorted(nearest) == list(range(len(want)))
 
 
 class TestResiduals:
