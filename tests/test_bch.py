@@ -319,7 +319,8 @@ class TestThreePulseClosedForm:
 
     def test_c8_matches_120_digit_product(self):
         # Richardson on (1 - F) / eps^6 = C6 + C8 eps^2 + C10 eps^4: the
-        # difference at 2 eps and eps over 3 eps^2 leaves 5 C10 eps^2 ~ 1e-18
+        # difference at 2 eps and eps over 3 eps^2 is C8 + 5 C10 eps^2, and
+        # 5 C10 eps^2 is far below 1e-12 C8 at eps = 1e-10
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(88)
         for _ in range(40):
