@@ -337,7 +337,7 @@ def cmd_verify(args) -> int:
                 math.remainder(seq.pulses[2].phase - seq.pulses[0].phase, math.tau))):
             cfit = fit_error_scaling(seq, target, COEFF_WINDOW).coefficient
             cref = analytic_c(seq.pulses[1].phase - seq.pulses[0].phase)
-            ok = cref > 0 and abs(cfit - cref) / cref < 0.01
+            ok = cref > 0 and abs(cfit - cref) / cref < TABLE1_TOL
             checks.append(("analytic_coefficient", ok,
                            "fit %.6g vs analytic %.6g" % (cfit, cref)))
     _write(args, "".join("%s %s: %s\n" % ("PASS" if ok else "FAIL", name, detail)

@@ -73,13 +73,11 @@ def derivative_residual(seq: PulseSequence, target: TargetRotation) -> float:
 def _validated(label, seq, phases, target, mirror=None) -> DesignResult:
     ident = identity_residual(seq)
     deriv = derivative_residual(seq, target)
-    if ident > IDENTITY_TOL or deriv > DERIVATIVE_TOL:
+    if not (ident < IDENTITY_TOL and deriv < DERIVATIVE_TOL):
         raise InfeasibleDesign(
             f"{label}: constraint residuals out of bounds "
             f"(identity {ident:.3g}, derivative {deriv:.3g})")
-    return DesignResult(label, seq, tuple(reduce_angle(p) for p in phases),
-                        ident, deriv,
-                        None if mirror is None else tuple(reduce_angle(p) for p in mirror))
+    return DesignResult(label, seq, phases, ident, deriv, mirror)
 
 
 def _triangle(wa, wb, rhs):

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpulse import cli
+from cpulse import cli, design
 from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling, sweep
 from cpulse.cli import main, parse_angle
-from cpulse.design import DERIVATIVE_TOL, _scan, design_five_pulse, design_wm, design_wn
+from cpulse.design import (DERIVATIVE_TOL, InfeasibleDesign, _scan, design_five_pulse, design_wm,
+                           design_wn)
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _overlap_at, compile_sequence,
                            embed_target, format_sequence, parse_sequence, sequence_to_json)
 
@@ -485,6 +486,22 @@ class TestVerify:
         # every split reads flat within sqrt(2) DERIVATIVE_TOL ~ 1.41e-9 of 4 pi
         assert main(["verify", "--scan", "--theta", repr(4 * PI - gap)]) == code
         assert capsys.readouterr().out.startswith(verdict + " three_pulse_scan")
+
+    def test_residual_at_the_tolerance_fails_design_and_verify(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # design and verify share one comparison: a residual equal to its
+        # tolerance is out of bounds for both
+        target = TargetRotation(1.3, 0.4)
+        w1 = design_wm(1, target)
+        assert w1.identity_residual > 0.0
+        path = tmp_path / "w1.json"
+        path.write_text(json.dumps(sequence_to_json(w1.sequence, target)))
+        for module in (design, cli):
+            monkeypatch.setattr(module, "IDENTITY_TOL", w1.identity_residual)
+        with pytest.raises(InfeasibleDesign, match="W1: constraint residuals out of bounds"):
+            design_wm(1, target)
+        assert main(["verify", "--seq", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL identity_residual: ")
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     @pytest.mark.parametrize("offset", [1e-9, -1e-9, 2e-5])

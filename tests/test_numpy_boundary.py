@@ -1,15 +1,17 @@
 """Where numpy gets imported.  cpulse imports numpy on the first read of one
 of its names, so every CLI command (design, simulate, sweep, coeff, verify
 with or without --scan, table1) and the library quick start run on math and
-Python complexes alone, with numpy absent too.
+Python complexes alone, with numpy absent too.  Two proofs cover the CLI:
+- the corpus replay (tests/test_cli_golden.py) runs every corpus argv with
+  numpy blocked;
+- the short-jobs step list here runs every command's jobs in one
+  interpreter with numpy installed, and none of them loads it.
 The value records need no dataclasses either, so these jobs start without
 it and the inspect/ast machinery it pulls in, and json is imported only for
 JSON input or output.
 pytest has imported numpy already, so each check runs in a fresh
 interpreter with only src on the path."""
 
-import contextlib
-import io
 import json
 import math
 import os
@@ -20,7 +22,6 @@ from pathlib import Path
 import pytest
 
 import cpulse
-from cpulse.cli import main
 
 SRC = str(Path(cpulse.__file__).resolve().parents[1])
 
@@ -34,20 +35,6 @@ def fresh(code: str) -> str:
     return proc.stdout
 
 
-def fresh_main(argv) -> tuple:
-    """(exit code, whether numpy got imported, stdout) of cpulse.cli.main on
-    argv in a fresh interpreter."""
-    out = fresh(f"""
-import contextlib, io, json, sys
-from cpulse.cli import main
-buf = io.StringIO()
-with contextlib.redirect_stdout(buf):
-    code = main({argv!r})
-print(json.dumps([code, "numpy" in sys.modules, buf.getvalue()]))
-""")
-    return tuple(json.loads(out))
-
-
 @pytest.fixture(scope="module")
 def five_pulse_file(tmp_path_factory):
     """A W121 branch with its target, as a `--seq` JSON file."""
@@ -58,89 +45,59 @@ def five_pulse_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("window", ["order", "coeff"])
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("source", ["family", "seq"])
-def test_coeff_never_loads_numpy(five_pulse_file, source, window, fmt):
-    src = (["--seq", five_pulse_file] if source == "seq"
-           else ["--family", "wm", "--m", "2", "--theta", "1.3", "--alpha", "0.4"])
-    code, loaded, out = fresh_main(["coeff"] + src + ["--window", window, "--format", fmt])
-    assert (code, loaded) == (0, False), out
-    assert "coefficient" in out
+WM2 = "--family wm --m 2 --theta 1.3 --alpha 0.4"
+# one step each of the short-jobs test, SEQ standing for the W121 --seq file
+SHORT_JOBS = (
+    "design --family fivepulse --p 1 --q 2 --r 1",
+    "design --family wm --m 2 --format json",
+    *(f"design --family {family} --theta 1.3 --alpha 0.4 --format {fmt}"
+      for family in ("wm --m 2", "wn --n 3", "fivepulse --p 2 --q 2 --r 2")
+      for fmt in ("text", "json")),
+    "coeff --family wm --m 1 --format json",
+    "coeff " + WM2,
+    *(f"coeff {source} --window {window} --format {fmt}"
+      for source in (WM2, "--seq SEQ") for window in ("order", "coeff")
+      for fmt in ("text", "json")),
+    "verify --family wn --n 2",
+    "verify --family wm --m 1 --theta 1.3 --alpha 0.4",
+    "verify --family wn --n 3 --theta 2.0",
+    "verify --seq SEQ",
+    "verify --scan",
+    "verify --scan --theta 0.3 --alpha -pi/2",
+    "sweep --eps-count 5",
+    "sweep --family wm --m 1 --eps-count 30",
+    "sweep --family wm --m 2 --eps-count 30",
+    "sweep --family fivepulse --split 0.4 --eps-min -0.1 --eps-count 2000 --format json",
+    "sweep --seq SEQ --eps-count 7",
+    "sweep --seq SEQ --eps-count 9 --format json",
+    "simulate --eps 0.1",
+    "simulate --family plain --format json",
+    "simulate --family plain --theta pi/2 --eps -0.3 --format json",
+    "simulate --family wn --n 2 --eps 0.1",
+    "simulate --seq SEQ --format json",
+    "simulate --seq SEQ --split 0.2 --eps 0.05",
+    "table1")
 
 
-@pytest.mark.parametrize("source,check", [
-    (["--family", "wm", "--m", "1", "--theta", "1.3", "--alpha", "0.4"],
-     "PASS analytic_coefficient"),
-    (["--family", "wn", "--n", "3", "--theta", "2.0"], "PASS order"),
-    (None, "PASS order")], ids=["wm1", "wn3", "seq-w121"])
-def test_verify_never_loads_numpy(five_pulse_file, source, check):
-    code, loaded, out = fresh_main(["verify"] + (source or ["--seq", five_pulse_file]))
-    assert (code, loaded) == (0, False), out
-    assert check in out
-
-
-def test_table1_never_loads_numpy():
-    code, loaded, out = fresh_main(["table1"])
-    assert (code, loaded) == (0, False), out
-    assert len(out.splitlines()) == 7
-
-
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--eps-count", "5"],
-    ["sweep", "--family", "fivepulse", "--split", "0.4", "--eps-min", "-0.1",
-     "--eps-count", "2000", "--format", "json"],
-    ["sweep", "--seq", None, "--eps-count", "7"],
-    ["simulate", "--eps", "0.1"],
-    ["simulate", "--family", "plain", "--theta", "pi/2", "--eps", "-0.3", "--format", "json"],
-    ["simulate", "--seq", None, "--split", "0.2", "--eps", "0.05"]],
-    ids=["sweep", "sweep-fivepulse-json", "sweep-seq", "simulate", "simulate-plain-json",
-         "simulate-seq"])
-def test_sweep_and_simulate_never_load_numpy(five_pulse_file, argv):
-    # rows and the compiled matrix come from the scalar kernel on Python floats
-    argv = [five_pulse_file if a is None else a for a in argv]
-    code, loaded, out = fresh_main(argv)
-    assert (code, loaded) == (0, False), out
-    assert out.startswith(("epsilon,", "{", "# "))
-
-
-@pytest.mark.parametrize("family", [["wm", "--m", "2"], ["wn", "--n", "3"],
-                                    ["fivepulse", "--p", "2", "--q", "2", "--r", "2"]])
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_design_never_loads_numpy(family, fmt):
-    out = fresh(f"""
-import contextlib, io, sys
-from cpulse.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["design", "--family"] + {family!r}
-                + ["--theta", "1.3", "--alpha", "0.4", "--format", {fmt!r}])
-print(code, "numpy" in sys.modules)
-""")
-    assert out.split() == ["0", "False"]
-
-
-def test_short_jobs_never_load_dataclasses_or_inspect():
+def test_short_jobs_never_load_dataclasses_or_inspect(five_pulse_file):
     # what each step leaves in sys.modules; modules only accumulate, so a
     # step that loads one shows up at that step
-    out = fresh("""
+    steps = {job: [five_pulse_file if a == "SEQ" else a for a in job.split()]
+             for job in SHORT_JOBS}
+    assert len(steps) == len(SHORT_JOBS)
+    out = fresh(f"""
 import contextlib, io, json, sys
 import cpulse.cli
 cpulse.cli.build_parser()
 heavy = ("dataclasses", "inspect", "numpy")
-seen = {"parser": [m for m in heavy if m in sys.modules]}
-for argv in (["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"],
-             ["coeff", "--family", "wm", "--m", "1", "--format", "json"],
-             ["verify", "--family", "wn", "--n", "2"],
-             ["sweep", "--family", "wm", "--m", "2", "--eps-count", "30"],
-             ["simulate", "--family", "plain", "--format", "json"],
-             ["table1"]):
+seen = {{"parser": [m for m in heavy if m in sys.modules]}}
+for job, argv in {steps!r}.items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = cpulse.cli.main(argv)
-    seen[argv[0]] = [code] + [m for m in heavy if m in sys.modules]
+    seen[job] = [code] + [m for m in heavy if m in sys.modules]
 print(json.dumps(seen))
 """)
-    assert json.loads(out) == {"parser": [], "design": [0], "coeff": [0], "verify": [0],
-                               "sweep": [0], "simulate": [0], "table1": [0]}
+    assert json.loads(out) == {"parser": [], **dict.fromkeys(SHORT_JOBS, [0])}
 
 
 def test_json_loads_only_for_json_input_or_output():
@@ -196,28 +153,26 @@ print(json.dumps([values, sys.modules.get("numpy") is not None]))
 """
 
 
+FIRST_ARRAY_CALL = """
+try:
+    cpulse.rotation(1.0, 0.0)
+except ImportError as exc:
+    print(type(exc).__name__)
+"""
+
+
 def test_library_quick_start_never_loads_numpy():
     # the README's quick start, the benchmark's quick-start job: design,
-    # fit, crossover and the BCH coefficient all run on Python floats
+    # fit, crossover and the BCH coefficient all run on Python floats.
+    # None in sys.modules makes `import numpy` raise ModuleNotFoundError, on
+    # any numpy version, so with numpy blocked the first array call raises
     present = json.loads(fresh(QUICK_START.format(block="")))
-    blocked = json.loads(fresh(QUICK_START.format(block='sys.modules["numpy"] = None')))
+    blocked, raised = fresh(QUICK_START.format(block='sys.modules["numpy"] = None')
+                            + FIRST_ARRAY_CALL).splitlines()
     assert present[1] is False
-    assert blocked == present
+    assert json.loads(blocked) == present
+    assert raised == "ModuleNotFoundError"
     assert present[0][-2] == pytest.approx(5 * math.pi ** 6 / 1024, rel=1e-12)
-
-
-def test_scan_through_the_lazy_binding_matches_in_process():
-    argv = ["verify", "--scan"]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert main(argv) == 0
-    out = fresh(f"""
-import sys
-from cpulse.cli import main
-assert "numpy" not in sys.modules
-sys.exit(main({argv!r}))
-""")
-    assert out == buf.getvalue() == "PASS three_pulse_scan: flat residual only at pi multiples\n"
 
 
 def test_numpy_imports_after_cpulse():
@@ -238,52 +193,6 @@ import cpulse._numpy
 print(cpulse._numpy.ndarray is numpy.ndarray, sys.modules["numpy"] is numpy)
 """)
     assert out.split() == ["True", "True"]
-
-
-def test_runs_with_numpy_blocked(five_pulse_file):
-    # None in sys.modules makes `import numpy` raise ModuleNotFoundError, on
-    # any numpy version: every job runs without numpy, and the first array
-    # call raises
-    argvs = [["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"],
-             ["design", "--family", "wm", "--m", "2", "--format", "json"],
-             ["simulate", "--family", "wn", "--n", "2", "--eps", "0.1"],
-             ["simulate", "--seq", five_pulse_file, "--format", "json"],
-             ["sweep", "--family", "wm", "--m", "1", "--eps-count", "30"],
-             ["sweep", "--seq", five_pulse_file, "--eps-count", "9", "--format", "json"],
-             ["coeff", "--family", "wm", "--m", "2", "--theta", "1.3", "--alpha", "0.4"],
-             ["coeff", "--seq", five_pulse_file, "--window", "coeff", "--format", "json"],
-             ["verify", "--family", "wn", "--n", "3", "--theta", "2.0"],
-             ["verify", "--seq", five_pulse_file],
-             ["verify", "--scan"],
-             ["verify", "--scan", "--theta", "0.3", "--alpha", "-pi/2"],
-             ["table1"]]
-    expected = []
-    for argv in argvs:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            expected.append([main(argv), buf.getvalue()])
-    out = fresh(f"""
-import contextlib, io, json, sys
-sys.modules["numpy"] = None
-import cpulse
-from cpulse.cli import main
-runs = []
-for argv in {argvs!r}:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        runs.append([main(argv), buf.getvalue()])
-try:
-    cpulse.rotation(1.0, 0.0)
-except ImportError as exc:
-    raised = type(exc).__name__
-else:
-    raised = None
-print(json.dumps([runs, raised]))
-""")
-    runs, raised = json.loads(out)
-    assert [code for code, _ in expected] == [0] * len(argvs)
-    assert runs == expected
-    assert raised == "ModuleNotFoundError"
 
 
 def test_threads_touching_numpy_first_agree():
