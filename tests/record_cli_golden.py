@@ -145,6 +145,10 @@ def argvs(names) -> list:
         ["design", "--theta", "half"],
         ["design", "--family", "fivepulse", "--p", "1", "--q", "1", "--r", "1"],
         ["design", "--family", "fivepulse", "--p", "1", "--q", "1", "--r", "4", "--theta", "pi"],
+        # labels of multiples above 9: two orders of the same digits, and a feasible one
+        ["design", "--family", "fivepulse", "--p", "11", "--q", "1", "--r", "2", "--theta", "1"],
+        ["design", "--family", "fivepulse", "--p", "1", "--q", "11", "--r", "2", "--theta", "1"],
+        ["design", "--family", "fivepulse", "--p", "10", "--q", "10", "--r", "2", "--theta", "pi"],
         ["design", "--family", "wm", "--m", "1000", "--alph", "-pi/2"],
         # 4 pi - 1e-6: pins where two equal links face a right-hand side near 0
         *(["design", "--family", "fivepulse", "--p", p, "--q", q, "--r", r,
