@@ -70,10 +70,21 @@ def derivative_residual(seq: PulseSequence, target: TargetRotation) -> float:
     return math.hypot(*map(abs, _jet(full)[4:]))
 
 
+def constraint_checks(ident: float, deriv: float) -> list:
+    """(name, ok, residual) per design constraint, ok strictly below its
+    tolerance (at it, or NaN, fails): the one verdict of design and verify."""
+    return [("identity_residual", ident < IDENTITY_TOL, ident),
+            ("derivative_residual", deriv < DERIVATIVE_TOL, deriv)]
+
+
+def _residuals(seq, target) -> tuple:
+    """constraint_checks' arguments for seq as a corrector of target."""
+    return identity_residual(seq), derivative_residual(seq, target)
+
+
 def _validated(label, seq, phases, target, mirror=None) -> DesignResult:
-    ident = identity_residual(seq)
-    deriv = derivative_residual(seq, target)
-    if not (ident < IDENTITY_TOL and deriv < DERIVATIVE_TOL):
+    ident, deriv = _residuals(seq, target)
+    if not all(ok for _, ok, _ in constraint_checks(ident, deriv)):
         raise InfeasibleDesign(
             f"{label}: constraint residuals out of bounds "
             f"(identity {ident:.3g}, derivative {deriv:.3g})")

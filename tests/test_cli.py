@@ -13,13 +13,43 @@ import pytest
 
 from cpulse import cli, design
 from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling, sweep
+from cpulse.bch import analytic_c
 from cpulse.cli import main, parse_angle
 from cpulse.design import (DERIVATIVE_TOL, InfeasibleDesign, _scan, design_five_pulse, design_wm,
                            design_wn)
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _overlap_at, compile_sequence,
-                           embed_target, format_sequence, parse_sequence, sequence_to_json)
+                           embed_target, format_sequence, parse_sequence, sequence_from_json,
+                           sequence_to_json)
+from test_cli_golden import CORPUS
 
 PI = math.pi
+# verify --seq on each near-family file of the CLI corpus: its exit code, its
+# lines' PASS/FAIL verdicts and its last line's detail.  The files are W1 for
+# pi about X, changed.  One angle 1e-9 off: within 1e-8 of (pi, 2 pi, pi) the
+# closed form applies and keeps the analytic_coefficient line, which fails;
+# with the last pi pulse off it is the only check that fails (C moves by
+# 31-47% while the derivative residual stays under DERIVATIVE_TOL).  One angle
+# 2e-5 off: the closed form does not apply, and the invariant checks fail the
+# file.  The last phase 1e-9 off: the closed form applies and C moves by ~10%.
+# The outer phases pi apart: the closed form needs one outer phase, so the
+# line does not apply.  The outer phases 1e-13 and 2 pi - 1e-13: they are
+# compared on the circle, and the file passes.  broken.txt holds BB1's
+# angles with wrong phases.
+NEAR_FAMILY = [
+    ("w1_off1e-9_at0.txt", 1, "PFPPF", "fit 6.88742 vs analytic 4.69428"),
+    ("w1_off1e-9_at1.txt", 1, "PFPPF", "fit 3.82323 vs analytic 4.69428"),
+    ("w1_off1e-9_at2.txt", 1, "PPPPF", "fit 6.88742 vs analytic 4.69428"),
+    ("w1_off-1e-9_at0.txt", 1, "PFPPF", "fit 3.23766 vs analytic 4.69428"),
+    ("w1_off-1e-9_at1.txt", 1, "PFPPF", "fit 5.55888 vs analytic 4.69428"),
+    ("w1_off-1e-9_at2.txt", 1, "PPPPF", "fit 3.23766 vs analytic 4.69428"),
+    ("w1_off2e-5_at0.txt", 1, "FFFF", "0.23156834"),
+    ("w1_off2e-5_at1.txt", 1, "FFFF", "0.59033996"),
+    ("w1_off2e-5_at2.txt", 1, "FFFF", "0.23156834"),
+    ("outer_off1e-9.txt", 1, "PFPPF", "fit 4.2385 vs analytic 4.69428"),
+    ("outer_off-1e-9.txt", 1, "PFPPF", "fit 4.25591 vs analytic 4.69428"),
+    ("outer_pi.txt", 1, "PFFP", "1.00000000"),
+    ("outer_wrap.json", 0, "PPPPP", "fit 4.69272 vs analytic 4.69428"),
+    ("broken.txt", 1, "PFFPF", "fit 11.6897 vs analytic 44.3229")]
 
 
 class TestAngleParsing:
@@ -487,85 +517,59 @@ class TestVerify:
         assert main(["verify", "--scan", "--theta", repr(4 * PI - gap)]) == code
         assert capsys.readouterr().out.startswith(verdict + " three_pulse_scan")
 
+    @pytest.mark.parametrize("tol, line", [("IDENTITY_TOL", 0), ("DERIVATIVE_TOL", 1)])
     def test_residual_at_the_tolerance_fails_design_and_verify(self, capsys, tmp_path,
-                                                               monkeypatch):
-        # design and verify share one comparison: a residual equal to its
-        # tolerance is out of bounds for both
+                                                               monkeypatch, tol, line):
+        # design and verify share design's one comparison: a residual equal
+        # to its tolerance is out of bounds for both
         target = TargetRotation(1.3, 0.4)
         w1 = design_wm(1, target)
-        assert w1.identity_residual > 0.0
+        residual = (w1.identity_residual, w1.derivative_residual)[line]
+        assert residual > 0.0
         path = tmp_path / "w1.json"
         path.write_text(json.dumps(sequence_to_json(w1.sequence, target)))
-        for module in (design, cli):
-            monkeypatch.setattr(module, "IDENTITY_TOL", w1.identity_residual)
+        monkeypatch.setattr(design, tol, residual)
         with pytest.raises(InfeasibleDesign, match="W1: constraint residuals out of bounds"):
             design_wm(1, target)
         assert main(["verify", "--seq", str(path)]) == 1
-        assert capsys.readouterr().out.startswith("FAIL identity_residual: ")
+        verdicts = capsys.readouterr().out.splitlines()
+        assert [v.startswith("FAIL ") for v in verdicts] == [i == line for i in range(5)]
 
-    @pytest.mark.parametrize("index", [0, 1, 2])
-    @pytest.mark.parametrize("offset", [1e-9, -1e-9, 2e-5])
-    def test_near_family_file_fails_its_analytic_line(self, capsys, tmp_path, index, offset):
-        # W1 with one angle off by offset.  Within 1e-8 of (pi, 2 pi, pi) the
-        # closed form applies and keeps the analytic_coefficient line: with the
-        # last pi pulse 1e-9 off, that line is the only check that fails (C
-        # moves by 31-47% while the derivative residual stays under
-        # DERIVATIVE_TOL).  At 2e-5 off it does not apply, and the invariant
-        # checks fail the file
-        pairs = [(p.angle, p.phase) for p in design_wm(1, TargetRotation(PI, 0.0)).sequence]
-        pairs[index] = (pairs[index][0] + offset, pairs[index][1])
-        path = tmp_path / "off.txt"
-        path.write_text(format_sequence(PulseSequence.from_pairs(pairs)))
-        assert main(["verify", "--seq", str(path)]) == 1
+    def test_scan_reads_the_design_tolerance(self, capsys, monkeypatch):
+        # every row of the default grid reads flat under a tolerance of 1e3
+        monkeypatch.setattr(design, "DERIVATIVE_TOL", 1e3)
+        assert main(["verify", "--scan"]) == 1
+        assert capsys.readouterr().out.startswith("FAIL three_pulse_scan")
+
+    def test_fit_at_the_tolerance_passes_its_analytic_line(self, capsys, monkeypatch):
+        # the 1% gate is inclusive, as in table1: a fit exactly TABLE1_TOL off passes
+        target = TargetRotation(PI, 0.0)
+        seq = design_wm(1, target).sequence
+        cfit = fit_error_scaling(seq, target, COEFF_WINDOW).coefficient
+        cref = analytic_c(seq.pulses[1].phase - seq.pulses[0].phase)
+        rel = abs(cfit - cref) / cref
+        for tol, verdict in ((rel, "PASS"), (math.nextafter(rel, 0.0), "FAIL")):
+            monkeypatch.setattr(cli, "TABLE1_TOL", tol)
+            main(["verify", "--family", "wm", "--m", "1"])
+            last = capsys.readouterr().out.splitlines()[-1]
+            assert last.startswith(verdict + " analytic_coefficient: "), (tol, last)
+
+    @pytest.mark.parametrize("name, code, verdicts, detail", NEAR_FAMILY,
+                             ids=[row[0] for row in NEAR_FAMILY])
+    def test_near_family_file(self, capsys, tmp_path, monkeypatch, name, code, verdicts,
+                              detail):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(json.loads(CORPUS.read_text())["files"][name])
+        assert main(["verify", "--seq", name]) == code
         lines = capsys.readouterr().out.splitlines()
-        if offset == 2e-5:
-            assert len(lines) == 4 and not any("analytic" in line for line in lines), lines
-            assert any(line.startswith("FAIL ") for line in lines), lines
-            return
-        assert len(lines) == 5
-        assert lines[-1].startswith("FAIL analytic_coefficient: fit ")
-        assert lines[-1].endswith(" vs analytic 4.69428")
-        if index == 2 and abs(offset) == 1e-9:
-            assert all(line.startswith("PASS ") for line in lines[:-1]), lines
+        assert "".join({"PASS ": "P", "FAIL ": "F"}[line[:5]] for line in lines) == verdicts
+        assert lines[-1].split(": ", 1)[1] == detail
 
-    def test_unequal_outer_phases_fail_the_analytic_line(self, capsys, tmp_path):
-        (a1, p1), (a2, p2), (a3, _) = [
-            (p.angle, p.phase) for p in design_wm(1, TargetRotation(PI, 0.0)).sequence]
-        path = tmp_path / "outer.txt"
-        path.write_text(format_sequence(PulseSequence.from_pairs(
-            [(a1, p1), (a2, p2), (a3, p1 + PI)])))
-        # the closed form needs one outer phase, so the line does not apply
-        assert main(["verify", "--seq", str(path)]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 4 and not any("analytic" in line for line in lines), lines
-        assert lines[1].startswith("FAIL derivative_residual: ")
-
-    @pytest.mark.parametrize("offset", [1e-9, -1e-9])
-    def test_outer_phase_off_by_1e9_fails_its_analytic_line(self, capsys, tmp_path, offset):
-        # within 1e-8 of one outer phase the closed form applies; C moves by ~10%
-        (a1, p1), (a2, p2), (a3, _) = [
-            (p.angle, p.phase) for p in design_wm(1, TargetRotation(PI, 0.0)).sequence]
-        path = tmp_path / "outer.txt"
-        path.write_text(format_sequence(PulseSequence.from_pairs(
-            [(a1, p1), (a2, p2), (a3, p1 + offset)])))
-        assert main(["verify", "--seq", str(path)]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 5
-        assert lines[-1].startswith("FAIL analytic_coefficient: fit ")
-        assert lines[-1].endswith(" vs analytic 4.69428")
-
-    def test_outer_phases_are_compared_on_the_circle(self, capsys, tmp_path):
-        # W1 turned so its outer phases straddle 0: 1e-13 and 2 pi - 1e-13
-        p1, p2, _ = (p.phase for p in design_wm(1, TargetRotation(PI, 0.0)).sequence)
-        target = TargetRotation(PI, -p1)
-        seq = PulseSequence.from_pairs([(PI, 1e-13), (2 * PI, p2 - p1), (PI, -1e-13)])
-        assert seq.pulses[2].phase == 2 * PI - 1e-13
-        path = tmp_path / "wrap.json"
-        path.write_text(json.dumps(sequence_to_json(seq, target)))
-        assert main(["verify", "--seq", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.endswith("PASS analytic_coefficient: fit 4.69272 vs analytic 4.69428\n")
-        assert out.count("PASS ") == 5
+    def test_wrapped_outer_phases_straddle_zero(self):
+        # outer_wrap.json's outer phases are 1e-13 and 2 pi - 1e-13
+        seq, _ = sequence_from_json(json.loads(
+            json.loads(CORPUS.read_text())["files"]["outer_wrap.json"]))
+        assert (seq.pulses[0].phase, seq.pulses[2].phase) == (1e-13, 2 * PI - 1e-13)
 
     def test_near_family_files_fail_an_invariant_check(self, capsys, tmp_path):
         # every file more than 1e-8 off the closed form's inputs, up to where
@@ -627,19 +631,6 @@ class TestVerify:
         assert main(["verify"] + argv) == 0
         out = capsys.readouterr().out
         assert out.endswith(line) and out.count("\n") == 5
-
-    def test_broken_sequence_file_fails(self, capsys, tmp_path):
-        # hand-edited corrector: BB1 angles, wrong phases
-        seq = parse_sequence("3.141592653589793 0.1\n"
-                             "6.283185307179586 2.0\n"
-                             "3.141592653589793 0.1\n")
-        path = tmp_path / "broken.txt"
-        path.write_text(format_sequence(seq))
-        assert main(["verify", "--seq", str(path), "--theta", "pi",
-                     "--alpha", "0"]) == 1
-        out = capsys.readouterr().out
-        assert any(l.startswith("FAIL derivative_residual")
-                   for l in out.splitlines())
 
 
 class TestSequenceFiles:
@@ -988,6 +979,16 @@ class TestTable1:
         [line] = captured.err.splitlines()
         assert line.startswith("FAIL W3: relative error ")
         assert line.endswith(" exceeds 1%")
+
+    def test_row_at_the_tolerance_passes(self, capsys, monkeypatch):
+        # the gate is inclusive, as in verify: the largest |rel_err| passes
+        assert main(["table1"]) == 0
+        worst = max(abs(float(line.split(",")[4]))
+                    for line in capsys.readouterr().out.splitlines()[1:])
+        for tol, code in ((worst, 0), (math.nextafter(worst, 0.0), 1)):
+            monkeypatch.setattr(cli, "TABLE1_TOL", tol)
+            assert main(["table1"]) == code, tol
+            capsys.readouterr()
 
     def test_one_fit_per_row(self, capsys, monkeypatch):
         calls = []

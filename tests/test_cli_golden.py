@@ -98,6 +98,17 @@ def test_corpus_covers_every_exit_code():
     assert any(entry["out"] is not None for entry in cases.values())
 
 
+def test_near_family_table_reads_the_corpus():
+    # tests/test_cli.py's table runs verify --seq on each near-family file the
+    # corpus records, and expects the exit code recorded for that argv
+    from test_cli import NEAR_FAMILY
+    corpus = json.loads(CORPUS.read_text())
+    near = {name for name in corpus["files"] if name.startswith(("w1_off", "outer_", "broken"))}
+    assert {name for name, *_ in NEAR_FAMILY} == near
+    for name, code, *_ in NEAR_FAMILY:
+        assert corpus["cases"][f"verify --seq {name}"]["exit"] == code, name
+
+
 if __name__ == "__main__":
     moved = replay()
     for key, want, got in moved:
