@@ -187,6 +187,8 @@ def design_five_pulse(p: int, q: int, r: int,
     if (p + q + r) % 2:
         raise ValueError("p + q + r must be even")
     weights = (p, q, r)
+    # multiples run together unless one exceeds 9: W121, W10-10-2
+    label = "W" + ("-" if max(weights) > 9 else "").join(map(str, weights))
     t = target.theta / math.tau
 
     phase_sets = []
@@ -206,11 +208,11 @@ def design_five_pulse(p: int, q: int, r: int,
         seq = PulseSequence.from_pairs([
             (p * math.pi, phi1), (q * math.pi, phi2), (2 * r * math.pi, phi3),
             (q * math.pi, phi2), (p * math.pi, phi1)])
-        results.append(_validated(f"W{p}{q}{r}", seq, phases, target))
+        results.append(_validated(label, seq, phases, target))
     if not results:
         # |complex residual| maps to the matrix Frobenius norm via sqrt(2)*pi
         raise InfeasibleDesign(
-            f"no phases satisfy the W{p}{q}{r} derivative condition for "
+            f"no phases satisfy the {label} derivative condition for "
             f"theta = {target.theta:.6g}",
             best_residual=best * math.sqrt(2.0) * math.pi)
     return results
