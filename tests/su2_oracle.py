@@ -1,15 +1,17 @@
 """Test-side SU(2) references: Pauli matrices, XY-plane axes as arrays, the
 general closed-form exponential, the symmetric BCH series and its error-log
 rows by the array route, fit grids as arrays, the bare-pulse sweep
-baseline, a high-precision infidelity, the paper's closed-form phases and
-the exact C6 and C8 of every designed three-pulse family, and the
-five-pulse branches at high precision.
+baseline, the closed-form BB1 corrector, a high-precision infidelity, the
+paper's closed-form phases and the exact C6 and C8 of every designed
+three-pulse family, and the five-pulse branches at high precision; and a
+tracemalloc peak probe for the memory bounds.
 
 The package needs none of these; the tests use them as independent
 matrix-level references for the scalar routines in cpulse.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -96,6 +98,22 @@ def plain_sweep(target: TargetRotation, eps_grid) -> SweepTable:
     """Baseline sweep of the bare error-prone pulse for the same target."""
     bare = PulseSequence((Pulse(target.theta, target.alpha),))
     return sweep(bare, target, eps_grid, embed=False, label="plain")
+
+
+def bb1_corrector() -> PulseSequence:
+    """BB1's corrector for a pi pulse about X: (pi, 2 pi, pi) at phases
+    phi1 = arccos(-1/4), 3 phi1, phi1."""
+    phi1 = math.acos(-0.25)
+    return PulseSequence.from_pairs([(math.pi, phi1), (2 * math.pi, 3 * phi1), (math.pi, phi1)])
+
+
+def peak_bytes(func, *args):
+    """(func(*args), the peak of the memory tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return func(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def oracle_infidelity(mp, pulses, target, eps):

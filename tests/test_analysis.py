@@ -16,16 +16,10 @@ from cpulse.design import design_five_pulse, design_wm, design_wn
 from cpulse.pulses import (PulseSequence, TargetRotation, _overlap_at, compile_sequence,
                            embed_target)
 from cpulse.su2 import rotation
-from su2_oracle import EZ, exp_pauli, fit_grid, oracle_infidelity, plain_sweep
+from su2_oracle import EZ, bb1_corrector, exp_pauli, fit_grid, oracle_infidelity, plain_sweep
 
 PI = np.pi
 BB1_C = 5 * PI ** 6 / 1024  # exact sixth-order coefficient of the m=1 family
-
-
-def bb1_corrector(theta=PI, alpha=0.0):
-    phi1 = alpha + np.arccos(-theta / (4 * PI))
-    return PulseSequence.from_pairs(
-        [(PI, phi1), (2 * PI, 3 * phi1 - 2 * alpha), (PI, phi1)])
 
 
 def random_su2(rng):

@@ -12,19 +12,14 @@ from cpulse.design import _three_pulse, design_wm, design_wn
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
 from cpulse.su2 import rotation, su2_parts
-from su2_oracle import (axis_vector, dagger, exp_pauli, oracle_infidelity, p_epsilon_array,
-                        pauli_sum, sbch, three_pulse_c, three_pulse_c8, three_pulse_phases)
+from su2_oracle import (axis_vector, bb1_corrector, dagger, exp_pauli, oracle_infidelity,
+                        p_epsilon_array, pauli_sum, sbch, three_pulse_c, three_pulse_c8,
+                        three_pulse_phases)
 
 PI = np.pi
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
-
-
-def bb1_corrector(theta=PI, alpha=0.0):
-    phi1 = alpha + math.acos(-theta / (4 * PI))
-    return PulseSequence.from_pairs(
-        [(PI, phi1), (2 * PI, 3 * phi1 - 2 * alpha), (PI, phi1)])
 
 
 def log_vector(u):

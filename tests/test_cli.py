@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ from cpulse.design import (DERIVATIVE_TOL, InfeasibleDesign, _scan, design_five_
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _overlap_at, compile_sequence,
                            embed_target, format_sequence, parse_sequence, sequence_from_json,
                            sequence_to_json)
+from su2_oracle import peak_bytes
 from test_cli_golden import CORPUS
 
 PI = math.pi
@@ -180,26 +180,18 @@ class TestSweep:
         # the output is written in blocks, so a 20k-point sweep holds no
         # whole-output string and no row dicts; test_sweep_memory_is_arrays
         # sets the tighter bound
-        tracemalloc.start()
-        try:
-            assert main(["sweep", "--family", "plain", "--eps-count", "20000",
-                         "--format", "json", "--out", str(tmp_path / "s.json")]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = peak_bytes(main, ["sweep", "--family", "plain", "--eps-count", "20000",
+                                       "--format", "json", "--out", str(tmp_path / "s.json")])
+        assert code == 0
         assert peak < 6e6, peak
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_sweep_memory_is_arrays(self, tmp_path, fmt):
         # no grid-sized list or array: a 20k-point sweep holds one block of
         # rows as floats and text (~0.2 MB in all, the parser's included)
-        tracemalloc.start()
-        try:
-            assert main(["sweep", "--family", "plain", "--eps-count", "20000",
-                         "--format", fmt, "--out", str(tmp_path / "s.out")]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = peak_bytes(main, ["sweep", "--family", "plain", "--eps-count", "20000",
+                                       "--format", fmt, "--out", str(tmp_path / "s.out")])
+        assert code == 0
         assert peak < 0.3e6, peak
 
     @pytest.mark.parametrize("bound", [["--eps-max", "inf"], ["--eps-min", "-inf"],
@@ -259,13 +251,10 @@ class TestSweep:
         # 20k-point sweep stays within half a grid-sized float array (80 kB)
         # of a two-block sweep's, after a warm-up
         def peak(n):
-            tracemalloc.start()
-            try:
-                assert main(["sweep", "--family", "plain", "--eps-count", str(n),
-                             "--out", str(tmp_path / "s.csv")]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, top = peak_bytes(main, ["sweep", "--family", "plain", "--eps-count", str(n),
+                                          "--out", str(tmp_path / "s.csv")])
+            assert code == 0
+            return top
 
         small = 2 * cli.SWEEP_BLOCK
         peak(small)
@@ -398,12 +387,7 @@ class TestSweepRenderer:
 
         longest = max(map(len, blocks()))
         stream = blocks()
-        tracemalloc.start()
-        try:
-            collections.deque(stream, maxlen=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(collections.deque, stream, 0)
         assert peak < 2 * longest + 96 * self.B, (peak, longest)
 
 

@@ -11,7 +11,7 @@ from cpulse.pulses import (MAX_MULTIPLE, Pulse, PulseSequence, TargetRotation, _
                            parse_sequence, repeated, sequence_from_json,
                            sequence_to_json)
 from cpulse.su2 import rotation
-from su2_oracle import EZ, IDENTITY, exp_pauli
+from su2_oracle import EZ, IDENTITY, bb1_corrector, exp_pauli
 
 PI = np.pi
 
@@ -29,12 +29,6 @@ COUNTED = [
 
 def phase_shifted(seq, delta):
     return PulseSequence(tuple(Pulse(p.angle, p.phase + delta) for p in seq))
-
-
-def bb1_corrector(theta=PI, alpha=0.0):
-    phi1 = alpha + np.arccos(-theta / (4 * PI))
-    phi2 = 3 * phi1 - 2 * alpha
-    return PulseSequence.from_pairs([(PI, phi1), (2 * PI, phi2), (PI, phi1)])
 
 
 class TestTypes:

@@ -7,7 +7,6 @@ import copy
 import math
 import pickle
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from cpulse.analysis import FitReport, SweepTable
 from cpulse.cli import main
 from cpulse.design import DesignResult, design_wn
 from cpulse.pulses import Pulse, PulseSequence, TargetRotation, compile_sequence, reduce_angle
+from su2_oracle import peak_bytes
 
 PI = math.pi
 BB1 = PulseSequence.from_pairs([(PI, 1.8234765819369754), (2 * PI, 5.4704297458109262),
@@ -178,12 +178,7 @@ class TestValidation:
         # with no per-entry pass (a list of 10^5 Python floats takes 3.2 MB)
         eps = np.linspace(1e-3, 0.5, 100000)
         fid = np.full(eps.size, 0.5)
-        tracemalloc.start()
-        try:
-            SweepTable(eps, fid, fid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(SweepTable, eps, fid, fid)
         assert peak < 2 * eps.nbytes, peak
 
     def test_sweep_table_infidelity_slack_matches_fidelity(self):
