@@ -1,10 +1,9 @@
 """Test-side SU(2) references: Pauli matrices, XY-plane axes as arrays, the
 general closed-form exponential, the symmetric BCH series and its error-log
 rows by the array route, fit grids as arrays, the bare-pulse sweep
-baseline, the closed-form BB1 corrector, a high-precision infidelity, the
-paper's closed-form phases and the exact C6 and C8 of every designed
-three-pulse family, and the five-pulse branches at high precision; and a
-tracemalloc peak probe for the memory bounds.
+baseline, a high-precision infidelity, the paper's closed-form phases and
+the exact C6 and C8 of every designed three-pulse family, the five-pulse
+branches at high precision, BB1, and a tracemalloc peak probe.
 
 The package needs none of these; the tests use them as independent
 matrix-level references for the scalar routines in cpulse.
@@ -101,8 +100,7 @@ def plain_sweep(target: TargetRotation, eps_grid) -> SweepTable:
 
 
 def bb1_corrector() -> PulseSequence:
-    """BB1's corrector for a pi pulse about X: (pi, 2 pi, pi) at phases
-    phi1 = arccos(-1/4), 3 phi1, phi1."""
+    """BB1's (pi, 2 pi, pi) corrector for pi about X: phi1 = arccos(-1/4), phi2 = 3 phi1."""
     phi1 = math.acos(-0.25)
     return PulseSequence.from_pairs([(math.pi, phi1), (2 * math.pi, 3 * phi1), (math.pi, phi1)])
 

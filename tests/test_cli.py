@@ -17,24 +17,19 @@ from cpulse.cli import main, parse_angle
 from cpulse.design import (DERIVATIVE_TOL, InfeasibleDesign, _scan, design_five_pulse, design_wm,
                            design_wn)
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _overlap_at, compile_sequence,
-                           embed_target, format_sequence, parse_sequence, sequence_from_json,
-                           sequence_to_json)
+                           embed_target, format_sequence, parse_sequence, sequence_to_json)
 from su2_oracle import peak_bytes
 from test_cli_golden import CORPUS
 
 PI = math.pi
-# verify --seq on each near-family file of the CLI corpus: its exit code, its
-# lines' PASS/FAIL verdicts and its last line's detail.  The files are W1 for
-# pi about X, changed.  One angle 1e-9 off: within 1e-8 of (pi, 2 pi, pi) the
-# closed form applies and keeps the analytic_coefficient line, which fails;
-# with the last pi pulse off it is the only check that fails (C moves by
-# 31-47% while the derivative residual stays under DERIVATIVE_TOL).  One angle
-# 2e-5 off: the closed form does not apply, and the invariant checks fail the
-# file.  The last phase 1e-9 off: the closed form applies and C moves by ~10%.
-# The outer phases pi apart: the closed form needs one outer phase, so the
-# line does not apply.  The outer phases 1e-13 and 2 pi - 1e-13: they are
-# compared on the circle, and the file passes.  broken.txt holds BB1's
-# angles with wrong phases.
+# verify --seq on the CLI corpus's near-family files, W1 for pi about X
+# changed: exit code, PASS/FAIL per line, last line's detail.  One angle or
+# the last phase 1e-9 off: within 1e-8 the closed form applies and fails its
+# analytic_coefficient line (C moves by 31-47% with the last pi pulse off, the
+# only failing check, by ~10% with the last phase off).  One angle 2e-5 off,
+# or the outer phases pi apart: it does not apply, and other checks fail the
+# file.  Outer phases 1e-13 and 2 pi - 1e-13 match on the circle.  broken.txt
+# holds BB1's angles with wrong phases.
 NEAR_FAMILY = [
     ("w1_off1e-9_at0.txt", 1, "PFPPF", "fit 6.88742 vs analytic 4.69428"),
     ("w1_off1e-9_at1.txt", 1, "PFPPF", "fit 3.82323 vs analytic 4.69428"),
@@ -548,12 +543,6 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert "".join({"PASS ": "P", "FAIL ": "F"}[line[:5]] for line in lines) == verdicts
         assert lines[-1].split(": ", 1)[1] == detail
-
-    def test_wrapped_outer_phases_straddle_zero(self):
-        # outer_wrap.json's outer phases are 1e-13 and 2 pi - 1e-13
-        seq, _ = sequence_from_json(json.loads(
-            json.loads(CORPUS.read_text())["files"]["outer_wrap.json"]))
-        assert (seq.pulses[0].phase, seq.pulses[2].phase) == (1e-13, 2 * PI - 1e-13)
 
     def test_near_family_files_fail_an_invariant_check(self, capsys, tmp_path):
         # every file more than 1e-8 off the closed form's inputs, up to where

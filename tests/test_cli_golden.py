@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,13 +101,16 @@ def test_corpus_covers_every_exit_code():
 
 def test_near_family_table_reads_the_corpus():
     # tests/test_cli.py's table runs verify --seq on each near-family file the
-    # corpus records, and expects the exit code recorded for that argv
+    # corpus records, outer_wrap.json's outer phases straddling 0, and expects
+    # the exit code recorded for that argv
     from test_cli import NEAR_FAMILY
     corpus = json.loads(CORPUS.read_text())
     near = {name for name in corpus["files"] if name.startswith(("w1_off", "outer_", "broken"))}
     assert {name for name, *_ in NEAR_FAMILY} == near
     for name, code, *_ in NEAR_FAMILY:
         assert corpus["cases"][f"verify --seq {name}"]["exit"] == code, name
+    wrap = json.loads(corpus["files"]["outer_wrap.json"])["pulses"]
+    assert (wrap[0]["phase"], wrap[2]["phase"]) == (1e-13, 2 * math.pi - 1e-13)
 
 
 if __name__ == "__main__":

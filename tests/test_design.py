@@ -196,7 +196,6 @@ class TestFivePulse:
             [PI, 2 * PI, 2 * PI, 2 * PI, PI])
 
     def test_labels_separate_multiples_above_9(self):
-        assert design_five_pulse(1, 2, 1, TargetRotation(PI, PI))[0].label == "W121"
         assert design_five_pulse(10, 10, 2, TargetRotation(PI, PI))[0].label == "W10-10-2"
         for pqr, label in (((11, 1, 2), "W11-1-2"), ((1, 11, 2), "W1-11-2")):
             with pytest.raises(InfeasibleDesign, match=f"the {label} derivative condition"):
