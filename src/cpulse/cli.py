@@ -184,7 +184,7 @@ def cmd_design(args) -> int:
             "phases": list(res.phases),
             "mirror_phases": None if res.mirror_phases is None else list(res.mirror_phases),
             **{name: value for name, _, value in checks},
-            "pulses": sequence_to_json(res.sequence, target)["pulses"],
+            "pulses": sequence_to_json(res.sequence)["pulses"],
         })
         if len(results) > 1:
             lines.append(f"# branch {i + 1} of {len(results)}")
@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     except InfeasibleDesign as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except OSError as exc:

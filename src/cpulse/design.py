@@ -6,11 +6,11 @@ at zero error, and its first derivative with respect to the fractional error
 must vanish there.  For correctors of pi-multiple angles the derivative
 condition is a closed polygon in conjugated azimuths, sum_j w_j e^{i z_j} =
 theta / (2 pi): every family pins all but two links on the frame axis,
-solves those two by the law of cosines (_triangle) and maps the azimuths to
-pulse phases by one reflection chain (_chain).  The 3-pulse exhaustiveness
-scan uses the root finder the crossover search shares (analysis._roots,
-bisection to adjacent floats); every returned result is re-validated
-against the matrix-level residuals.
+solves those two by the law of cosines (_triangle), maps the azimuths to
+phases by one reflection chain (_chain) and mirrors the pulses (_palindrome).
+The 3-pulse exhaustiveness scan uses the root finder the crossover search
+shares (analysis._roots, bisection to adjacent floats); every returned result
+is re-validated against the matrix-level residuals.
 """
 
 from __future__ import annotations
@@ -120,18 +120,23 @@ def _chain(z, multiples, target):
     return tuple(map(reduce_angle, phases))
 
 
+def _palindrome(multiples, phases) -> PulseSequence:
+    """Angles multiples[j] pi at phases[j], mirrored about the last: abc -> abcba."""
+    pairs = [(k * math.pi, phi) for k, phi in zip(multiples, phases)]
+    return PulseSequence.from_pairs(pairs + pairs[-2::-1])
+
+
 def _three_pulse(m: int, repeats: int, target: TargetRotation) -> DesignResult:
     """The (m pi, 2 m pi, m pi) block repeated, phased by the polygon of two
     equal links, k e^{i z1} + k e^{i z2} = theta / (2 pi) with k = m repeats
     (Cummins et al., PRA 67, 042308): z2 = -z1 and cos z1 = theta / (4 k pi)."""
-    k = m * repeats
+    k, multiples = m * repeats, (m, 2 * m)
     # two roots: theta / (2 pi) lies in (0, 2 k); the branch is the -za root
-    mirror, (phi1, phi2) = (_chain(z, (m, 2 * m), target)
-                            for z in _triangle(k, k, target.theta / math.tau))
-    seq = repeated(PulseSequence.from_pairs(
-        [(m * math.pi, phi1), (2 * m * math.pi, phi2), (m * math.pi, phi1)]), repeats)
+    mirror, phases = (_chain(z, multiples, target)
+                      for z in _triangle(k, k, target.theta / math.tau))
     label = f"W{m}x{repeats}" if repeats > 1 else f"W{m}"
-    return _validated(label, seq, (phi1, phi2), target, mirror)
+    seq = repeated(_palindrome(multiples, phases), repeats)
+    return _validated(label, seq, phases, target, mirror)
 
 
 def design_wn(n: int, target: TargetRotation) -> DesignResult:
@@ -186,7 +191,7 @@ def design_five_pulse(p: int, q: int, r: int,
     p, q, r = _count(p, "p"), _count(q, "q"), _count(r, "r")
     if (p + q + r) % 2:
         raise ValueError("p + q + r must be even")
-    weights = (p, q, r)
+    weights, multiples = (p, q, r), (p, q, 2 * r)
     # multiples run together unless one exceeds 9: W121, W10-10-2
     label = "W" + ("-" if max(weights) > 9 else "").join(map(str, weights))
     t = target.theta / math.tau
@@ -199,23 +204,17 @@ def design_five_pulse(p: int, q: int, r: int,
             rhs = t - weights[pin] * math.cos(pin_val)
             # distance from |rhs| to the reachable interval [|wa - wb|, wa + wb]
             best = min(best, max(0.0, abs(rhs) - (wa + wb), abs(wa - wb) - abs(rhs)))
-            phase_sets.extend(_chain((*z[:pin], pin_val, *z[pin:]), (p, q, 2 * r), target)
+            phase_sets.extend(_chain((*z[:pin], pin_val, *z[pin:]), multiples, target)
                               for z in _triangle(wa, wb, rhs))
 
-    results = []
-    for phases in sorted(phase_sets):
-        phi1, phi2, phi3 = phases
-        seq = PulseSequence.from_pairs([
-            (p * math.pi, phi1), (q * math.pi, phi2), (2 * r * math.pi, phi3),
-            (q * math.pi, phi2), (p * math.pi, phi1)])
-        results.append(_validated(label, seq, phases, target))
-    if not results:
+    if not phase_sets:
         # |complex residual| maps to the matrix Frobenius norm via sqrt(2)*pi
         raise InfeasibleDesign(
             f"no phases satisfy the {label} derivative condition for "
             f"theta = {target.theta:.6g}",
             best_residual=best * math.sqrt(2.0) * math.pi)
-    return results
+    return [_validated(label, _palindrome(multiples, phases), phases, target)
+            for phases in sorted(phase_sets)]
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,16 @@ class TestDesign:
             "infeasible: no phases satisfy the W114 derivative condition for "
             "theta = 3.14159 (best residual 6.66)"]
 
+    def test_a_key_error_inside_a_command_propagates(self, capsys, monkeypatch):
+        # only ValueError maps to exit 2: a KeyError is a programming error
+        def broken(*args):
+            raise KeyError("phases")
+
+        monkeypatch.setattr(cli, "design_five_pulse", broken)
+        with pytest.raises(KeyError, match="phases"):
+            main(["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"])
+        assert capsys.readouterr().err == ""
+
     def test_json_shape(self, capsys):
         assert main(["design", "--family", "wm", "--m", "2", "--theta", "pi",
                      "--alpha", "pi", "--format", "json"]) == 0
@@ -447,6 +457,15 @@ class TestCoeff:
         assert obj["coefficient"] == pytest.approx(4.7, rel=0.01)
 
 
+# verify --scan targets: a seeded sample, which scans flat only at gamma = pi,
+# and two near 4 pi: every split reads flat within sqrt(2) DERIVATIVE_TOL of
+# 4 pi, so at 1e-9 off but not at 3e-9 off
+_rng = np.random.default_rng(2702)
+SCAN_TARGETS = [*((float(t), float(a), 0) for t, a in zip(_rng.uniform(0.01, 4 * PI - 0.01, 12),
+                                                          _rng.uniform(0, 2 * PI, 12))),
+                (4 * PI - 1e-9, 0.0, 1), (4 * PI - 3e-9, 0.0, 0)]
+
+
 class TestVerify:
     def test_reference_design_passes(self, capsys):
         assert main(["verify", "--family", "wn", "--n", "1", "--theta", "pi",
@@ -569,10 +588,16 @@ class TestVerify:
                 lines = capsys.readouterr().out.splitlines()
                 assert len(lines) == 4 and any(line.startswith("FAIL ") for line in lines), lines
 
-    def test_scan_verdict_matches_the_rows_within_0_02_of_pi(self, capsys, monkeypatch):
-        # the verdict names the grid's own flat row, gamma == pi; no other row
-        # of the default m = 1 grid lies within 0.02 of pi, so it agrees with
-        # the rule that accepted any row there
+    def test_scan_targets_cover_both_exit_codes(self):
+        assert {code for *_, code in SCAN_TARGETS} == {0, 1}
+
+    def test_default_scan_grid_holds_pi_once_at_row_30(self):
+        gammas = np.array(_scan(TargetRotation(1.0, 0.0)))[:, 0]
+        assert np.flatnonzero(gammas == PI).tolist() == [30]
+
+    @pytest.mark.parametrize("theta, alpha, code", SCAN_TARGETS)
+    def test_scan_verdict_names_row_30_as_the_only_flat_row(self, capsys, monkeypatch,
+                                                            theta, alpha, code):
         rows_seen = []
 
         def recording_scan(target):
@@ -581,19 +606,10 @@ class TestVerify:
             return rows
 
         monkeypatch.setattr(cli, "_scan", recording_scan)
-        rng = np.random.default_rng(2702)
-        thetas = [*rng.uniform(0.01, 4 * PI - 0.01, 200), 4 * PI - 1e-9, 4 * PI - 3e-9]
-        codes = set()
-        for theta in thetas:
-            code = main(["verify", "--scan", "--theta", repr(float(theta)),
-                         "--alpha", repr(rng.uniform(0, 2 * PI))])
-            capsys.readouterr()
-            gammas, res = rows_seen[-1][:, 0], rows_seen[-1][:, 1]
-            assert ((gammas == PI) == (np.abs(gammas - PI) <= 0.02)).all()
-            assert code == (0 if ((res < DERIVATIVE_TOL) == (np.abs(gammas - PI) <= 0.02)).all()
-                            else 1), theta
-            codes.add(code)
-        assert codes == {0, 1}
+        assert main(["verify", "--scan", "--theta", repr(theta), "--alpha", repr(alpha)]) == code
+        capsys.readouterr()
+        [rows] = rows_seen
+        assert code == (0 if np.flatnonzero(rows[:, 1] < DERIVATIVE_TOL).tolist() == [30] else 1)
 
     @pytest.mark.parametrize("argv, line", [
         (["--family", "wm", "--m", "1"],
