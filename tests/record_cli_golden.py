@@ -143,6 +143,14 @@ def argvs(names) -> list:
         ["design", "--theta", "4pi"],
         ["design", "--theta", "pi/0"],
         ["design", "--theta", "half"],
+        # theta / (2 pi) underflows to 0 below 2e-323: no three-pulse root
+        ["design", "--theta", "5e-324"],
+        ["design", "--family", "wn", "--n", "4", "--theta", "1e-323"],
+        ["simulate", "--theta", "1.5e-323"],
+        ["sweep", "--eps-count", "3", "--theta", "5e-324"],
+        ["coeff", "--theta", "5e-324"],
+        ["verify", "--theta", "5e-324"],
+        ["design", "--theta", "2e-323"],
         ["design", "--family", "fivepulse", "--p", "1", "--q", "1", "--r", "1"],
         ["design", "--family", "fivepulse", "--p", "1", "--q", "1", "--r", "4", "--theta", "pi"],
         # labels of multiples above 9: two orders of the same digits, and a feasible one
