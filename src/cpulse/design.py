@@ -106,6 +106,15 @@ def _triangle(wa, wb, rhs):
             for za in (math.acos(cos_za), -math.acos(cos_za))]
 
 
+def _closing(roots, label, target, best_residual=None) -> list:
+    """roots, or InfeasibleDesign where the label's polygon cannot close; the
+    caller's reach gap as best_residual, None where it reads 0 at a rhs of 0."""
+    if not roots:
+        raise InfeasibleDesign(f"no phases satisfy the {label} derivative condition for "
+                               f"theta = {target.theta:.6g}", best_residual)
+    return roots
+
+
 def _chain(z, multiples, target):
     """Pulse phases of conjugated azimuths z, pulse j's angle multiples[j] pi:
     link j, shifted by the frame alpha + pi, is reflected through the phase
@@ -131,10 +140,10 @@ def _three_pulse(m: int, repeats: int, target: TargetRotation) -> DesignResult:
     equal links, k e^{i z1} + k e^{i z2} = theta / (2 pi) with k = m repeats
     (Cummins et al., PRA 67, 042308): z2 = -z1 and cos z1 = theta / (4 k pi)."""
     k, multiples = m * repeats, (m, 2 * m)
-    # two roots: theta / (2 pi) lies in (0, 2 k); the branch is the -za root
-    mirror, phases = (_chain(z, multiples, target)
-                      for z in _triangle(k, k, target.theta / math.tau))
     label = f"W{m}x{repeats}" if repeats > 1 else f"W{m}"
+    # none once theta / (2 pi) underflows to 0, else the -za root is the branch
+    mirror, phases = [_chain(z, multiples, target) for z in
+                      _closing(_triangle(k, k, target.theta / math.tau), label, target)]
     seq = repeated(_palindrome(multiples, phases), repeats)
     return _validated(label, seq, phases, target, mirror)
 
@@ -207,12 +216,8 @@ def design_five_pulse(p: int, q: int, r: int,
             phase_sets.extend(_chain((*z[:pin], pin_val, *z[pin:]), multiples, target)
                               for z in _triangle(wa, wb, rhs))
 
-    if not phase_sets:
-        # |complex residual| maps to the matrix Frobenius norm via sqrt(2)*pi
-        raise InfeasibleDesign(
-            f"no phases satisfy the {label} derivative condition for "
-            f"theta = {target.theta:.6g}",
-            best_residual=best * math.sqrt(2.0) * math.pi)
+    # |complex residual| maps to the matrix Frobenius norm via sqrt(2)*pi
+    phase_sets = _closing(phase_sets, label, target, best * math.sqrt(2.0) * math.pi)
     return [_validated(label, _palindrome(multiples, phases), phases, target)
             for phases in sorted(phase_sets)]
 

@@ -262,10 +262,10 @@ def parse_sequence(text: str) -> PulseSequence:
 
 
 def sequence_to_json(seq: PulseSequence, target: TargetRotation | None = None) -> dict:
-    """JSON mirror of the text form: pulse objects plus an optional target."""
-    obj = {"pulses": [{"angle": p.angle, "phase": p.phase} for p in seq]}
+    """JSON mirror of the text form, in floats: pulse objects plus an optional target."""
+    obj = {"pulses": [{"angle": float(p.angle), "phase": p.phase} for p in seq]}
     if target is not None:
-        obj["target"] = {"theta": target.theta, "alpha": target.alpha}
+        obj["target"] = {"theta": float(target.theta), "alpha": target.alpha}
     return obj
 
 

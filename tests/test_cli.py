@@ -181,17 +181,8 @@ class TestSweep:
         assert main(["sweep", "--format", "json", "--out", str(out)] + argv) == 2
         assert out.read_bytes() == b"kept\n"
 
-    def test_json_sweep_memory(self, tmp_path):
-        # the output is written in blocks, so a 20k-point sweep holds no
-        # whole-output string and no row dicts; test_sweep_memory_is_arrays
-        # sets the tighter bound
-        code, peak = peak_bytes(main, ["sweep", "--family", "plain", "--eps-count", "20000",
-                                       "--format", "json", "--out", str(tmp_path / "s.json")])
-        assert code == 0
-        assert peak < 6e6, peak
-
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_sweep_memory_is_arrays(self, tmp_path, fmt):
+    def test_sweep_peak_memory_is_one_block(self, tmp_path, fmt):
         # no grid-sized list or array: a 20k-point sweep holds one block of
         # rows as floats and text (~0.2 MB in all, the parser's included)
         code, peak = peak_bytes(main, ["sweep", "--family", "plain", "--eps-count", "20000",

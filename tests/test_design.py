@@ -1,4 +1,7 @@
+import contextlib
 import math
+from functools import partial
+from itertools import product
 from math import tau as TWO_PI
 
 import numpy as np
@@ -257,6 +260,36 @@ class TestFivePulse:
             assert gap < 1e-12, phases
             nearest.append(index)
         assert sorted(nearest) == list(range(len(want)))
+
+
+# theta / (2 pi) underflows to 0 below 2e-323, the least theta with a
+# three-pulse root; the last is 4 pi less one ulp
+EDGE_THETAS = [5e-324, 1e-323, 1.5e-323, 2e-323, math.nextafter(4 * PI, 0.0)]
+COUNTS = (1, 2, 3, 4, 1000)
+
+
+class TestEveryTarget:
+    @pytest.mark.parametrize("theta", EDGE_THETAS + [
+        float(t) for t in np.random.default_rng(38).uniform(0.0, 4 * PI, 8)])
+    def test_designs_or_infeasible(self, theta):
+        # every valid target gets designs or InfeasibleDesign, never another exception
+        target = TargetRotation(theta, 1.9)
+        calls = [partial(design, k) for design in (design_wm, design_wn) for k in COUNTS]
+        calls += [partial(design_five_pulse, *pqr)
+                  for pqr in product(range(1, 4), repeat=3) if sum(pqr) % 2 == 0]
+        for call in calls:
+            with contextlib.suppress(InfeasibleDesign):
+                call(target)
+
+    @pytest.mark.parametrize("theta", EDGE_THETAS[:3])
+    def test_underflowing_theta_has_no_three_pulse_root(self, theta):
+        # the polygon's right-hand side is 0, where the reach gap would read 0
+        for design, label in ((partial(design_wm, 1), "W1"), (partial(design_wn, 4), "W1x4")):
+            with pytest.raises(InfeasibleDesign, match=f"^no phases satisfy the {label} "
+                               "derivative condition for theta = ") as exc:
+                design(TargetRotation(theta, 0.0))
+            assert exc.value.best_residual is None
+        assert design_wm(1, TargetRotation(2e-323, 0.0)).derivative_residual < DERIVATIVE_TOL
 
 
 class TestResiduals:

@@ -251,3 +251,13 @@ class TestSerialization:
         seq, tgt = sequence_from_json(sequence_to_json(bb1_corrector()))
         assert tgt is None
         assert seq == bb1_corrector()
+
+    @pytest.mark.parametrize("number", [True, 2, np.int64(3), np.float32(1.5), np.float64(0.25)])
+    def test_json_writes_floats_that_read_back(self, number):
+        # records keep the caller's numeric type; the JSON mirror writes floats,
+        # as the text form writes %.17g
+        seq, target = PulseSequence([Pulse(number, 0.5)]), TargetRotation(number, 0.0)
+        obj = sequence_to_json(seq, target)
+        assert type(obj["pulses"][0]["angle"]) is float
+        assert type(obj["target"]["theta"]) is float
+        assert sequence_from_json(json.loads(json.dumps(obj))) == (seq, target)
