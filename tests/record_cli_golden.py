@@ -123,6 +123,12 @@ def argvs(names) -> list:
         ["sweep", "--family", "wm", "--m", "1000", "--eps-count", "3"],
         ["coeff", "--family", "wm", "--p", "1001"],
         ["sweep", "--eps-count", "1000001"],
+        # the count floor, on flags the family ignores and on used ones
+        ["design", "--family", "wn", "--m", "0"],
+        ["sweep", "--family", "plain", "--eps-count", "3", "--n", "-1"],
+        ["verify", "--scan", "--p", "0"],
+        ["design", "--family", "wm", "--m", "0"],
+        ["coeff", "--family", "fivepulse", "--q", "0"],
         # the branch rule
         ["simulate", "--family", "plain", "--branch", "1"],
         ["verify", "--seq", "w1.txt", "--branch", "1"],
