@@ -2,7 +2,7 @@
 
 Design of the 3-pulse (broadband/passband) and symmetric 5-pulse corrector
 families, exact SU(2) simulation, and extraction of the sixth-order
-fidelity scaling.
+fidelity scaling.  Each function that builds an array imports numpy itself.
 """
 
 from .analysis import (COEFF_WINDOW, ORDER_WINDOW, FitReport, FitWindowError,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import _numpy as np
 from .pulses import (PulseSequence, TargetRotation, _checked_make, _entry_overlap,
                      _in_domain, _overlap_at, compile_sequence, embed_target)
 
@@ -51,6 +50,7 @@ class SweepTable(namedtuple("SweepTable", "epsilons fidelities infidelities labe
     _make = _checked_make
 
     def __new__(cls, epsilons, fidelities, infidelities, label="sequence"):
+        import numpy as np
         columns = [np.asarray(c) for c in (epsilons, fidelities, infidelities)]
         for c in columns:
             if c.dtype.kind in "OSU":   # dtype=float would parse a str: the kernel's
@@ -85,6 +85,7 @@ def sweep(seq: PulseSequence, target: TargetRotation, eps_grid,
     given, for bare-pulse baselines and for a corrector already placed with
     embed_target at another split.  Each error meets compile_sequence's checks.
     """
+    import numpy as np
     eps = np.fromiter(map(_in_domain, eps_grid), dtype=float)
     full = embed_target(seq, target) if embed else seq
     uc = target.unitary().conj().tolist()

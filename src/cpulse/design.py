@@ -20,7 +20,6 @@ from collections import namedtuple
 from functools import partial, reduce
 from itertools import zip_longest
 
-from . import _numpy as np
 from .analysis import _lin_grid, _roots
 from .pulses import (PulseSequence, TargetRotation, _count, _entry_overlap, _jet,
                      embed_target, reduce_angle, repeated)
@@ -57,6 +56,7 @@ def error_derivative(seq: PulseSequence) -> np.ndarray:
     """d/d(epsilon) of the compiled sequence at epsilon = 0, exactly, as a
     2x2 complex array."""
     da, db, dc, dd = _jet(seq)[4:]
+    import numpy as np
     return np.array([[da, db], [dc, dd]], dtype=complex)
 
 
@@ -323,4 +323,5 @@ def three_pulse_scan(target: TargetRotation, gammas=None, m: int = 1) -> np.ndar
     |v| exactly in the chart u = 1 + cos(phi2 - phi1), free of the target
     azimuth.  Only gamma = m pi, the default grid's midpoint, is flat.
     """
+    import numpy as np
     return np.array(_scan(target, gammas, m)).reshape(-1, 2)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import _numpy as np
 from .su2 import _entries, _finite, _split, rotation
 
 
@@ -118,6 +117,7 @@ def compile_sequence(seq: PulseSequence, epsilon: float = 0.0) -> np.ndarray:
     for p in seq:
         (r00, r01), (r10, r11) = rotation(p.angle * (1.0 + epsilon), p.phase).tolist()
         a, b, c, d = r00 * a + r01 * c, r00 * b + r01 * d, r10 * a + r11 * c, r10 * b + r11 * d
+    import numpy as np
     return np.array([[a, b], [c, d]], dtype=complex)
 
 

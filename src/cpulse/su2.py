@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 
-from . import _numpy as np
-
 
 def _finite(x) -> bool:
     """math.isfinite(x), False for an int too large for a float."""
@@ -29,6 +27,7 @@ def rotation(theta: float, alpha: float) -> np.ndarray:
     """
     if not _finite(alpha):
         raise ValueError("rotation angles must be finite")
+    import numpy as np
     return np.array(_entries(theta, math.cos(alpha), math.sin(alpha)))
 
 
@@ -58,4 +57,5 @@ def su2_parts(u: np.ndarray):
     small vector part is obtained without cancellation against 1.
     """
     w, x, y, z = _split(*u.ravel().tolist())
+    import numpy as np
     return w, np.array([x, y, z])

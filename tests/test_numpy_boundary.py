@@ -1,7 +1,7 @@
-"""Where numpy gets imported.  cpulse imports numpy on the first read of one
-of its names, so every CLI command (design, simulate, sweep, coeff, verify
-with or without --scan, table1) and the library quick start run on math and
-Python complexes alone, with numpy absent too.  Two proofs cover the CLI:
+"""Where numpy gets imported.  Each cpulse function that builds an array
+imports numpy itself, so every CLI command (design, simulate, sweep, coeff,
+verify with or without --scan, table1) and the library quick start run on
+math and Python complexes alone, with numpy absent too.  Two proofs cover the CLI:
 - the corpus replay (tests/test_cli_golden.py) runs every corpus argv with
   numpy blocked;
 - the short-jobs step list here runs every command's jobs in one
@@ -165,11 +165,45 @@ print(json.dumps([values, sys.modules.get("numpy") is not None]))
 """
 
 
-FIRST_ARRAY_CALL = """
-try:
-    cpulse.rotation(1.0, 0.0)
-except ImportError as exc:
-    print(type(exc).__name__)
+# every function that builds an array, each called to give a list of the
+# arrays it returns or holds; Matrix stands in for su2_parts' 2x2 input
+ARRAY_FUNCTIONS = ("rotation", "su2_parts", "compile_sequence", "TargetRotation.unitary",
+                   "SweepTable", "sweep", "error_derivative", "three_pulse_scan")
+ARRAY_CALLS = """
+arg = cpulse.TargetRotation(1.3, 0.4)
+seq = cpulse.design_wm(1, arg).sequence
+
+
+class Matrix:
+    def ravel(self):
+        return self
+
+    def tolist(self):
+        return [1.0, 0.0, 0.0, 1.0]
+
+
+def table():   # SweepTable checks its columns as arrays and holds them as given
+    cpulse.SweepTable([0.0, 0.1], [1.0, 0.9], [0.0, 0.1])
+    return []
+
+
+calls = {"rotation": lambda: [cpulse.rotation(1.0, 0.0)],
+         "su2_parts": lambda: cpulse.su2.su2_parts(Matrix())[1:],
+         "compile_sequence": lambda: [cpulse.compile_sequence(seq, 0.1)],
+         "TargetRotation.unitary": lambda: [arg.unitary()],
+         "SweepTable": table,
+         "sweep": lambda: cpulse.sweep(seq, arg, [0.0, 0.1])[:3],
+         "error_derivative": lambda: [cpulse.design.error_derivative(seq)],
+         "three_pulse_scan": lambda: [cpulse.three_pulse_scan(arg)]}
+"""
+FIRST_ARRAY_CALL = ARRAY_CALLS + """
+raised = dict.fromkeys(calls, None)
+for name, call in calls.items():
+    try:
+        call()
+    except ImportError as exc:
+        raised[name] = type(exc).__name__
+print(json.dumps(raised))
 """
 
 
@@ -177,13 +211,13 @@ def test_library_quick_start_never_loads_numpy():
     # the README's quick start, the benchmark's quick-start job: design,
     # fit, crossover and the BCH coefficient all run on Python floats.
     # None in sys.modules makes `import numpy` raise ModuleNotFoundError, on
-    # any numpy version, so with numpy blocked the first array call raises
+    # any numpy version, so with numpy blocked every array function raises
     present = json.loads(fresh(QUICK_START.format(block="")))
     blocked, raised = fresh(QUICK_START.format(block='sys.modules["numpy"] = None')
                             + FIRST_ARRAY_CALL).splitlines()
     assert present[1] is False
     assert json.loads(blocked) == present
-    assert raised == "ModuleNotFoundError"
+    assert json.loads(raised) == dict.fromkeys(ARRAY_FUNCTIONS, "ModuleNotFoundError")
     assert present[0][-2] == pytest.approx(5 * math.pi ** 6 / 1024, rel=1e-12)
 
 
@@ -201,10 +235,18 @@ def test_numpy_imported_first_is_used_as_is():
     out = fresh("""
 import sys
 import numpy
-import cpulse._numpy
-print(cpulse._numpy.ndarray is numpy.ndarray, sys.modules["numpy"] is numpy)
+import cpulse
+print(type(cpulse.rotation(1.0, 0.0)) is numpy.ndarray, sys.modules["numpy"] is numpy)
 """)
     assert out.split() == ["True", "True"]
+
+
+def test_every_array_function_builds_numpy_arrays():
+    out = fresh("import json, numpy\nimport cpulse" + ARRAY_CALLS + """
+print(json.dumps({name: all(type(a) is numpy.ndarray for a in call())
+                  for name, call in calls.items()}))
+""")
+    assert json.loads(out) == dict.fromkeys(ARRAY_FUNCTIONS, True)
 
 
 def test_threads_touching_numpy_first_agree():
@@ -233,12 +275,12 @@ print(json.dumps([repr(r.tolist()) for r in results]))
 
 def test_module_probes_never_import_numpy():
     # unittest's assertWarns reads __warningregistry__ off every module in
-    # sys.modules; a dunder the binding lacks is not looked up in numpy
+    # sys.modules, cpulse's included
     out = fresh("""
 import sys, unittest, warnings
 import cpulse
 with unittest.TestCase().assertWarns(UserWarning):
     warnings.warn("probe")
-print(hasattr(cpulse._numpy, "__path__"), "numpy" in sys.modules)
+print("numpy" in sys.modules)
 """)
-    assert out.split() == ["False", "False"]
+    assert out.split() == ["False"]
