@@ -27,9 +27,9 @@ from .analysis import COEFF_WINDOW, ORDER_WINDOW, _lin_grid, fit_error_scaling
 from .bch import analytic_c
 from .design import (InfeasibleDesign, _residuals, _scan, constraint_checks, design_five_pulse,
                      design_wm, design_wn)
-from .pulses import (MAX_MULTIPLE, Pulse, PulseSequence, TargetRotation, _entry_overlap, _jet,
-                     _overlap_at, _target_conj, embed_target, format_sequence, parse_sequence,
-                     sequence_from_json, sequence_to_json)
+from .pulses import (MAX_MULTIPLE, Pulse, PulseSequence, TargetRotation, _count, _entry_overlap,
+                     _jet, _overlap_at, _target_conj, embed_target, format_sequence,
+                     parse_sequence, sequence_from_json, sequence_to_json)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -48,15 +48,14 @@ TABLE1_TOL = 0.01
 # stdout, one string for the whole sweep costs its size in memory.  A block
 # in flight is its floats in one tuple, its template and text (~34 kB in JSON)
 SWEEP_BLOCK = 256
-# Upper bounds on the integer flags, checked before any work and on flags the
-# family ignores: a job's time and memory grow linearly with --n and
-# --eps-count, so one unbounded argument can ask for days or all memory.
+# --n, --m, --p, --q and --r meet pulses._count before any work, flags the family
+# ignores included, and --eps-count its cap: a job's time and memory grow linearly
+# with --n and --eps-count, so one unbounded argument can ask for days or all memory.
 MAX_EPS_COUNT = 10 ** 6
 # A sweep grid with a coarser step is not walked for repeats: with -1 < lo <
 # hi < 1 every point, hi too, lies within 3.3e-16 of lo + k * step (roundings
 # of values below 2), so neighbours differ by at least step - 6.7e-16 > 0.
 DISTINCT_STEP = 1e-15
-_INT_CAPS = dict.fromkeys("nmpqr", MAX_MULTIPLE) | {"eps_count": MAX_EPS_COUNT}
 
 _PI_FORM = re.compile(
     r"^(?P<sign>[+-]?)(?P<coeff>\d+(?:\.\d*)?|\.\d+)?pi(?:/(?P<div>\d+(?:\.\d*)?))?$",
@@ -227,6 +226,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     """Rows of sweep(full, target, numpy.linspace(...), embed=False) bit for
     bit, streamed from the scalar kernel without building an array."""
+    if args.eps_count > MAX_EPS_COUNT:
+        raise ValueError(f"--eps-count must be at most {MAX_EPS_COUNT}")
     # the error model's own domain: the kernel rejects |eps| >= 1, and a
     # finite grid wider than that overflows the grid's step
     if args.eps_count < 2 or not -1.0 < args.eps_min < args.eps_max < 1.0:
@@ -420,9 +421,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        for name, cap in _INT_CAPS.items():
-            if getattr(args, name, 0) > cap:
-                raise ValueError(f"--{name.replace('_', '-')} must be at most {cap}")
+        for name in "nmpqr":
+            _count(getattr(args, name, 1), "--" + name)
         return args.func(args)
     except InfeasibleDesign as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -840,6 +840,20 @@ class TestIntegerBounds:
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be at most {cap}"]
 
+    # the floor holds on flags the family ignores too, and before --eps-count's cap
+    @pytest.mark.parametrize("argv,flag", [
+        (["design", "--family", "wn", "--m", "0"], "--m"),
+        (["sweep", "--family", "plain", "--eps-count", "3", "--n", "-1"], "--n"),
+        (["verify", "--scan", "--p", "0"], "--p"),
+        (["simulate", "--family", "plain", "--r", "-5"], "--r"),
+        (["design", "--family", "wm", "--m", "0"], "--m"),
+        (["coeff", "--family", "fivepulse", "--q", "0"], "--q"),
+        (["sweep", "--family", "wn", "--eps-count", "1000001", "--n", "0"], "--n"),
+    ])
+    def test_below_one_exits_2_with_one_line(self, capsys, argv, flag):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be a positive integer"]
+
     def test_cap_itself_is_accepted(self, capsys):
         assert main(["design", "--family", "wn", "--n", str(cli.MAX_MULTIPLE),
                      "--format", "json"]) == 0
