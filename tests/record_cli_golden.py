@@ -73,6 +73,12 @@ def files() -> dict:
         if delta != "2e-5":
             out[f"outer_off{delta}.txt"] = pairs_text(
                 [w1[0], w1[1], (w1[2][0], w1[2][1] + float(delta))])
+    # W2 for pi about X with its last (2 pi) pulse a hair long or short: off
+    # the family by far less than the fit or the closed form can see
+    w2 = [(p.angle, p.phase) for p in design_wm(2, TargetRotation(PI, 0.0)).sequence]
+    for delta in ("1e-9", "-1e-9", "1e-12", "-1e-12"):
+        out[f"w2_off{delta}_at2.txt"] = pairs_text(
+            [w2[0], w2[1], (w2[2][0] + float(delta), w2[2][1])])
     # W1 turned so its outer phases straddle 0 (1e-13 and 2 pi - 1e-13),
     # with its target turned alike: the outer phases match on the circle
     wrap = PulseSequence.from_pairs([(PI, 1e-13), (2 * PI, w1[1][1] - w1[0][1]), (PI, -1e-13)])
@@ -102,7 +108,7 @@ def argvs(names) -> list:
     for branch in ("0", "5", "11", "12"):
         cases += [job + ["--seq", "w222_design.json", "--branch", branch] for job in JOBS]
     cases += [["verify", "--seq", name] for name in names
-              if name.startswith(("w1_off", "outer_", "broken"))]
+              if name.startswith(("w1_off", "w2_off", "outer_", "broken"))]
     cases += [["coeff", "--seq", name, "--window", "coeff"] for name in names
               if name.startswith(("w1_off", "outer_"))]
     cases += [["simulate", "--seq", name] for name in names
@@ -164,6 +170,9 @@ def argvs(names) -> list:
         ["design", "--family", "fivepulse", "--p", "1", "--q", "11", "--r", "2", "--theta", "1"],
         ["design", "--family", "fivepulse", "--p", "10", "--q", "10", "--r", "2", "--theta", "pi"],
         ["design", "--family", "wm", "--m", "1000", "--alph", "-pi/2"],
+        # the largest multiples, whose pinned triangles are needles
+        ["design", "--family", "fivepulse", "--p", "999", "--q", "1000", "--r", "1",
+         "--theta", "2", "--alpha", "0.5", "--format", "json"],
         # 4 pi - 1e-6: pins where two equal links face a right-hand side near 0
         *(["design", "--family", "fivepulse", "--p", p, "--q", q, "--r", r,
            "--theta", "12.566369614359172"] + fmt
@@ -172,6 +181,8 @@ def argvs(names) -> list:
         ["verify", "--scan"],
         ["verify", "--scan", "--theta", "0.3", "--alpha", "-pi/2"],
         ["verify", "--scan", "--theta", repr(4 * PI - 1e-9)],
+        ["verify", "--scan", "--theta", repr(4 * PI - 3e-13)],
+        ["verify", "--scan", "--theta", repr(4 * PI - 3e-14)],
         ["verify", "--scan", "--seq", "w1.txt"],
         ["table1"],
         # sweeps long enough to cross the output's block boundaries, at a
