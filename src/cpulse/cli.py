@@ -177,7 +177,7 @@ def cmd_design(args) -> int:
     lines = [f"# {results[0].label} target: theta={_fmt(target.theta)} "
              f"alpha={_fmt(target.alpha)}"]
     for i, res in enumerate(results):
-        checks = constraint_checks(*res[3:5])   # its two residuals
+        checks = constraint_checks(*_residuals(res.sequence, target))
         branches.append({
             "label": res.label,
             "phases": list(res.phases),
@@ -318,9 +318,10 @@ def cmd_verify(args) -> int:
     if args.scan:
         if args.seq is not None or args.branch:
             raise ValueError("--scan reads only --theta, --alpha and --out, not --seq/--branch")
-        rows = _scan(_target(args))
-        # a row is flat when its least residual passes the derivative check
-        ok = all(constraint_checks(0.0, res)[1][1] == (g == math.pi) for g, res in rows)
+        target = _target(args)
+        # a row is flat when it passes the derivative check at the split's theta + 4 pi
+        ok = all(constraint_checks(0.0, res, target.theta + 2 * math.tau)[1][1] == (g == math.pi)
+                 for g, res in _scan(target))
         checks = [("three_pulse_scan", ok, "flat residual only at pi multiples")]
     else:
         seq, _, target = _source(args, embed=False)

@@ -6,11 +6,12 @@ at zero error, and its first derivative with respect to the fractional error
 must vanish there.  For correctors of pi-multiple angles the derivative
 condition is a closed polygon in conjugated azimuths, sum_j w_j e^{i z_j} =
 theta / (2 pi): every family pins all but two links on the frame axis,
-solves those two by the law of cosines (_triangle), maps the azimuths to
-phases by one reflection chain (_chain) and mirrors the pulses (_palindrome).
-The 3-pulse exhaustiveness scan uses the root finder the crossover search
-shares (analysis._roots, bisection to adjacent floats); every returned result
-is re-validated against the matrix-level residuals.
+solves those two from the triangle's side gaps (_triangle), maps the azimuths
+to phases by one reflection chain (_chain) and mirrors the pulses
+(_palindrome).  The 3-pulse exhaustiveness scan uses the root finder the
+crossover search shares (analysis._roots, bisection to adjacent floats).
+Every returned result is re-validated against the matrix-level residuals,
+the derivative's against a rounding bound (DERIVATIVE_BOUND).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .pulses import (PulseSequence, TargetRotation, _count, _entry_overlap, _jet
                      embed_target, reduce_angle, repeated)
 
 IDENTITY_TOL = 1e-12
-DERIVATIVE_TOL = 1e-9
+# derivative residual allowed per radian of theta + pulse angles, 16 u; designs read <= 5.5 u
+DERIVATIVE_BOUND = 16 * 2.0 ** -52
 
 
 class InfeasibleDesign(Exception):
@@ -70,21 +72,22 @@ def derivative_residual(seq: PulseSequence, target: TargetRotation) -> float:
     return math.hypot(*map(abs, _jet(full)[4:]))
 
 
-def constraint_checks(ident: float, deriv: float) -> list:
-    """(name, ok, residual) per design constraint, ok strictly below its
-    tolerance (at it, or NaN, fails): the one verdict of design and verify."""
+def constraint_checks(ident: float, deriv: float, total: float) -> list:
+    """(name, ok, residual) per constraint, ok strictly below IDENTITY_TOL or DERIVATIVE_BOUND
+    times the total angle (at it, or NaN, fails): the one verdict of design and verify."""
     return [("identity_residual", ident < IDENTITY_TOL, ident),
-            ("derivative_residual", deriv < DERIVATIVE_TOL, deriv)]
+            ("derivative_residual", deriv < DERIVATIVE_BOUND * total, deriv)]
 
 
 def _residuals(seq, target) -> tuple:
     """constraint_checks' arguments for seq as a corrector of target."""
-    return identity_residual(seq), derivative_residual(seq, target)
+    return (identity_residual(seq), derivative_residual(seq, target),
+            sum((p.angle for p in seq), target.theta))
 
 
 def _validated(label, seq, phases, target, mirror=None) -> DesignResult:
-    ident, deriv = _residuals(seq, target)
-    if not all(ok for _, ok, _ in constraint_checks(ident, deriv)):
+    ident, deriv, total = _residuals(seq, target)
+    if not all(ok for _, ok, _ in constraint_checks(ident, deriv, total)):
         raise InfeasibleDesign(
             f"{label}: constraint residuals out of bounds "
             f"(identity {ident:.3g}, derivative {deriv:.3g})")
@@ -92,18 +95,19 @@ def _validated(label, seq, phases, target, mirror=None) -> DesignResult:
 
 
 def _triangle(wa, wb, rhs):
-    """Law-of-cosines roots (za, zb) of wa e^{i za} + wb e^{i zb} = rhs for a
-    real rhs, the +za root first; none where rhs is 0 or |rhs| lies outside
-    [|wa - wb|, wa + wb]."""
-    if rhs == 0.0:
+    """Roots (za, zb) of wa e^{i za} + wb e^{i zb} = rhs for a real rhs, za in [0, pi] first;
+    none where rhs is 0 or a side gap of the triangle (wa, wb, |rhs|) is negative.  Both
+    come from the gaps, one rounding each for integer weights, in Kahan's half-angle form,
+    which keeps a needle triangle's digits where a cosine near +-1 would lose them."""
+    r = abs(rhs)
+    g1, g2, g3, s = (wb - wa) + r, (wa + wb) - r, (wa - wb) + r, (wa + wb) + r
+    if r == 0.0 or min(g1, g2, g3) < 0.0:
         return []
-    # exact for integer weights, where wa^2 - wb^2 would round a small rhs^2 away
-    cos_za = (rhs * rhs + (wa - wb) * (wa + wb)) / (2.0 * wa * rhs)
-    if abs(cos_za) > 1.0:
-        return []
-    return [(reduce_angle(za), reduce_angle(math.atan2(-wa * math.sin(za),
-                                                       rhs - wa * math.cos(za))))
-            for za in (math.acos(cos_za), -math.acos(cos_za))]
+    za = 2.0 * math.atan2(math.sqrt(g1 * g2), math.sqrt(s * g3))
+    zb = -2.0 * math.atan2(math.sqrt(g3 * g2), math.sqrt(s * g1))
+    # turned by pi where rhs < 0: pi - za first, then pi + za
+    turn, sign = (math.pi, -1.0) if rhs < 0.0 else (0.0, 1.0)
+    return [tuple(reduce_angle(turn + k * z) for z in (za, zb)) for k in (sign, -sign)]
 
 
 def _closing(roots, label, target, best_residual=None) -> list:

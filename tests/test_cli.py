@@ -14,8 +14,8 @@ from cpulse import cli, design
 from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling, sweep
 from cpulse.bch import analytic_c
 from cpulse.cli import main, parse_angle
-from cpulse.design import (DERIVATIVE_TOL, InfeasibleDesign, _scan, design_five_pulse, design_wm,
-                           design_wn)
+from cpulse.design import (DERIVATIVE_BOUND, InfeasibleDesign, _scan, design_five_pulse,
+                           design_wm, design_wn)
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _overlap_at, compile_sequence,
                            embed_target, format_sequence, parse_sequence, sequence_to_json)
 from su2_oracle import peak_bytes
@@ -25,25 +25,27 @@ PI = math.pi
 # verify --seq on the CLI corpus's near-family files, W1 for pi about X
 # changed: exit code, PASS/FAIL per line, last line's detail.  One angle or
 # the last phase 1e-9 off: within 1e-8 the closed form applies and fails its
-# analytic_coefficient line (C moves by 31-47% with the last pi pulse off, the
-# only failing check, by ~10% with the last phase off).  One angle 2e-5 off,
-# or the outer phases pi apart: it does not apply, and other checks fail the
-# file.  Outer phases 1e-13 and 2 pi - 1e-13 match on the circle.  broken.txt
+# analytic_coefficient line (C moves by 31-47% with the last pi pulse off, by
+# ~10% with the last phase off), and the derivative line fails too.  One angle
+# 2e-5 off, or the outer phases pi apart: it does not apply, and other checks
+# fail the file.  Outer phases 1e-13 and 2 pi - 1e-13 match on the circle, so
+# the closed form applies and passes, but they are 2e-13 apart: 127 u of the
+# total angle, a derivative residual above the rounding bound.  broken.txt
 # holds BB1's angles with wrong phases.
 NEAR_FAMILY = [
     ("w1_off1e-9_at0.txt", 1, "PFPPF", "fit 6.88742 vs analytic 4.69428"),
     ("w1_off1e-9_at1.txt", 1, "PFPPF", "fit 3.82323 vs analytic 4.69428"),
-    ("w1_off1e-9_at2.txt", 1, "PPPPF", "fit 6.88742 vs analytic 4.69428"),
+    ("w1_off1e-9_at2.txt", 1, "PFPPF", "fit 6.88742 vs analytic 4.69428"),
     ("w1_off-1e-9_at0.txt", 1, "PFPPF", "fit 3.23766 vs analytic 4.69428"),
     ("w1_off-1e-9_at1.txt", 1, "PFPPF", "fit 5.55888 vs analytic 4.69428"),
-    ("w1_off-1e-9_at2.txt", 1, "PPPPF", "fit 3.23766 vs analytic 4.69428"),
+    ("w1_off-1e-9_at2.txt", 1, "PFPPF", "fit 3.23766 vs analytic 4.69428"),
     ("w1_off2e-5_at0.txt", 1, "FFFF", "0.23156834"),
     ("w1_off2e-5_at1.txt", 1, "FFFF", "0.59033996"),
     ("w1_off2e-5_at2.txt", 1, "FFFF", "0.23156834"),
     ("outer_off1e-9.txt", 1, "PFPPF", "fit 4.2385 vs analytic 4.69428"),
     ("outer_off-1e-9.txt", 1, "PFPPF", "fit 4.25591 vs analytic 4.69428"),
     ("outer_pi.txt", 1, "PFFP", "1.00000000"),
-    ("outer_wrap.json", 0, "PPPPP", "fit 4.69272 vs analytic 4.69428"),
+    ("outer_wrap.json", 1, "PFPPP", "fit 4.69272 vs analytic 4.69428"),
     ("broken.txt", 1, "PFFPF", "fit 11.6897 vs analytic 44.3229")]
 
 
@@ -449,12 +451,12 @@ class TestCoeff:
 
 
 # verify --scan targets: a seeded sample, which scans flat only at gamma = pi,
-# and two near 4 pi: every split reads flat within sqrt(2) DERIVATIVE_TOL of
-# 4 pi, so at 1e-9 off but not at 3e-9 off
+# and two near 4 pi: every split reads flat within sqrt(2) DERIVATIVE_BOUND
+# (theta + 4 pi) ~ 1.26e-13 of 4 pi, so at 3e-14 off but not at 3e-13 off
 _rng = np.random.default_rng(2702)
 SCAN_TARGETS = [*((float(t), float(a), 0) for t, a in zip(_rng.uniform(0.01, 4 * PI - 0.01, 12),
                                                           _rng.uniform(0, 2 * PI, 12))),
-                (4 * PI - 1e-9, 0.0, 1), (4 * PI - 3e-9, 0.0, 0)]
+                (4 * PI - 3e-14, 0.0, 1), (4 * PI - 3e-13, 0.0, 0)]
 
 
 class TestVerify:
@@ -499,25 +501,31 @@ class TestVerify:
         assert out == ""
         assert err == "error: --scan reads only --theta, --alpha and --out, not --seq/--branch\n"
 
-    @pytest.mark.parametrize("gap, code, verdict", [(3e-9, 0, "PASS"), (1e-9, 1, "FAIL")])
+    @pytest.mark.parametrize("gap, code, verdict", [(3e-13, 0, "PASS"), (3e-14, 1, "FAIL")])
     def test_scan_fails_within_sqrt2_tol_of_4pi(self, capsys, gap, code, verdict):
-        # every split's least residual is at most (4 pi - theta) / sqrt(2), so
-        # every split reads flat within sqrt(2) DERIVATIVE_TOL ~ 1.41e-9 of 4 pi
+        # every split's least residual is at most (4 pi - theta) / sqrt(2), so every
+        # split reads flat within sqrt(2) DERIVATIVE_BOUND (theta + 4 pi) ~ 1.26e-13 of 4 pi
         assert main(["verify", "--scan", "--theta", repr(4 * PI - gap)]) == code
         assert capsys.readouterr().out.startswith(verdict + " three_pulse_scan")
 
-    @pytest.mark.parametrize("tol, line", [("IDENTITY_TOL", 0), ("DERIVATIVE_TOL", 1)])
+    @pytest.mark.parametrize("tol, line", [("IDENTITY_TOL", 0), ("DERIVATIVE_BOUND", 1)])
     def test_residual_at_the_tolerance_fails_design_and_verify(self, capsys, tmp_path,
                                                                monkeypatch, tol, line):
         # design and verify share design's one comparison: a residual equal
-        # to its tolerance is out of bounds for both
+        # to its bound is out of bounds for both.  The derivative's bound is
+        # DERIVATIVE_BOUND times the total angle, theta + pi + 2 pi + pi here,
+        # so the constant patched in is the one whose product is the residual
         target = TargetRotation(1.3, 0.4)
         w1 = design_wm(1, target)
         residual = (w1.identity_residual, w1.derivative_residual)[line]
         assert residual > 0.0
+        total = sum((p.angle for p in w1.sequence), target.theta)
+        value = residual if line == 0 else next(
+            v for v in (residual / total, math.nextafter(residual / total, 0.0),
+                        math.nextafter(residual / total, 1.0)) if v * total == residual)
         path = tmp_path / "w1.json"
         path.write_text(json.dumps(sequence_to_json(w1.sequence, target)))
-        monkeypatch.setattr(design, tol, residual)
+        monkeypatch.setattr(design, tol, value)
         with pytest.raises(InfeasibleDesign, match="W1: constraint residuals out of bounds"):
             design_wm(1, target)
         assert main(["verify", "--seq", str(path)]) == 1
@@ -525,8 +533,8 @@ class TestVerify:
         assert [v.startswith("FAIL ") for v in verdicts] == [i == line for i in range(5)]
 
     def test_scan_reads_the_design_tolerance(self, capsys, monkeypatch):
-        # every row of the default grid reads flat under a tolerance of 1e3
-        monkeypatch.setattr(design, "DERIVATIVE_TOL", 1e3)
+        # every row of the default grid reads flat under a bound of 1e3 per radian
+        monkeypatch.setattr(design, "DERIVATIVE_BOUND", 1e3)
         assert main(["verify", "--scan"]) == 1
         assert capsys.readouterr().out.startswith("FAIL three_pulse_scan")
 
@@ -553,6 +561,32 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert "".join({"PASS ": "P", "FAIL ": "F"}[line[:5]] for line in lines) == verdicts
         assert lines[-1].split(": ", 1)[1] == detail
+
+    @pytest.mark.parametrize("delta", [1e-9, -1e-9, 1e-12, -1e-12])
+    def test_w2_with_its_last_pulse_off_fails_the_derivative_line(self, capsys, tmp_path,
+                                                                  delta):
+        # off the family by far less than the fit sees, and outside the
+        # (pi, 2 pi, pi) closed form: the rounding bound alone fails it
+        pairs = [(p.angle, p.phase) for p in design_wm(2, TargetRotation(PI, 0.0)).sequence]
+        pairs[2] = (pairs[2][0] + delta, pairs[2][1])
+        path = tmp_path / "w2.txt"
+        path.write_text(format_sequence(PulseSequence.from_pairs(pairs)))
+        assert main(["verify", "--seq", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:5] for line in lines] == ["PASS ", "FAIL ", "PASS ", "PASS "]
+        assert lines[1].startswith("FAIL derivative_residual: ")
+
+    def test_design_file_passes_where_its_phases_typed_to_10_digits_fail(self, capsys,
+                                                                         tmp_path):
+        # a design file holds 17 digits and reads back exactly; 10 typed
+        # digits leave a derivative residual far above the rounding bound
+        path, typed = tmp_path / "w1.json", tmp_path / "w1.txt"
+        assert main(["design", "--format", "json", "--out", str(path)]) == 0
+        assert main(["verify", "--seq", str(path)]) == 0
+        pulses = json.loads(path.read_text())["branches"][0]["pulses"]
+        typed.write_text("".join("%.10g %.10g\n" % (p["angle"], p["phase"]) for p in pulses))
+        assert main(["verify", "--seq", str(typed)]) == 1
+        assert "\nFAIL derivative_residual: " in capsys.readouterr().out
 
     def test_near_family_files_fail_an_invariant_check(self, capsys, tmp_path):
         # every file more than 1e-8 off the closed form's inputs, up to where
@@ -600,7 +634,8 @@ class TestVerify:
         assert main(["verify", "--scan", "--theta", repr(theta), "--alpha", repr(alpha)]) == code
         capsys.readouterr()
         [rows] = rows_seen
-        assert code == (0 if np.flatnonzero(rows[:, 1] < DERIVATIVE_TOL).tolist() == [30] else 1)
+        flat = rows[:, 1] < DERIVATIVE_BOUND * (theta + 4 * PI)
+        assert code == (0 if np.flatnonzero(flat).tolist() == [30] else 1)
 
     @pytest.mark.parametrize("argv, line", [
         (["--family", "wm", "--m", "1"],
