@@ -105,7 +105,8 @@ def test_near_family_table_reads_the_corpus():
     # the exit code recorded for that argv
     from test_cli import NEAR_FAMILY
     corpus = json.loads(CORPUS.read_text())
-    near = {name for name in corpus["files"] if name.startswith(("w1_off", "outer_", "broken"))}
+    near = {name for name in corpus["files"]
+            if name.startswith(("w1_off", "w2_off", "outer_", "broken"))}
     assert {name for name, *_ in NEAR_FAMILY} == near
     for name, code, *_ in NEAR_FAMILY:
         assert corpus["cases"][f"verify --seq {name}"]["exit"] == code, name

@@ -213,21 +213,15 @@ class TestFivePulse:
         assert exc.value.best_residual is not None
         assert exc.value.best_residual > 1.0
 
-    def test_infeasible_residual_is_exact_gap(self):
-        # t = 1/2; the nearest pin leaves a two-link triangle with links
-        # (1, 4) and base 3/2, or links (1, 1) and base 7/2: gap 3/2 either way
+    @pytest.mark.parametrize("theta", [PI, 11.0])
+    def test_infeasible_residual_is_exact_gap(self, theta):
+        # t = theta / (2 pi); the nearest pin leaves a two-link triangle with
+        # links (1, 4) and base t + 1, or links (1, 1) and base 4 - t: gap
+        # 2 - t either way, 3/2 at pi and about 0.25, below 1, at 11
         with pytest.raises(InfeasibleDesign) as exc:
-            design_five_pulse(1, 1, 4, TargetRotation(PI, PI))
+            design_five_pulse(1, 1, 4, TargetRotation(theta, PI))
         assert exc.value.best_residual == pytest.approx(
-            1.5 * math.sqrt(2.0) * PI, rel=1e-12)
-
-    def test_infeasible_residual_takes_the_nearer_pin(self):
-        # t = 11 / (2 pi): links (1, 4) face t + 1 and (1, 1) face t - 4, each
-        # 2 - t ~ 0.25 short of its reach, a gap below 1 (at pi it is 1.5)
-        with pytest.raises(InfeasibleDesign) as exc:
-            design_five_pulse(1, 1, 4, TargetRotation(11.0, 0.0))
-        assert exc.value.best_residual == pytest.approx(
-            math.sqrt(2.0) * PI * (2.0 - 11.0 / TWO_PI), rel=1e-12)
+            (2.0 - theta / TWO_PI) * math.sqrt(2.0) * PI, rel=1e-12)
 
     @pytest.mark.parametrize("family", [(9, 9, 2), (500, 500, 2), (999, 1000, 1),
                                         (1000, 1000, 2), 1000], ids=str)
@@ -534,6 +528,10 @@ class TestScan:
                      rng.uniform(0.0, 2 * m * PI)][i // 3 % 4]
             want = float(mpmath.sqrt(least_v2_50_digits(mpmath, theta, gamma, m) / 2))
             worst = max(worst, abs(_split_residual(theta, gamma, m)[1] - want))
+        # a row whose least |v| lies inside one piece of the sextic's
+        # partition: with the sextic's theta^2 term's sign flipped it read 0.46 off
+        want = float(mpmath.sqrt(least_v2_50_digits(mpmath, 11.05, 10.78, 2) / 2))
+        worst = max(worst, abs(_split_residual(11.05, 10.78, 2)[1] - want))
         assert worst <= 1e-13
 
     def test_default_grid_at_m_1(self):
@@ -544,15 +542,6 @@ class TestScan:
         # gamma = 0 is the corrector's domain's lower end: a row, not an error
         rows = three_pulse_scan(TargetRotation(PI, 0.0), [0.0])
         assert rows[0, 0] == 0.0 and rows[0, 1] == pytest.approx(6.66432441, abs=1e-8)
-
-    def test_sextic_partition_row_matches_a_50_digit_minimum(self):
-        # a row whose least |v| lies inside a piece of the sextic's partition:
-        # without the partition, or with its theta^2 term's sign flipped, the
-        # minimum over the piece ends was up to 0.46 off
-        mpmath = pytest.importorskip("mpmath")
-        want = float(mpmath.sqrt(least_v2_50_digits(mpmath, 11.05, 10.78, 2) / 2))
-        assert _split_residual(11.05, 10.78, 2)[1] == pytest.approx(want, abs=1e-13)
-        assert want == pytest.approx(4.369, abs=1e-3)
 
     def test_empty_grid_keeps_the_row_shape(self):
         rows = three_pulse_scan(TargetRotation(PI, 0.0), [])
