@@ -73,10 +73,10 @@ def derivative_residual(seq: PulseSequence, target: TargetRotation) -> float:
 
 
 def constraint_checks(ident: float, deriv: float, total: float) -> list:
-    """(name, ok, residual) per constraint, ok strictly below IDENTITY_TOL or DERIVATIVE_BOUND
-    times the total angle (at it, or NaN, fails): the one verdict of design and verify."""
+    """(name, ok, residual) per constraint, ok strictly below IDENTITY_TOL or a finite
+    DERIVATIVE_BOUND times the total angle (at it, or NaN, fails): design's and verify's."""
     return [("identity_residual", ident < IDENTITY_TOL, ident),
-            ("derivative_residual", deriv < DERIVATIVE_BOUND * total, deriv)]
+            ("derivative_residual", deriv < DERIVATIVE_BOUND * total < math.inf, deriv)]
 
 
 def _residuals(seq, target) -> tuple:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from cpulse.analysis import _lin_grid, fit_error_scaling, infidelity
-from cpulse.design import (DERIVATIVE_BOUND, InfeasibleDesign, _at, _der, _pieces,
-                           _split_residual, _times, _validated, derivative_residual,
-                           design_five_pulse, design_wm, design_wn, error_derivative,
-                           identity_residual, three_pulse_scan)
+from cpulse.design import (DERIVATIVE_BOUND, InfeasibleDesign, _at, _der, _pieces, _residuals,
+                           _split_residual, _times, _validated, constraint_checks,
+                           derivative_residual, design_five_pulse, design_wm, design_wn,
+                           error_derivative, identity_residual, three_pulse_scan)
 from cpulse.pulses import (PulseSequence, TargetRotation, compile_sequence,
                            embed_target, reduce_angle)
 from cpulse.su2 import rotation
@@ -315,6 +315,13 @@ class TestEveryTarget:
 
 
 class TestResiduals:
+    def test_an_overflowing_total_angle_fails_the_derivative_check(self):
+        # pulses of 1e308 and 8e307 rad: the bound overflows to inf, under
+        # which any finite residual would pass
+        seq = PulseSequence.from_pairs([(1e308, 0.0), (8e307, 0.0)])
+        [_, (_, ok, deriv)] = constraint_checks(*_residuals(seq, TargetRotation(PI, 0.0)))
+        assert math.isfinite(deriv) and not ok
+
     def test_result_off_the_constraints_is_refused(self):
         # every designer returns through _validated; a sequence that is not
         # the identity at zero error never becomes a DesignResult
