@@ -319,7 +319,7 @@ def cmd_verify(args) -> int:
         if args.seq is not None or args.branch:
             raise ValueError("--scan reads only --theta, --alpha and --out, not --seq/--branch")
         target = _target(args)
-        # a row is flat when it passes the derivative check at the split's theta + 4 pi
+        # a row is flat when it passes the derivative check at the split's total angle theta + 4 pi
         ok = all(constraint_checks(0.0, res, target.theta + 2 * math.tau)[1][1] == (g == math.pi)
                  for g, res in _scan(target))
         checks = [("three_pulse_scan", ok, "flat residual only at pi multiples")]
