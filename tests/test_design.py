@@ -254,6 +254,19 @@ class TestFivePulse:
                 gap = max(angdist(x, y) for x, y in zip(a.phases, b.phases))
                 assert gap > 1e-5
 
+    @pytest.mark.parametrize("theta", [1e-11, 4 * PI - 1e-11])
+    @pytest.mark.parametrize("pqr,count", [((999, 1000, 1), 6), ((500, 500, 2), 12),
+                                           ((1000, 1000, 2), 12)])
+    def test_needle_triangles_keep_every_branch(self, pqr, count, theta):
+        # 1e-11 from an end the pinned triangles of large multiples are
+        # needles, their gaps down to t or 2 - t; the cosine solve gave
+        # W999-1000-1 ten branches at 1e-11, two pairs of them equal
+        results = design_five_pulse(*pqr, TargetRotation(theta, PI))
+        assert len(results) == count
+        for i, a in enumerate(results):
+            for b in results[:i]:
+                assert max(angdist(x, y) for x, y in zip(a.phases, b.phases)) > 1e-9
+
     @pytest.mark.parametrize("pqr,theta,alpha,golden", [
         ((2, 2, 2), PI, PI, FIVE_PULSE_GOLDEN_W222),
         ((1, 2, 1), 7.270316564340023, 5.665811354625767,
