@@ -58,6 +58,8 @@ def files() -> dict:
            # outer phases pi apart: the angles match the family, the phases not
            "outer_pi.txt": pairs_text([w1[0], w1[1], (w1[2][0], w1[2][1] + PI)]),
            "huge.txt": "1e308 0\n",
+           # a total angle whose rounding bound squares past the largest double
+           "square_overflow.txt": "1e200 0\n3.141592653589793 0\n",
            "bad_line.txt": "3.14 0 7\n",
            "negative.txt": "-1 0\n",
            "empty.txt": "# no pulses\n",
@@ -148,6 +150,7 @@ def argvs(names) -> list:
         ["sweep", "--eps-max", "1.5"],
         ["sweep", "--eps-min", "-1e-3", "--eps-max", "1e-3", "--eps-count", "4"],
         ["sweep", "--eps-min", "0", "--eps-max", "1e-300", "--eps-count", "3"],
+        ["verify", "--seq", "square_overflow.txt"],
         ["sweep", "--split", "2"],
         ["simulate", "--family", "plain", "--split", "-0.5"],
         # targets and angles
