@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from .design import ROUNDING_BOUND
 from .pulses import PulseSequence, TargetRotation
 
 
@@ -32,14 +33,15 @@ def corrector_generators(corrector: PulseSequence, target: TargetRotation):
     """Stored vectors (q, r, s) for a (pi, 2*pi, pi) corrector and target.
 
     q is theta times the target axis; r is pi times the first corrector
-    axis; s is pi times the reflected middle axis at 2*phi1 - phi2.
+    axis; s is pi times the reflected middle axis at 2*phi1 - phi2.  Each angle and
+    the outer phases' gap on the circle lie strictly within ROUNDING_BOUND (theta + angles).
     """
-    if len(corrector) != 3 or any(abs(p.angle - a) > 1e-12 for p, a in
-                                  zip(corrector, (math.pi, 2 * math.pi, math.pi))):
+    bound = ROUNDING_BOUND * sum((p.angle for p in corrector), target.theta)
+    if len(corrector) != 3 or not all(abs(p.angle - a) < bound < math.inf for p, a in
+                                      zip(corrector, (math.pi, 2 * math.pi, math.pi))):
         raise ValueError("corrector must be a (pi, 2*pi, pi) pulse triple")
-    phi1 = corrector.pulses[0].phase
-    phi2 = corrector.pulses[1].phase
-    if abs(math.remainder(corrector.pulses[2].phase - phi1, math.tau)) > 1e-12:
+    phi1, phi2, phi3 = (p.phase for p in corrector)
+    if not abs(math.remainder(phi3 - phi1, math.tau)) < bound:
         raise ValueError("outer corrector pulses must share one phase")
     return tuple((k * math.cos(phi), k * math.sin(phi), 0.0) for k, phi in
                  ((target.theta, target.alpha), (math.pi, phi1),

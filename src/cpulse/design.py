@@ -11,7 +11,7 @@ to phases by one reflection chain (_chain) and mirrors the pulses
 (_palindrome).  The 3-pulse exhaustiveness scan uses the root finder the
 crossover search shares (analysis._roots, bisection to adjacent floats).
 Every returned result is re-validated against the matrix-level residuals,
-the derivative's against a rounding bound (DERIVATIVE_BOUND).
+both judged by one rounding bound (ROUNDING_BOUND) times the total angle.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .analysis import _lin_grid, _roots
 from .pulses import (PulseSequence, TargetRotation, _count, _entry_overlap, _jet,
                      embed_target, reduce_angle, repeated)
 
-IDENTITY_TOL = 1e-12
-# derivative residual allowed per radian of theta + pulse angles, 16 u; designs read <= 5.5 u
-DERIVATIVE_BOUND = 16 * 2.0 ** -52
+# 16 u per radian of theta + pulse angles; designs read <= 5.5 u (derivative), 0.032 u (sqrt ident)
+ROUNDING_BOUND = 16 * 2.0 ** -52
 
 
 class InfeasibleDesign(Exception):
@@ -73,10 +72,11 @@ def derivative_residual(seq: PulseSequence, target: TargetRotation) -> float:
 
 
 def constraint_checks(ident: float, deriv: float, total: float) -> list:
-    """(name, ok, residual) per constraint, ok strictly below IDENTITY_TOL or a finite
-    DERIVATIVE_BOUND times the total angle (at it, or NaN, fails): design's and verify's."""
-    return [("identity_residual", ident < IDENTITY_TOL, ident),
-            ("derivative_residual", deriv < DERIVATIVE_BOUND * total < math.inf, deriv)]
+    """(name, ok, residual) per constraint, design's and verify's: ok strictly below a finite
+    b * b (identity) or b (derivative), b = ROUNDING_BOUND * total (at it, NaN or inf fails)."""
+    bound = ROUNDING_BOUND * total
+    return [("identity_residual", ident < bound * bound < math.inf, ident),
+            ("derivative_residual", deriv < bound < math.inf, deriv)]
 
 
 def _residuals(seq, target) -> tuple:

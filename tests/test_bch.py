@@ -175,11 +175,12 @@ class TestPEpsilon:
             corrector_generators(corrector, target)
 
     def test_outer_phases_are_compared_on_the_circle(self):
-        # W1 turned so its outer phases straddle 0: 1e-13 and 2 pi - 1e-13
+        # W1 turned so its outer phases straddle 0: 1e-14 and 2 pi - 1e-14, 2e-14
+        # apart on the circle, inside the rounding bound 16 u (5 pi) ~ 5.6e-14
         p1, p2, _ = (p.phase for p in design_wm(1, TargetRotation(PI, 0.0)).sequence)
         target = TargetRotation(PI, -p1)
-        corrector = PulseSequence.from_pairs([(PI, 1e-13), (2 * PI, p2 - p1), (PI, -1e-13)])
-        assert corrector.pulses[2].phase == 2 * PI - 1e-13
+        corrector = PulseSequence.from_pairs([(PI, 1e-14), (2 * PI, p2 - p1), (PI, -1e-14)])
+        assert corrector.pulses[2].phase == 2 * PI - 1e-14
         c = sixth_order_coefficient(p_epsilon(corrector, target))
         delta = corrector.pulses[1].phase - corrector.pulses[0].phase
         assert c == pytest.approx(analytic_c(delta), rel=1e-12, abs=1e-12)
@@ -188,12 +189,54 @@ class TestPEpsilon:
     @pytest.mark.parametrize("offset", [1e-9, -1e-9, 2e-5])
     def test_angle_check_is_absolute(self, index, offset):
         # numpy's default rtol (1e-5) once let (pi + 2e-5, 2 pi, pi) through
-        # as if exact; the check is absolute at 1e-12, like the phase check
+        # as if exact; the check is absolute, within the rounding bound of the
+        # total angle (5.6e-14 here), like the phase check
         target = TargetRotation(PI, PI)
         pairs = [(p.angle, p.phase) for p in design_wm(1, target).sequence]
         pairs[index] = (pairs[index][0] + offset, pairs[index][1])
         with pytest.raises(ValueError, match="pulse triple"):
             p_epsilon(PulseSequence.from_pairs(pairs), target)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_angle_check_fails_at_the_rounding_bound(self, index, sign):
+        # 16 u per radian of the total angle, theta + the three angles, which
+        # sums to 16 exactly here: an angle 16 u * 16 = 2^-44 off fails, and
+        # one ulp nearer passes
+        nominal, bound = (PI, 2 * PI, PI)[index], 16 * 2.0 ** -52 * 16.0
+        for off, ok in ((bound, False), (bound - math.ulp(nominal), True)):
+            angles = [PI, 2 * PI, PI]
+            angles[index] += sign * off
+            target = TargetRotation(16.0 - 4 * PI - sign * off, 0.4)
+            corrector = PulseSequence.from_pairs([(a, 0.7) for a in angles])
+            if ok:
+                p_epsilon(corrector, target)
+                continue
+            assert (abs(angles[index] - nominal), sum(angles, target.theta)) == (bound, 16.0)
+            with pytest.raises(ValueError, match="pulse triple"):
+                p_epsilon(corrector, target)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_outer_phase_check_fails_at_the_rounding_bound(self, first):
+        # outer phases 0 and b apart, in either order, b = 16 u (theta + 4 pi)
+        # exactly: b fails, one ulp less passes
+        target = TargetRotation(PI, 0.3)
+        bound = 16 * 2.0 ** -52 * sum((PI, 2 * PI, PI), target.theta)
+        for gap, ok in ((bound, False), (math.nextafter(bound, 0.0), True)):
+            outer = (0.0, gap) if first else (gap, 0.0)
+            corrector = PulseSequence.from_pairs([(PI, outer[0]), (2 * PI, 1.0), (PI, outer[1])])
+            if ok:
+                p_epsilon(corrector, target)
+                continue
+            with pytest.raises(ValueError, match="outer corrector pulses"):
+                p_epsilon(corrector, target)
+
+    def test_an_overflowing_total_angle_is_no_family_member(self):
+        # angles summing past the largest double make the bound inf, under
+        # which every angle would lie within it
+        corrector = PulseSequence.from_pairs([(1e308, 0.0), (1e308, 1.0), (PI, 0.0)])
+        with pytest.raises(ValueError, match="pulse triple"):
+            p_epsilon(corrector, TargetRotation(PI, 0.0))
 
     def test_designed_correctors_pass_the_angle_check(self):
         rng = np.random.default_rng(31)

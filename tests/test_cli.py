@@ -14,7 +14,7 @@ from cpulse import cli, design
 from cpulse.analysis import COEFF_WINDOW, SweepTable, fit_error_scaling, sweep
 from cpulse.bch import analytic_c
 from cpulse.cli import main, parse_angle
-from cpulse.design import (DERIVATIVE_BOUND, InfeasibleDesign, _scan, design_five_pulse,
+from cpulse.design import (ROUNDING_BOUND, InfeasibleDesign, _scan, design_five_pulse,
                            design_wm, design_wn)
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, _overlap_at, compile_sequence,
                            embed_target, format_sequence, parse_sequence, sequence_to_json)
@@ -30,29 +30,30 @@ PI = math.pi
 # 2e-5 off, or the outer phases pi apart: it does not apply, and other checks
 # fail the file.  Outer phases 1e-13 and 2 pi - 1e-13 match on the circle, so
 # the closed form applies and passes, but they are 2e-13 apart: 127 u of the
-# total angle, a derivative residual above the rounding bound.  broken.txt
-# holds BB1's angles with wrong phases.  W2 with its last pulse 1e-9 or 1e-12
-# long or short: outside the closed form, its fit passes, and the rounding
-# bound alone fails it.
+# total angle, both residuals above the rounding bound.  broken.txt holds
+# BB1's angles with wrong phases.  W2 with its last pulse 1e-9 or 1e-12 long
+# or short: outside the closed form, its fit passes, and the rounding bound
+# alone fails it.  Every file 1e-9 or less off fails its identity line: the
+# bound b is 5.6e-14 for W1 and 1.0e-13 for W2, so b * b is ~1e-26.
 NEAR_FAMILY = [
-    ("w1_off1e-9_at0.txt", 1, "PFPPF", "fit 6.88742 vs analytic 4.69428"),
-    ("w1_off1e-9_at1.txt", 1, "PFPPF", "fit 3.82323 vs analytic 4.69428"),
-    ("w1_off1e-9_at2.txt", 1, "PFPPF", "fit 6.88742 vs analytic 4.69428"),
-    ("w1_off-1e-9_at0.txt", 1, "PFPPF", "fit 3.23766 vs analytic 4.69428"),
-    ("w1_off-1e-9_at1.txt", 1, "PFPPF", "fit 5.55888 vs analytic 4.69428"),
-    ("w1_off-1e-9_at2.txt", 1, "PFPPF", "fit 3.23766 vs analytic 4.69428"),
+    ("w1_off1e-9_at0.txt", 1, "FFPPF", "fit 6.88742 vs analytic 4.69428"),
+    ("w1_off1e-9_at1.txt", 1, "FFPPF", "fit 3.82323 vs analytic 4.69428"),
+    ("w1_off1e-9_at2.txt", 1, "FFPPF", "fit 6.88742 vs analytic 4.69428"),
+    ("w1_off-1e-9_at0.txt", 1, "FFPPF", "fit 3.23766 vs analytic 4.69428"),
+    ("w1_off-1e-9_at1.txt", 1, "FFPPF", "fit 5.55888 vs analytic 4.69428"),
+    ("w1_off-1e-9_at2.txt", 1, "FFPPF", "fit 3.23766 vs analytic 4.69428"),
     ("w1_off2e-5_at0.txt", 1, "FFFF", "0.23156834"),
     ("w1_off2e-5_at1.txt", 1, "FFFF", "0.59033996"),
     ("w1_off2e-5_at2.txt", 1, "FFFF", "0.23156834"),
-    ("outer_off1e-9.txt", 1, "PFPPF", "fit 4.2385 vs analytic 4.69428"),
-    ("outer_off-1e-9.txt", 1, "PFPPF", "fit 4.25591 vs analytic 4.69428"),
+    ("outer_off1e-9.txt", 1, "FFPPF", "fit 4.2385 vs analytic 4.69428"),
+    ("outer_off-1e-9.txt", 1, "FFPPF", "fit 4.25591 vs analytic 4.69428"),
     ("outer_pi.txt", 1, "PFFP", "1.00000000"),
-    ("outer_wrap.json", 1, "PFPPP", "fit 4.69272 vs analytic 4.69428"),
+    ("outer_wrap.json", 1, "FFPPP", "fit 4.69272 vs analytic 4.69428"),
     ("broken.txt", 1, "PFFPF", "fit 11.6897 vs analytic 44.3229"),
-    ("w2_off1e-9_at2.txt", 1, "PFPP", "0.99999862"),
-    ("w2_off-1e-9_at2.txt", 1, "PFPP", "0.99999875"),
-    ("w2_off1e-12_at2.txt", 1, "PFPP", "0.99999999"),
-    ("w2_off-1e-12_at2.txt", 1, "PFPP", "0.99999999")]
+    ("w2_off1e-9_at2.txt", 1, "FFPP", "0.99999862"),
+    ("w2_off-1e-9_at2.txt", 1, "FFPP", "0.99999875"),
+    ("w2_off1e-12_at2.txt", 1, "FFPP", "0.99999999"),
+    ("w2_off-1e-12_at2.txt", 1, "FFPP", "0.99999999")]
 
 
 class TestAngleParsing:
@@ -457,7 +458,7 @@ class TestCoeff:
 
 
 # verify --scan targets: a seeded sample, which scans flat only at gamma = pi,
-# and two near 4 pi: every split reads flat within sqrt(2) DERIVATIVE_BOUND
+# and two near 4 pi: every split reads flat within sqrt(2) ROUNDING_BOUND
 # (theta + 4 pi) ~ 1.26e-13 of 4 pi, so at 3e-14 off but not at 3e-13 off
 _rng = np.random.default_rng(2702)
 SCAN_TARGETS = [*((float(t), float(a), 0) for t, a in zip(_rng.uniform(0.01, 4 * PI - 0.01, 12),
@@ -510,37 +511,46 @@ class TestVerify:
     @pytest.mark.parametrize("gap, code, verdict", [(3e-13, 0, "PASS"), (3e-14, 1, "FAIL")])
     def test_scan_fails_within_sqrt2_tol_of_4pi(self, capsys, gap, code, verdict):
         # every split's least residual is at most (4 pi - theta) / sqrt(2), so every
-        # split reads flat within sqrt(2) DERIVATIVE_BOUND (theta + 4 pi) ~ 1.26e-13 of 4 pi
+        # split reads flat within sqrt(2) ROUNDING_BOUND (theta + 4 pi) ~ 1.26e-13 of 4 pi
         assert main(["verify", "--scan", "--theta", repr(4 * PI - gap)]) == code
         assert capsys.readouterr().out.startswith(verdict + " three_pulse_scan")
 
-    @pytest.mark.parametrize("tol, line", [("IDENTITY_TOL", 0), ("DERIVATIVE_BOUND", 1)])
+    @pytest.mark.parametrize("residual, line", [("identity_residual", 0),
+                                                ("derivative_residual", 1)])
     def test_residual_at_the_tolerance_fails_design_and_verify(self, capsys, tmp_path,
-                                                               monkeypatch, tol, line):
+                                                               monkeypatch, residual, line):
         # design and verify share design's one comparison: a residual equal
-        # to its bound is out of bounds for both.  The derivative's bound is
-        # DERIVATIVE_BOUND times the total angle, theta + pi + 2 pi + pi here,
-        # so the constant patched in is the one whose product is the residual
+        # to its bound is out of bounds for both.  With b = ROUNDING_BOUND
+        # times the total angle, theta + pi + 2 pi + pi here, the bound is
+        # b * b for the identity and b for the derivative; the residual
+        # patched in is that bound
         target = TargetRotation(1.3, 0.4)
         w1 = design_wm(1, target)
-        residual = (w1.identity_residual, w1.derivative_residual)[line]
-        assert residual > 0.0
-        total = sum((p.angle for p in w1.sequence), target.theta)
-        value = residual if line == 0 else next(
-            v for v in (residual / total, math.nextafter(residual / total, 0.0),
-                        math.nextafter(residual / total, 1.0)) if v * total == residual)
+        bound = ROUNDING_BOUND * sum((p.angle for p in w1.sequence), target.theta)
         path = tmp_path / "w1.json"
         path.write_text(json.dumps(sequence_to_json(w1.sequence, target)))
-        monkeypatch.setattr(design, tol, value)
+        value = (bound * bound, bound)[line]
+        monkeypatch.setattr(design, residual, lambda *args: value)
         with pytest.raises(InfeasibleDesign, match="W1: constraint residuals out of bounds"):
             design_wm(1, target)
         assert main(["verify", "--seq", str(path)]) == 1
         verdicts = capsys.readouterr().out.splitlines()
         assert [v.startswith("FAIL ") for v in verdicts] == [i == line for i in range(5)]
 
+    @pytest.mark.parametrize("text", ["1e308 0\n8e307 0\n", "1e200 0\n3.141592653589793 0\n"],
+                             ids=["total", "square"])
+    def test_an_overflowing_bound_fails_both_residual_lines(self, capsys, tmp_path, text):
+        # the total angle, or only the square of its rounding bound, passes
+        # the largest double: both residual lines fail, with no traceback
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        assert main(["verify", "--seq", str(path)]) == 1
+        verdicts = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert verdicts[:2] == ["FAIL identity_residual", "FAIL derivative_residual"]
+
     def test_scan_reads_the_design_tolerance(self, capsys, monkeypatch):
         # every row of the default grid reads flat under a bound of 1e3 per radian
-        monkeypatch.setattr(design, "DERIVATIVE_BOUND", 1e3)
+        monkeypatch.setattr(design, "ROUNDING_BOUND", 1e3)
         assert main(["verify", "--scan"]) == 1
         assert capsys.readouterr().out.startswith("FAIL three_pulse_scan")
 
@@ -627,7 +637,7 @@ class TestVerify:
         assert main(["verify", "--scan", "--theta", repr(theta), "--alpha", repr(alpha)]) == code
         capsys.readouterr()
         [rows] = rows_seen
-        flat = rows[:, 1] < DERIVATIVE_BOUND * (theta + 4 * PI)
+        flat = rows[:, 1] < ROUNDING_BOUND * (theta + 4 * PI)
         assert code == (0 if np.flatnonzero(flat).tolist() == [30] else 1)
 
     @pytest.mark.parametrize("argv, line", [

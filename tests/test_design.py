@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cpulse.analysis import _lin_grid, fit_error_scaling, infidelity
-from cpulse.design import (DERIVATIVE_BOUND, InfeasibleDesign, _at, _der, _pieces, _residuals,
+from cpulse.design import (ROUNDING_BOUND, InfeasibleDesign, _at, _der, _pieces, _residuals,
                            _split_residual, _times, _validated, constraint_checks,
                            derivative_residual, design_five_pulse, design_wm, design_wn,
                            error_derivative, identity_residual, three_pulse_scan)
@@ -238,7 +238,8 @@ class TestFivePulse:
                        else [design_wm(family, target), design_wn(family, target)])
             for res in results:
                 total = sum((p.angle for p in res.sequence), theta)
-                assert res.derivative_residual < DERIVATIVE_BOUND / 2 * total, (res.label, target)
+                assert res.derivative_residual < ROUNDING_BOUND / 2 * total, (res.label, target)
+                assert math.sqrt(res.identity_residual) <= ROUNDING_BOUND / 2 * total
 
     @pytest.mark.parametrize("theta", [1e-6, PI, 2 * PI, 3 * PI, 4 * PI - 1e-6])
     @pytest.mark.parametrize("pqr,count", [
@@ -324,7 +325,7 @@ class TestEveryTarget:
                 design(TargetRotation(theta, 0.0))
             assert exc.value.best_residual is None
         w1 = design_wm(1, TargetRotation(2e-323, 0.0))
-        assert w1.derivative_residual < DERIVATIVE_BOUND * (2e-323 + 4 * PI)
+        assert w1.derivative_residual < ROUNDING_BOUND * (2e-323 + 4 * PI)
 
 
 class TestResiduals:
@@ -334,6 +335,16 @@ class TestResiduals:
         seq = PulseSequence.from_pairs([(1e308, 0.0), (8e307, 0.0)])
         [_, (_, ok, deriv)] = constraint_checks(*_residuals(seq, TargetRotation(PI, 0.0)))
         assert math.isfinite(deriv) and not ok
+
+    @pytest.mark.parametrize("total", [5 * PI, 1e3])
+    def test_each_residual_fails_at_its_bound(self, total):
+        # b = 16 u per radian of the total angle: the identity residual, a
+        # squared angle, fails at b * b and the derivative at b; one ulp below passes
+        bound = 16 * 2.0 ** -52 * total
+        at = constraint_checks(bound * bound, bound, total)
+        below = constraint_checks(math.nextafter(bound * bound, 0.0),
+                                  math.nextafter(bound, 0.0), total)
+        assert [ok for _, ok, _ in at + below] == [False, False, True, True]
 
     def test_result_off_the_constraints_is_refused(self):
         # every designer returns through _validated; a sequence that is not
@@ -505,14 +516,14 @@ class TestScan:
     def test_default_grid_reaches_the_flat_split_m_pi(self, m):
         rows = three_pulse_scan(TargetRotation(PI, 0.0), m=m)
         assert rows.shape == (61, 2)
-        assert np.flatnonzero(rows[:, 1] < DERIVATIVE_BOUND * (PI + 4 * m * PI)).tolist() == [30]
+        assert np.flatnonzero(rows[:, 1] < ROUNDING_BOUND * (PI + 4 * m * PI)).tolist() == [30]
         assert rows[30, 0] == pytest.approx(m * PI, rel=1e-15)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 10, 40])
     @pytest.mark.parametrize("theta, alpha", [(0.3, 0.7), (PI, 0.0), (3 * PI, 2.0)])
     def test_default_grid_is_flat_only_at_its_midpoint(self, theta, alpha, m):
         rows = three_pulse_scan(TargetRotation(theta, alpha), m=m)
-        flat = rows[:, 1] < DERIVATIVE_BOUND * (theta + 4 * m * PI)
+        flat = rows[:, 1] < ROUNDING_BOUND * (theta + 4 * m * PI)
         assert np.flatnonzero(flat).tolist() == [30]
 
     @pytest.mark.parametrize("m, theta", [(191, 0.047), (180, 0.0438), (1000, 0.01)])
@@ -521,7 +532,7 @@ class TestScan:
         # 1.3e-12 at m = 1000; floats near cos(phi2 - phi1) = -1 are 1.1e-16
         # apart, too coarse to hold it within the bound at theta + 4 m pi
         rows = three_pulse_scan(TargetRotation(theta, 0.0), m=m)
-        flat = rows[:, 1] < DERIVATIVE_BOUND * (theta + 4 * m * PI)
+        flat = rows[:, 1] < ROUNDING_BOUND * (theta + 4 * m * PI)
         assert np.flatnonzero(flat).tolist() == [30]
         assert rows[30, 1] < 1e-13
 
@@ -531,7 +542,7 @@ class TestScan:
             m = int(rng.integers(1, 1001))
             theta = rng.uniform(0.01, 0.1) if i % 2 else rng.uniform(0.01, 4 * PI - 0.01)
             rows = three_pulse_scan(TargetRotation(theta, rng.uniform(0, 2 * PI)), m=m)
-            flat = rows[:, 1] < DERIVATIVE_BOUND * (theta + 4 * m * PI)
+            flat = rows[:, 1] < ROUNDING_BOUND * (theta + 4 * m * PI)
             assert np.flatnonzero(flat).tolist() == [30], (m, theta)
 
     def test_matches_a_50_digit_minimum(self):
