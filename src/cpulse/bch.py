@@ -4,9 +4,9 @@ Generators are real 3-vectors v standing for -i v.sigma, held as 3-tuples of
 Python floats, so the bracket of two stored vectors is 2 (a x b).  The log
 of e^{tR/2} e^{tS} e^{tR/2} is t (R + S) + t^3 c(R, S) + O(t^5) with
 c(R, S) = -(1/24) [R + 2S, [R, S]] (Cummins, Llewellyn and Jones, PRA 67,
-042308, 2003).  Composed across the corrector and then against the target
-it gives the error log of a corrected rotation: its linear row is the design
-condition and its cubic row fixes the sixth-order infidelity coefficient.
+042308, 2003).  Composed from the corrector's centre out, then against the
+target, it gives the error log of a corrected rotation: its linear row is the
+design condition and its cubic row fixes the sixth-order infidelity coefficient.
 """
 
 from __future__ import annotations
@@ -29,40 +29,44 @@ def _cubic(r, s) -> tuple:
     return tuple((-1.0 / 24.0) * x for x in commutator(r2s, commutator(r, s)))
 
 
-def corrector_generators(corrector: PulseSequence, target: TargetRotation):
-    """Stored vectors (q, r, s) for a (pi, 2*pi, pi) corrector and target.
-
-    q is theta times the target axis; r is pi times the first corrector
-    axis; s is pi times the reflected middle axis at 2*phi1 - phi2.  Each angle and
-    the outer phases' gap on the circle lie strictly within ROUNDING_BOUND (theta + angles).
-    """
-    bound = ROUNDING_BOUND * sum((p.angle for p in corrector), target.theta)
-    if len(corrector) != 3 or not all(abs(p.angle - a) < bound < math.inf for p, a in
-                                      zip(corrector, (math.pi, 2 * math.pi, math.pi))):
-        raise ValueError("corrector must be a (pi, 2*pi, pi) pulse triple")
-    phi1, phi2, phi3 = (p.phase for p in corrector)
-    if not abs(math.remainder(phi3 - phi1, math.tau)) < bound:
-        raise ValueError("outer corrector pulses must share one phase")
-    return tuple((k * math.cos(phi), k * math.sin(phi), 0.0) for k, phi in
-                 ((target.theta, target.alpha), (math.pi, phi1),
-                  (math.pi, 2.0 * phi1 - phi2)))
-
-
 def p_epsilon(corrector: PulseSequence, target: TargetRotation) -> tuple:
     """Error-log coefficients of the corrected rotation through eps^3.
 
-    Row k of the four 3-tuples returned is the eps^k coefficient.  The
-    corrector's log eps (r + s) + eps^3 c(r, s), doubled and divided by eps,
-    is d + 2 eps^2 c(r, s) with d = 2 (r + s); composing it against q at
-    t = eps/2 gives row 1 = q/2 + r + s and row 3 = c(r, s) + c(q, d)/8,
-    with rows 0 and 2 zero.  A flat corrector has row 1 = 0, so d = -q and
-    row 3 is c(r, s) alone; otherwise the nonzero row 1 is reported.
+    Row k of the four 3-tuples returned is the eps^k coefficient; rows 0 and 2
+    are zero.  The corrector is a palindrome of angles k_j pi, k_j >= 1, an odd
+    length's centre k even, mirrored phases equal, each within b = ROUNDING_BOUND
+    (theta + angles).  Pulse j's error generator lies in the XY plane at beta_j,
+    its phase reflected (beta -> 2 phi - beta) through every earlier odd-k pulse.
+    From the centre's (k pi / 2)(cos beta, sin beta, 0) out, each mirrored pair
+    R = k_j pi (cos beta_j, sin beta_j, 0) adds c(R, row 1) to row 3, then R to
+    row 1; the target's halves come last, R = (theta / 2)(cos alpha, sin alpha, 0).
     """
-    q, r, s = corrector_generators(corrector, target)
-    d = tuple(2.0 * (x + y) for x, y in zip(r, s))
-    zero = (0.0, 0.0, 0.0)
-    return (zero, tuple(0.5 * (x + y) for x, y in zip(q, d)), zero,
-            tuple(x + y / 8.0 for x, y in zip(_cubic(r, s), _cubic(q, d))))
+    pulses, zero = corrector.pulses, (0.0, 0.0, 0.0)
+    bound = ROUNDING_BOUND * sum((p.angle for p in pulses), target.theta)
+    ks = [max(1, round(p.angle / math.pi)) for p in pulses]
+    half = len(ks) // 2
+    if not all(abs(p.angle - k * math.pi) < bound < math.inf for p, k in zip(pulses, ks)):
+        raise ValueError("corrector angles must be positive multiples of pi")
+    if ks != ks[::-1]:
+        raise ValueError("corrector multiples must read the same backwards")
+    if len(ks) % 2 and ks[half] % 2:
+        raise ValueError("an odd-length corrector's centre multiple must be even")
+    if not all(abs(math.remainder(pulses[-1 - j].phase - pulses[j].phase, math.tau)) < bound
+               for j in range(half)):
+        raise ValueError("mirrored corrector pulses must share one phase")
+    # the reflections through the earlier odd-k pulses as one map, beta -> sign beta + shift;
+    # a mirrored pair adds R = k pi along beta, a centre k pi / 2 (its cubic on row 1 = 0 is 0)
+    sign, shift, steps = 1.0, 0.0, []
+    for j, p in enumerate(pulses[:len(ks) - half]):
+        steps.append((ks[j] * math.pi * (1.0 if j < half else 0.5), sign * p.phase + shift))
+        if ks[j] % 2:
+            sign, shift = -sign, shift + 2.0 * sign * p.phase
+    row1 = row3 = zero
+    for k, beta in steps[::-1] + [(0.5 * target.theta, target.alpha)]:
+        step = (k * math.cos(beta), k * math.sin(beta), 0.0)
+        row3 = tuple(x + y for x, y in zip(row3, _cubic(step, row1)))
+        row1 = tuple(x + y for x, y in zip(row1, step))
+    return zero, row1, zero, row3
 
 
 def sixth_order_coefficient(series) -> float:

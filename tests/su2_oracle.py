@@ -1,6 +1,6 @@
 """Test-side SU(2) references: Pauli matrices, XY-plane axes as arrays, the
-general closed-form exponential, the symmetric BCH series and its error-log
-rows by the array route, fit grids as arrays, the bare-pulse sweep
+general closed-form exponential, the symmetric BCH series, the (pi, 2 pi, pi)
+generators and their error-log rows by the array route, fit grids as arrays, the bare-pulse sweep
 baseline, a high-precision infidelity, the paper's closed-form phases and
 the exact C6 and C8 of every designed three-pulse family, the five-pulse
 branches at high precision, BB1, and a tracemalloc peak probe.
@@ -70,12 +70,20 @@ def sbch(r, s, t: float) -> np.ndarray:
     return t * (r + s) + t ** 3 * np.asarray(_cubic(r, s))
 
 
-def p_epsilon_array(corrector: PulseSequence, target: TargetRotation) -> np.ndarray:
-    """p_epsilon's rows as a (4, 3) array, each bracket 2 np.cross(a, b) on
-    generator arrays k (cos(phi), sin(phi), 0) with libm's cos and sin."""
+def pi_triple_generators(corrector: PulseSequence, target: TargetRotation) -> tuple:
+    """(q, r, s) of a (pi, 2 pi, pi) corrector and its target as generator
+    arrays k (cos(phi), sin(phi), 0) with libm's cos and sin: q is theta along
+    alpha, r is pi along phi1 and s is pi along the reflected 2 phi1 - phi2."""
     phi1, phi2 = corrector.pulses[0].phase, corrector.pulses[1].phase
-    q, r, s = (k * np.array([math.cos(phi), math.sin(phi), 0.0]) for k, phi in
-               ((target.theta, target.alpha), (np.pi, phi1), (np.pi, 2.0 * phi1 - phi2)))
+    return tuple(k * np.array([math.cos(phi), math.sin(phi), 0.0]) for k, phi in
+                 ((target.theta, target.alpha), (np.pi, phi1), (np.pi, 2.0 * phi1 - phi2)))
+
+
+def p_epsilon_array(corrector: PulseSequence, target: TargetRotation) -> np.ndarray:
+    """p_epsilon's rows for a (pi, 2 pi, pi) corrector as a (4, 3) array, by
+    the triple's own composition, each bracket 2 np.cross(a, b):
+    row 1 = (q + d) / 2 and row 3 = c(r, s) + c(q, d) / 8 with d = 2 (r + s)."""
+    q, r, s = pi_triple_generators(corrector, target)
 
     def cubic(a, b):
         return (-1.0 / 24.0) * (2.0 * np.cross(a + 2.0 * b, 2.0 * np.cross(a, b)))

@@ -9,7 +9,8 @@ import pytest
 
 from cpulse.analysis import (COEFF_WINDOW, ORDER_WINDOW, crossover, fidelity,
                              fit_error_scaling, fit_scaling)
-from cpulse.bch import analytic_c, p_epsilon
+from cpulse.bch import analytic_c, p_epsilon, sixth_order_coefficient
+from cpulse.cli import TABLE1_ROWS
 from cpulse.design import (derivative_residual, design_five_pulse, design_wm,
                            design_wn, error_derivative, identity_residual,
                            three_pulse_scan)
@@ -48,8 +49,13 @@ def test_criterion_1_table1_coefficients(table1_designs):
         rel = abs(fit.coefficient - PAPER_C[label]) / PAPER_C[label]
         assert rel <= 0.01, f"{label}: fitted {fit.coefficient:.4f} vs {PAPER_C[label]}"
     assert elapsed < 10.0
+    # the exact C of each table1 row's design rounds to the paper's printed digit
+    for _, ps, branch, paper_c in TABLE1_ROWS:
+        res = designs["W" + "".join(map(str, ps))][branch]
+        exact = sixth_order_coefficient(p_epsilon(res.sequence, target))
+        assert "%.1f" % exact == "%.1f" % paper_c, (res.label, exact)
     summary = " ".join(f"{k}={fitted[k].coefficient:.4g}" for k in PAPER_C)
-    print(f"\nPASS criterion 1: Table 1 within 1% ({summary}; {elapsed:.1f}s)")
+    print(f"\nPASS criterion 1: Table 1 within 1% and exact ({summary}; {elapsed:.1f}s)")
 
 
 def test_criterion_2_exact_bb1_coefficient():

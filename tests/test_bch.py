@@ -6,17 +6,20 @@ import pytest
 
 from cpulse.analysis import (COEFF_WINDOW, FIT_POINTS, _fit_power_law, _log_grid,
                              fit_error_scaling)
-from cpulse.bch import (analytic_c, commutator, corrector_generators,
-                        p_epsilon, sixth_order_coefficient)
-from cpulse.design import _three_pulse, design_wm, design_wn
+from cpulse.bch import analytic_c, commutator, p_epsilon, sixth_order_coefficient
+from cpulse.design import (ROUNDING_BOUND, InfeasibleDesign, _three_pulse, design_five_pulse,
+                           design_wm, design_wn)
 from cpulse.pulses import (Pulse, PulseSequence, TargetRotation, compile_sequence,
                            embed_target)
 from cpulse.su2 import rotation, su2_parts
-from su2_oracle import (axis_vector, bb1_corrector, dagger, exp_pauli, oracle_infidelity,
-                        p_epsilon_array, pauli_sum, sbch, three_pulse_c, three_pulse_c8,
-                        three_pulse_phases)
+from su2_oracle import (axis_vector, bb1_corrector, dagger, exp_pauli, five_pulse_phases,
+                        oracle_infidelity, p_epsilon_array, pauli_sum, pi_triple_generators, sbch,
+                        three_pulse_c, three_pulse_c8, three_pulse_phases)
 
 PI = np.pi
+# every five-pulse family (p, q, r) with p, q <= 3, r <= 4 and p + q + r even
+FIVE_PULSE_FAMILIES = [(p, q, r) for p in (1, 2, 3) for q in (1, 2, 3) for r in (1, 2, 3, 4)
+                       if (p + q + r) % 2 == 0]
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
@@ -89,7 +92,7 @@ class TestPEpsilon:
         target = TargetRotation(PI, 0.0)
         corrector = bb1_corrector()
         series = p_epsilon(corrector, target)
-        _, r, s = np.asarray(corrector_generators(corrector, target))
+        _, r, s = pi_triple_generators(corrector, target)
         expected = -np.asarray(commutator(r + 2 * s, commutator(r, s))) / 24.0
         assert np.allclose(series[3], expected, atol=1e-12)
 
@@ -105,7 +108,7 @@ class TestPEpsilon:
             target = TargetRotation(theta, 0.0)
             corrector = design_wn(1, target).sequence
             series = p_epsilon(corrector, target)
-            _, r, s = np.asarray(corrector_generators(corrector, target))
+            _, r, s = pi_triple_generators(corrector, target)
             expected = -np.asarray(commutator(r + 2 * s, commutator(r, s))) / 24.0
             assert np.allclose(series[3], expected, atol=1e-10)
 
@@ -161,18 +164,19 @@ class TestPEpsilon:
             assert from_array == c
 
     def test_rejects_other_shapes(self):
+        # a lone pi pulse has an odd centre; (pi, 2 pi, 3 pi) reads otherwise backwards
         target = TargetRotation(PI, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="centre multiple must be even"):
             p_epsilon(PulseSequence.from_pairs([(PI, 0.0)]), target)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must read the same backwards"):
             p_epsilon(PulseSequence.from_pairs(
-                [(2 * PI, 0.0), (4 * PI, 1.0), (2 * PI, 0.0)]), target)
+                [(PI, 0.0), (2 * PI, 1.0), (3 * PI, 0.0)]), target)
 
     def test_rejects_unequal_outer_phases(self):
         target = TargetRotation(PI, 0.0)
         corrector = PulseSequence.from_pairs([(PI, 0.5), (2 * PI, 1.0), (PI, 0.6)])
-        with pytest.raises(ValueError, match="outer corrector pulses must share one phase"):
-            corrector_generators(corrector, target)
+        with pytest.raises(ValueError, match="mirrored corrector pulses must share one phase"):
+            p_epsilon(corrector, target)
 
     def test_outer_phases_are_compared_on_the_circle(self):
         # W1 turned so its outer phases straddle 0: 1e-14 and 2 pi - 1e-14, 2e-14
@@ -194,7 +198,7 @@ class TestPEpsilon:
         target = TargetRotation(PI, PI)
         pairs = [(p.angle, p.phase) for p in design_wm(1, target).sequence]
         pairs[index] = (pairs[index][0] + offset, pairs[index][1])
-        with pytest.raises(ValueError, match="pulse triple"):
+        with pytest.raises(ValueError, match="positive multiples of pi"):
             p_epsilon(PulseSequence.from_pairs(pairs), target)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -213,7 +217,7 @@ class TestPEpsilon:
                 p_epsilon(corrector, target)
                 continue
             assert (abs(angles[index] - nominal), sum(angles, target.theta)) == (bound, 16.0)
-            with pytest.raises(ValueError, match="pulse triple"):
+            with pytest.raises(ValueError, match="positive multiples of pi"):
                 p_epsilon(corrector, target)
 
     @pytest.mark.parametrize("first", [True, False])
@@ -228,14 +232,14 @@ class TestPEpsilon:
             if ok:
                 p_epsilon(corrector, target)
                 continue
-            with pytest.raises(ValueError, match="outer corrector pulses"):
+            with pytest.raises(ValueError, match="mirrored corrector pulses"):
                 p_epsilon(corrector, target)
 
     def test_an_overflowing_total_angle_is_no_family_member(self):
         # angles summing past the largest double make the bound inf, under
         # which every angle would lie within it
         corrector = PulseSequence.from_pairs([(1e308, 0.0), (1e308, 1.0), (PI, 0.0)])
-        with pytest.raises(ValueError, match="pulse triple"):
+        with pytest.raises(ValueError, match="positive multiples of pi"):
             p_epsilon(corrector, TargetRotation(PI, 0.0))
 
     def test_designed_correctors_pass_the_angle_check(self):
@@ -246,6 +250,70 @@ class TestPEpsilon:
                 c = sixth_order_coefficient(p_epsilon(res.sequence, target))
                 delta = res.sequence.pulses[1].phase - res.sequence.pulses[0].phase
                 assert c == pytest.approx(analytic_c(delta), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m,n", [(m, 1) for m in range(1, 11)] + [(1, 2), (1, 3), (1, 4)])
+    def test_three_pulse_families_match_the_closed_form(self, m, n):
+        # 1e-12, except that near theta = 0 the stored phases' rounding limits
+        # any C from them to about 4e-14 m n / theta relative, as for W1 below
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            target = TargetRotation(rng.uniform(0.17, 4 * PI - 0.17), rng.uniform(0, 2 * PI))
+            c = sixth_order_coefficient(p_epsilon(_three_pulse(m, n, target).sequence, target))
+            want = three_pulse_c(m, n, target.theta)
+            assert abs(c / want - 1.0) <= max(1e-12, 1e-13 * m * n / target.theta), target
+
+    # W114 has no branch: its links reach no nearer than 4 - 1 - 1 = 2 > theta / (2 pi)
+    @pytest.mark.parametrize("p,q,r", [(p, q, r) for p, q, r in FIVE_PULSE_FAMILIES
+                                       if r - p - q < 2])
+    def test_five_pulse_branches_match_a_60_digit_product(self, p, q, r):
+        # the product takes the oracle's phases: the stored ones leave a row 1
+        # of about 1e-15, which floors a product's C6 at about 1e-7
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(62)
+        compared = 0
+        for _ in range(20):
+            target = TargetRotation(rng.uniform(0.17, 4 * PI - 0.17), rng.uniform(0, 2 * PI))
+            try:
+                results = design_five_pulse(p, q, r, target)
+            except InfeasibleDesign:
+                continue
+            want = five_pulse_phases(mpmath, p, q, r, target.theta, target.alpha, 60)
+            for res in results:
+                gap, phases = min((max(abs(math.remainder(a - float(b), math.tau))
+                                       for a, b in zip(res.phases, w)), w) for w in want)
+                assert gap < 1e-12, res.phases
+                c = sixth_order_coefficient(p_epsilon(res.sequence, target))
+                assert c == pytest.approx(palindrome_c6(mpmath, (p, q, 2 * r), phases, target),
+                                          rel=1e-11), (target, res.label)
+                compared += 1
+        assert compared >= 20
+
+    def test_designed_correctors_are_flat_within_the_rounding_bound(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        families = st.one_of(st.tuples(st.just("wm"), st.integers(1, 10)),
+                             st.tuples(st.just("wn"), st.integers(1, 4)),
+                             st.sampled_from(FIVE_PULSE_FAMILIES))
+        designs = {"wm": lambda m, t: [design_wm(m, t)], "wn": lambda n, t: [design_wn(n, t)]}
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(theta=st.floats(1e-12, 4 * PI - 1e-12), alpha=st.floats(-10.0, 10.0),
+                          family=families)
+        def check(theta, alpha, family):
+            target = TargetRotation(theta, alpha)
+            try:
+                results = designs.get(family[0], design_five_pulse)(*family[1:], target) \
+                    if isinstance(family[0], str) else design_five_pulse(*family, target)
+            except InfeasibleDesign:
+                hypothesis.reject()
+            for res in results:
+                row0, row1, row2, _ = p_epsilon(res.sequence, target)
+                bound = ROUNDING_BOUND * sum((p.angle for p in res.sequence), theta)
+                assert row0 == row2 == (0.0, 0.0, 0.0)
+                assert math.hypot(*row1) < bound, res.label
+
+        check()
+
 
 class TestAnalyticCoefficient:
     def test_bb1_value(self):
@@ -343,6 +411,20 @@ def product_c(mpmath, m, n, theta, alpha, eps="1e-8", dps=80):
         return oracle_infidelity(mpmath, full, TargetRotation(theta, alpha), eps) / eps ** 6
 
 
+def palindrome_c6(mpmath, multiples, phases, target, eps="1e-6", dps=60):
+    """C6 of the palindrome of angles multiples[j] pi at phases[j], mirrored
+    about the last, after the target pulse, from products at dps digits:
+    (1 - F) / eps^6 = C6 + C8 eps^2 + C10 eps^4, so (4 lo - hi) / 3 at eps
+    and 2 eps is C6 - 4 C10 eps^4."""
+    with mpmath.workdps(dps):
+        block = [SimpleNamespace(angle=k * mpmath.pi, phase=phi)
+                 for k, phi in zip(multiples, phases)]
+        full = [Pulse(target.theta, target.alpha)] + block + block[-2::-1]
+        eps = mpmath.mpf(eps)
+        lo, hi = (oracle_infidelity(mpmath, full, target, e) / e ** 6 for e in (eps, 2 * eps))
+        return float((4 * lo - hi) / 3)
+
+
 class TestThreePulseClosedForm:
     """three_pulse_c, the exact C of every designed three-pulse family."""
 
@@ -374,7 +456,10 @@ class TestThreePulseClosedForm:
                                         (3, 1, "283.4304"), (1, 2, "3.696748")],
                              ids=["W1", "W2", "W3", "W1x2"])
     def test_paper_target_values(self, m, n, c6):
+        target = TargetRotation(PI, PI)
         assert "%.7g" % three_pulse_c(m, n, PI) == c6
+        series = p_epsilon(_three_pulse(m, n, target).sequence, target)
+        assert "%.7g" % sixth_order_coefficient(series) == c6
 
     def test_coefficient_fits_within_one_percent(self):
         rng = np.random.default_rng(18)
