@@ -128,6 +128,12 @@ class TestDesign:
             main(["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"])
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("family", ["wn", "wm"])
+    def test_count_flags_default_to_1(self, capsys, family):
+        # with no --n or --m, design --family wn or wm designs W1
+        assert main(["design", "--family", family]) == 0
+        assert capsys.readouterr().out.startswith("# W1 target: ")
+
     def test_json_shape(self, capsys):
         assert main(["design", "--family", "wm", "--m", "2", "--theta", "pi",
                      "--alpha", "pi", "--format", "json"]) == 0
@@ -169,6 +175,12 @@ class TestSweep:
         assert b1 == out2.read_bytes()
         assert b"\r" not in b1
 
+    def test_default_grid_is_60_points_from_0_to_0_3(self, capsys):
+        assert main(["sweep", "--family", "plain"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 60
+        assert (rows[0].split(",")[0], rows[-1].split(",")[0]) == ("0", "0.29999999999999999")
+
     def test_bad_grid_rejected(self, capsys):
         assert main(["sweep", "--family", "plain", "--eps-min", "0.5",
                      "--eps-max", "0.1"]) == 2
@@ -207,7 +219,8 @@ class TestSweep:
         assert len(err) == 1 and err[0].startswith("error: grid needs finite"), err
 
     @pytest.mark.parametrize("bounds", [["--eps-min=-1e308", "--eps-max", "1e308"],
-                                        ["--eps-max", "1.5"], ["--eps-min", "-1"]])
+                                        ["--eps-max", "1.5"], ["--eps-max", "1"],
+                                        ["--eps-min", "-1"]])
     def test_grid_outside_error_domain_exits_2_with_one_line(self, capsys, bounds):
         # a finite grid wider than -1 < eps < 1 is rejected before its step
         # is formed, whose range would overflow, and before any point is computed
@@ -219,9 +232,12 @@ class TestSweep:
         # 0.1 and the next double apart: the grid rounds to repeated points
         (["--family", "plain", "--eps-min", "0.1", "--eps-max", "0.10000000000000002",
           "--eps-count", "10"], "error: epsilon grid must be nonempty and strictly increasing"),
+        # a span of 10 ulps over 100 points: the step guard walks the grid
+        (["--family", "plain", "--eps-min", "0.5", "--eps-max", "0.5000000000000011",
+          "--eps-count", "100"], "error: epsilon grid must be nonempty and strictly increasing"),
         # 1.5e308 * (1 + eps) overflows only past eps = 0.198, inside the grid
         (["--seq", "overflow.txt", "--eps-min", "-0.5", "--eps-max", "0.3"],
-         "error: rotation angles must be finite")], ids=["repeated-points", "angle-overflow"])
+         "error: rotation angles must be finite")], ids=["repeated-points", "ten-ulp-span", "angle-overflow"])
     def test_grid_failing_inside_exits_2_before_any_output(self, capsys, tmp_path, monkeypatch,
                                                            argv, message):
         monkeypatch.chdir(tmp_path)
@@ -554,6 +570,46 @@ class TestVerify:
         assert main(["verify", "--scan"]) == 1
         assert capsys.readouterr().out.startswith("FAIL three_pulse_scan")
 
+    @pytest.mark.parametrize("field, value, verdict", [
+        ("order", 6.05, "PASS"), ("order", math.nextafter(6.05, 7.0), "FAIL"),
+        ("order", 5.95, "PASS"), ("order", math.nextafter(5.95, 5.0), "FAIL"),
+        ("r_squared", math.nextafter(0.9999, 1.0), "PASS"), ("r_squared", 0.9999, "FAIL")])
+    def test_fit_verdicts_at_their_edges(self, capsys, monkeypatch, field, value, verdict):
+        # the fit patched to read one value at the edge: order passes within
+        # 0.05 of 6 (no double lies exactly 0.05 off), r_squared strictly above 0.9999
+        report = fit_error_scaling(design_wm(2, TargetRotation(PI, 0.0)).sequence,
+                                   TargetRotation(PI, 0.0))
+        monkeypatch.setattr(cli, "fit_error_scaling",
+                            lambda *args: report._replace(**{field: value}))
+        assert main(["verify", "--family", "wm", "--m", "2"]) == (verdict == "FAIL")
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[2:]] == [
+            ("PASS order", verdict + " order")[field == "order"],
+            ("PASS r_squared", verdict + " r_squared")[field == "r_squared"]]
+
+    @pytest.mark.parametrize("gap, applies", [(1e-8, True), (math.nextafter(1e-8, 1.0), False)])
+    def test_analytic_line_applies_up_to_1e_8(self, capsys, tmp_path, gap, applies):
+        # outer phases 0 and gap: the wrapped gap is gap itself, and 1e-8 applies
+        path = tmp_path / "w1.txt"
+        path.write_text(f"{PI!r} 0\n{2 * PI!r} 1\n{PI!r} {gap!r}\n")
+        main(["verify", "--seq", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert ("analytic_coefficient" in lines[-1]) == applies, lines
+
+    @pytest.mark.parametrize("cref, verdict", [(0.0, "FAIL"), (0.5, "PASS")])
+    def test_analytic_line_needs_a_positive_reference(self, capsys, monkeypatch, cref,
+                                                      verdict):
+        # a reference of 0 fails without dividing by it; any positive one,
+        # below 1 too, passes when the fit matches it
+        report = fit_error_scaling(design_wm(1, TargetRotation(PI, 0.0)).sequence,
+                                   TargetRotation(PI, 0.0))
+        monkeypatch.setattr(cli, "analytic_c", lambda delta: cref)
+        monkeypatch.setattr(cli, "fit_error_scaling",
+                            lambda *args: report._replace(coefficient=cref))
+        assert main(["verify", "--family", "wm", "--m", "1"]) == (verdict == "FAIL")
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith(verdict + " analytic_coefficient: "), last
+
     def test_fit_at_the_tolerance_passes_its_analytic_line(self, capsys, monkeypatch):
         # the 1% gate is inclusive, as in table1: a fit exactly TABLE1_TOL off passes
         target = TargetRotation(PI, 0.0)
@@ -836,6 +892,10 @@ class TestSignedAngleArgs:
         assert main(["sweep", "--family", "plain", "--theta", "-pi"]) == 2
         assert capsys.readouterr().err.startswith("error: target theta")
 
+    def test_end_of_options_marker_is_no_flag_prefix(self):
+        # '--' begins every flag name, but a number after it is not joined to it
+        assert cli._join_signed_values(["sweep", "--", "-1"]) == ["sweep", "--", "-1"]
+
     def test_non_numeric_token_is_left_to_argparse(self, capsys):
         assert cli._join_signed_values(["sweep", "--alpha", "-x"]) == ["sweep", "--alpha", "-x"]
         with pytest.raises(SystemExit) as exc:
@@ -847,7 +907,7 @@ class TestSignedAngleArgs:
 
 class TestPlainSplit:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    @pytest.mark.parametrize("split", ["5", "-0.5", "nan"])
+    @pytest.mark.parametrize("split", ["5", "1.5", "-0.5", "nan"])
     def test_out_of_range_split_exits_2_with_one_line(self, capsys, command, split):
         # the bare pulse ignores the split, but checks it like every other source
         assert main([command, "--family", "plain", "--split", split]) == 2
@@ -891,6 +951,14 @@ class TestIntegerBounds:
     def test_below_one_exits_2_with_one_line(self, capsys, argv, flag):
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be a positive integer"]
+
+    def test_eps_count_floor_and_cap_are_accepted(self, capsys, monkeypatch):
+        # the cap patched down, as the tests patch ROUNDING_BOUND: 2 and the
+        # cap itself run, 1 and the cap + 1 exit 2
+        monkeypatch.setattr(cli, "MAX_EPS_COUNT", 5)
+        for count, code, rows in (("2", 0, 2), ("5", 0, 5), ("1", 2, 0), ("6", 2, 0)):
+            assert main(["sweep", "--family", "plain", "--eps-count", count]) == code
+            assert len(capsys.readouterr().out.splitlines()[1:]) == rows, count
 
     def test_cap_itself_is_accepted(self, capsys):
         assert main(["design", "--family", "wn", "--n", str(cli.MAX_MULTIPLE),
