@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,11 @@ class TestDesign:
             main(["design", "--family", "fivepulse", "--p", "1", "--q", "2", "--r", "1"])
         assert capsys.readouterr().err == ""
 
+    def test_main_without_argv_reads_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["cpulse", "design", "--family", "wn"])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("# W1 target: ")
+
     @pytest.mark.parametrize("family", ["wn", "wm"])
     def test_count_flags_default_to_1(self, capsys, family):
         # with no --n or --m, design --family wn or wm designs W1
@@ -237,7 +243,8 @@ class TestSweep:
           "--eps-count", "100"], "error: epsilon grid must be nonempty and strictly increasing"),
         # 1.5e308 * (1 + eps) overflows only past eps = 0.198, inside the grid
         (["--seq", "overflow.txt", "--eps-min", "-0.5", "--eps-max", "0.3"],
-         "error: rotation angles must be finite")], ids=["repeated-points", "ten-ulp-span", "angle-overflow"])
+         "error: rotation angles must be finite")],
+        ids=["repeated-points", "ten-ulp-span", "angle-overflow"])
     def test_grid_failing_inside_exits_2_before_any_output(self, capsys, tmp_path, monkeypatch,
                                                            argv, message):
         monkeypatch.chdir(tmp_path)
