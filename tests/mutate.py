@@ -14,7 +14,8 @@ survives when they pass, and times out past 5x the unmutated run.  With
 --full every survivor runs again on the whole suite.  The script prints
 the counts, then each survivor by site, with its reason where EQUIVALENT
 lists it, and exits 1 if a survivor is not listed.  --sites prints the
-mutants without running them.
+mutants without running them.  The worker copies live under the system's
+temporary directory (TMPDIR) and are removed at the end.
 
 It is not part of the test suite or of CI: one module takes minutes.
 """
@@ -67,6 +68,10 @@ EQUIVALENT = {
         "a smaller step estimate walks more grids, and a walk finds only repeats that exist",
     ("cli", GUARD, "<= -> <"):
         "at a step of exactly DISTINCT_STEP neighbours differ by 3.3e-16 or more: no repeat",
+    ("bch", "sign, shift = -sign, shift + 2.0 * sign * p.phase", "* -> /"):
+        "sign is 1.0 or -1.0, so 2.0 / sign is 2.0 * sign",
+    ("bch", "return 0.5 * (w0 * w0 + w1 * w1 + w2 * w2)", "+ -> - #2"):
+        "row 3 lies in the XY plane, so w2 is 0",
 }
 
 

@@ -1,9 +1,10 @@
 """Test-side SU(2) references: Pauli matrices, XY-plane axes as arrays, the
 general closed-form exponential, the symmetric BCH series, the (pi, 2 pi, pi)
-generators and their error-log rows by the array route, fit grids as arrays, the bare-pulse sweep
-baseline, a high-precision infidelity, the paper's closed-form phases and
-the exact C6 and C8 of every designed three-pulse family, the five-pulse
-branches at high precision, BB1, and a tracemalloc peak probe.
+generators and their error-log rows by the array route, fit grids as arrays,
+the bare-pulse sweep baseline, a high-precision infidelity, the paper's
+closed-form phases and the exact C6 and C8 of every designed three-pulse
+family, the five-pulse branches at high precision, BB1, and a tracemalloc
+peak probe.
 
 The package needs none of these; the tests use them as independent
 matrix-level references for the scalar routines in cpulse.

@@ -164,10 +164,13 @@ class TestPEpsilon:
             assert from_array == c
 
     def test_rejects_other_shapes(self):
-        # a lone pi pulse has an odd centre; (pi, 2 pi, 3 pi) reads otherwise backwards
+        # a lone pi pulse and (pi, pi, pi) have an odd centre, while (pi, pi, pi,
+        # pi) composes to the identity; (pi, 2 pi, 3 pi) reads otherwise backwards
         target = TargetRotation(PI, 0.0)
-        with pytest.raises(ValueError, match="centre multiple must be even"):
-            p_epsilon(PulseSequence.from_pairs([(PI, 0.0)]), target)
+        for pairs in ([(PI, 0.0)], [(PI, 0.0), (PI, 1.0), (PI, 0.0)]):
+            with pytest.raises(ValueError, match="centre multiple must be even"):
+                p_epsilon(PulseSequence.from_pairs(pairs), target)
+        p_epsilon(PulseSequence.from_pairs([(PI, 0.0), (PI, 1.0), (PI, 1.0), (PI, 0.0)]), target)
         with pytest.raises(ValueError, match="must read the same backwards"):
             p_epsilon(PulseSequence.from_pairs(
                 [(PI, 0.0), (2 * PI, 1.0), (3 * PI, 0.0)]), target)
@@ -293,8 +296,9 @@ class TestPEpsilon:
         st = hypothesis.strategies
         families = st.one_of(st.tuples(st.just("wm"), st.integers(1, 10)),
                              st.tuples(st.just("wn"), st.integers(1, 4)),
-                             st.sampled_from(FIVE_PULSE_FAMILIES))
-        designs = {"wm": lambda m, t: [design_wm(m, t)], "wn": lambda n, t: [design_wn(n, t)]}
+                             st.sampled_from([("fivepulse", *f) for f in FIVE_PULSE_FAMILIES]))
+        designs = {"wm": lambda m, t: [design_wm(m, t)], "wn": lambda n, t: [design_wn(n, t)],
+                   "fivepulse": design_five_pulse}
 
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(theta=st.floats(1e-12, 4 * PI - 1e-12), alpha=st.floats(-10.0, 10.0),
@@ -302,8 +306,7 @@ class TestPEpsilon:
         def check(theta, alpha, family):
             target = TargetRotation(theta, alpha)
             try:
-                results = designs.get(family[0], design_five_pulse)(*family[1:], target) \
-                    if isinstance(family[0], str) else design_five_pulse(*family, target)
+                results = designs[family[0]](*family[1:], target)
             except InfeasibleDesign:
                 hypothesis.reject()
             for res in results:

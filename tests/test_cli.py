@@ -589,10 +589,9 @@ class TestVerify:
         monkeypatch.setattr(cli, "fit_error_scaling",
                             lambda *args: report._replace(**{field: value}))
         assert main(["verify", "--family", "wm", "--m", "2"]) == (verdict == "FAIL")
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in lines[2:]] == [
-            ("PASS order", verdict + " order")[field == "order"],
-            ("PASS r_squared", verdict + " r_squared")[field == "r_squared"]]
+        want = {"order": "PASS", "r_squared": "PASS", field: verdict}
+        assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[2:]] == [
+            f"{want[name]} {name}" for name in ("order", "r_squared")]
 
     @pytest.mark.parametrize("gap, applies", [(1e-8, True), (math.nextafter(1e-8, 1.0), False)])
     def test_analytic_line_applies_up_to_1e_8(self, capsys, tmp_path, gap, applies):
