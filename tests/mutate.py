@@ -1,21 +1,20 @@
 """Mutation testing of one module of src/cpulse: a count of the ways to
 break the code that the tests do not notice.
 
-Usage: python tests/mutate.py MODULE [TEST ...] [--workers N] [--full]
-       python tests/mutate.py MODULE --sites
+Usage: python tests/mutate.py MODULE [TEST ...] [--full]
 
 Each mutant changes one site of src/cpulse/MODULE.py: it swaps < with <=,
 > with >=, == with !=, + with -, * with /, or `and` with `or`; it bumps a
 number (an int by 1, a float by 2x, 0 to 1); or it drops a unary minus.
-The mutated tree is written back with ast.unparse into one of N worker
-copies of the repository, and `pytest -x -q` runs the given tests there
-(default: the whole suite).  A mutant is killed when the tests fail,
-survives when they pass, and times out past 5x the unmutated run.  With
---full every survivor runs again on the whole suite.  The script prints
-the counts, then each survivor by site, with its reason where EQUIVALENT
-lists it, and exits 1 if a survivor is not listed.  --sites prints the
-mutants without running them.  The worker copies live under the system's
-temporary directory (TMPDIR) and are removed at the end.
+The mutated tree is written back with ast.unparse into one of the worker
+copies of the repository, one per CPU this process may run on, and
+`pytest -x -q` runs the given tests there (default: the whole suite).  A
+mutant is killed when the tests fail, survives when they pass, and times
+out past 5x the unmutated run.  With --full every survivor runs again on
+the whole suite.  The script prints the counts, then each survivor by
+site, with its reason where EQUIVALENT lists it, and exits 1 if a survivor
+is not listed.  The worker copies live under the system's temporary
+directory (TMPDIR) and are removed at the end.
 
 It is not part of the test suite or of CI: one module takes minutes.
 """
@@ -145,10 +144,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="module name under src/cpulse, e.g. cli")
     parser.add_argument("tests", nargs="*", help="test paths (default: the whole suite)")
-    parser.add_argument("--workers", type=int, default=2, help="worker copies (default 2)")
     parser.add_argument("--full", action="store_true",
                         help="run each survivor again on the whole suite")
-    parser.add_argument("--sites", action="store_true", help="list the mutants and stop")
     args = parser.parse_args(argv)
     relative = Path("src", "cpulse", args.module + ".py")
     source = (ROOT / relative).read_text()
@@ -160,15 +157,11 @@ def main(argv=None) -> int:
         nth = seen[line, mutation]
         keys.append((args.module, lines[line - 1].strip(),
                      mutation if nth == 1 else f"{mutation} #{nth}"))
-    if args.sites:
-        for i, ((line, _), key) in enumerate(zip(sites, keys)):
-            print(f"{i:4d} {relative.name}:{line} {key[2]}   {key[1]}")
-        return 0
-
+    workers = len(os.sched_getaffinity(0))
     workdir = Path(tempfile.mkdtemp(prefix="mutate-"))
     copies = queue.Queue()
     try:
-        for i in range(max(1, args.workers)):
+        for i in range(workers):
             copy = workdir / f"copy{i}"
             shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
                 ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
@@ -199,7 +192,7 @@ def main(argv=None) -> int:
             print(f"mutant {index}: {outcome}", file=sys.stderr, flush=True)
             return outcome
 
-        with ThreadPoolExecutor(max(1, args.workers)) as pool:
+        with ThreadPoolExecutor(workers) as pool:
             timeout = limit(args.tests)
             outcomes = list(pool.map(lambda i: judge(i, args.tests, timeout), range(len(sites))))
             if args.full:
@@ -214,7 +207,7 @@ def main(argv=None) -> int:
     counts = {name: outcomes.count(name) for name in ("killed", "survived", "timed out")}
     print(f"{relative.name}: {len(sites)} mutants, {counts['killed']} killed, "
           f"{counts['survived']} survived, {counts['timed out']} timed out "
-          f"({time.monotonic() - start:.0f} s, {max(1, args.workers)} workers"
+          f"({time.monotonic() - start:.0f} s, {workers} workers"
           f"{', survivors on the whole suite' if args.full else ''})")
     unexplained = 0
     for (line, _), key, outcome in zip(sites, keys, outcomes):

@@ -256,16 +256,28 @@ class TestPEpsilon:
 
     @pytest.mark.parametrize("m,n", [(m, 1) for m in range(1, 11)] + [(1, 2), (1, 3), (1, 4)])
     def test_three_pulse_families_match_the_closed_form(self, m, n):
-        # 1e-12, except that near theta = 0 the stored phases' rounding limits
-        # any C from them to about 4e-14 m n / theta relative, as for W1 below
+        # the stored phases' rounding moves C by up to about 1e-13 m n / theta
+        # relative, so p_epsilon is held to its rule run at 40 digits on those
+        # same phases, and that run on the closed form's phases to three_pulse_c
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(61)
+        multiples = [m, 2 * m, m] * n
         for _ in range(300):
             target = TargetRotation(rng.uniform(0.17, 4 * PI - 0.17), rng.uniform(0, 2 * PI))
-            c = sixth_order_coefficient(p_epsilon(_three_pulse(m, n, target).sequence, target))
-            want = three_pulse_c(m, n, target.theta)
-            assert abs(c / want - 1.0) <= max(1e-12, 1e-13 * m * n / target.theta), target
+            res = _three_pulse(m, n, target)
+            c = sixth_order_coefficient(p_epsilon(res.sequence, target))
+            stored = [pulse.phase for pulse in res.sequence]
+            assert c == pytest.approx(rule_c6(mpmath, multiples, stored, target),
+                                      rel=1e-12), target
+            gap, (phi1, phi2) = min((max(abs(math.remainder(a - float(b), math.tau))
+                                         for a, b in zip(res.phases, w)), w)
+                                    for w in three_pulse_phases(mpmath, m, n, *target))
+            assert gap < 1e-12, res.phases
+            assert rule_c6(mpmath, multiples, [phi1, phi2, phi1] * n, target) == pytest.approx(
+                three_pulse_c(m, n, target.theta), rel=1e-12), target
 
-    # W114 has no branch: its links reach no nearer than 4 - 1 - 1 = 2 > theta / (2 pi)
+    # W114 has no branch: its links reach no nearer than 4 - 1 - 1 = 2 > theta / (2 pi);
+    # every family here has r <= p + q, so every target has branches
     @pytest.mark.parametrize("p,q,r", [(p, q, r) for p, q, r in FIVE_PULSE_FAMILIES
                                        if r - p - q < 2])
     def test_five_pulse_branches_match_a_60_digit_product(self, p, q, r):
@@ -273,23 +285,16 @@ class TestPEpsilon:
         # of about 1e-15, which floors a product's C6 at about 1e-7
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(62)
-        compared = 0
         for _ in range(20):
             target = TargetRotation(rng.uniform(0.17, 4 * PI - 0.17), rng.uniform(0, 2 * PI))
-            try:
-                results = design_five_pulse(p, q, r, target)
-            except InfeasibleDesign:
-                continue
             want = five_pulse_phases(mpmath, p, q, r, target.theta, target.alpha, 60)
-            for res in results:
+            for res in design_five_pulse(p, q, r, target):
                 gap, phases = min((max(abs(math.remainder(a - float(b), math.tau))
                                        for a, b in zip(res.phases, w)), w) for w in want)
                 assert gap < 1e-12, res.phases
                 c = sixth_order_coefficient(p_epsilon(res.sequence, target))
                 assert c == pytest.approx(palindrome_c6(mpmath, (p, q, 2 * r), phases, target),
                                           rel=1e-11), (target, res.label)
-                compared += 1
-        assert compared >= 20
 
     def test_designed_correctors_are_flat_within_the_rounding_bound(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -426,6 +431,34 @@ def palindrome_c6(mpmath, multiples, phases, target, eps="1e-6", dps=60):
         eps = mpmath.mpf(eps)
         lo, hi = (oracle_infidelity(mpmath, full, target, e) / e ** 6 for e in (eps, 2 * eps))
         return float((4 * lo - hi) / 3)
+
+
+def rule_c6(mpmath, multiples, phases, target, dps=40):
+    """C6 of the palindrome of angles multiples[j] pi after the target, by
+    p_epsilon's rule at dps digits from its first half and centre, phases[j]
+    taken as given: each phase reflected through every earlier odd multiple's,
+    latest first, then the symmetric BCH c(R, S) = -(1/6) (R + 2S) x (R x S)
+    composed from the centre out, the target's halves last."""
+    def cross(a, b):
+        return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+    with mpmath.workdps(dps):
+        half, phi = len(multiples) // 2, [mpmath.mpf(f) for f in phases]
+        steps = []
+        for j, k in enumerate(multiples[:len(multiples) - half]):
+            beta = phi[j]
+            for i in reversed(range(j)):
+                if multiples[i] % 2:
+                    beta = 2 * phi[i] - beta
+            steps.append((k * mpmath.pi / (1 if j < half else 2), beta))
+        row1 = row3 = (0, 0, 0)
+        for size, beta in steps[::-1] + [(mpmath.mpf(target.theta) / 2,
+                                          mpmath.mpf(target.alpha))]:
+            r = (size * mpmath.cos(beta), size * mpmath.sin(beta), 0)
+            r2s = [x + 2 * y for x, y in zip(r, row1)]
+            row3 = [x - y / 6 for x, y in zip(row3, cross(r2s, cross(r, row1)))]
+            row1 = [x + y for x, y in zip(row1, r)]
+        return float(sum(x * x for x in row3) / 2)
 
 
 class TestThreePulseClosedForm:
